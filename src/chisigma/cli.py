@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChiSigmaError, ConfigError, NiftiError, SchemaError
-from .identify import SearchConfig, estimate_volume
+from .identify import AXIS_INDEX, SearchConfig, estimate_volume
 from .io import (
     build_report,
     read_nifti,
@@ -28,8 +28,6 @@ from .synth import GEOMETRIES, PhantomSpec, build_tau, object_mask, simulate
 
 __all__ = ["EvalReport", "evaluate_report", "cmd_estimate", "cmd_simulate",
            "cmd_evaluate", "main"]
-
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,7 +92,7 @@ def evaluate_report(report, truth: dict) -> EvalReport:
         raise SchemaError(
             f"report volume dims {rep_dims} do not match ground truth {dims}"
         )
-    axis = _AXIS_INDEX[report.config.get("slice_axis", "z")]
+    axis = AXIS_INDEX[report.config.get("slice_axis", "z")]
     background = ~object_mask(spec)
     sigma_map = build_tau(spec.dims, spec.profile, spec.tau_max) * sigma_g
 
@@ -181,7 +179,7 @@ def cmd_estimate(args) -> int:
     if args.out_csv:
         write_slice_csv(report, args.out_csv)
     if args.out_mask:
-        axis = _AXIS_INDEX[config.slice_axis]
+        axis = AXIS_INDEX[config.slice_axis]
         mask3d = np.stack([e.mask for e in estimates], axis=axis)
         write_nifti(mask3d, args.out_mask)
     return EXIT_OK

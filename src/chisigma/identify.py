@@ -6,8 +6,13 @@ s = sum_v m_v^2 / (2 sigma^2) over the V volumes follows a gamma
 distribution with shape V*N and unit scale when the voxel holds pure
 noise, so voxels whose s falls between two gamma quantiles are taken as
 noise-only. The candidate identifying the most voxels wins, the noise
-parameters are re-estimated from the identified samples, and the search
+parameters are re-estimated from the identified voxels, and the search
 grid and quantile bounds are tightened until sigma and N stabilize.
+
+The fit needs only sums over the identified voxels, so each slice is
+reduced once to per-voxel moments (sum_v m^2, sum_v m^4 and, for the
+likelihood estimator, sum_v log m^2 and a zero count); every outer pass
+then works on those 2D arrays instead of re-gathering the samples.
 """
 
 import concurrent.futures
@@ -22,7 +27,16 @@ from .errors import (
     DomainError,
     NoNoiseVoxelsError,
 )
-from .model import estimate_n_mle, estimate_n_moments, estimate_sigma
+# The sample-array estimators are not called here; they stay importable
+# from this module because bench/spans.py hooks them by name on it.
+from .model import (  # noqa: F401
+    estimate_n_mle,
+    estimate_n_moments,
+    estimate_sigma,
+    n_from_log_moments,
+    n_from_moments,
+    sigma_from_moments,
+)
 from .specfun import check_prob_level, inv_gamma_p
 
 __all__ = [
@@ -37,7 +51,8 @@ __all__ = [
     "estimate_volume",
 ]
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# Spatial axis of a (X, Y, Z, V) array for each slice-axis name.
+AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True)
@@ -93,7 +108,7 @@ class SearchConfig:
             raise ConfigError("max_outer_iters must be at least 1")
         if not self.rel_tol > 0.0:
             raise ConfigError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.slice_axis not in _AXIS_INDEX:
+        if self.slice_axis not in AXIS_INDEX:
             raise ConfigError(f"slice_axis must be one of x, y, z, got {self.slice_axis!r}")
 
     def effective_n_bracket(self) -> tuple[float, float]:
@@ -159,10 +174,45 @@ def sigma_upper_bound(data, n_max: float) -> float:
         raise DegenerateDataError("cannot bound sigma on empty data")
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
-    med = float(np.median(arr))
+    med = _median(arr)
     if med <= 0.0:
         raise DegenerateDataError("data median is zero; no signal present")
     return med / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
+
+
+_MEDIAN_SAMPLE = 1 << 16
+_MEDIAN_CHUNK = 1 << 20
+
+
+def _median(arr: np.ndarray) -> float:
+    # Bit-equal to np.median without copying or partitioning the whole
+    # array (Floyd-Rivest selection); only a non-contiguous view is
+    # flattened into a copy. Two pivots taken from a sorted
+    # strided sample bracket the middle ranks; one chunked pass counts the
+    # values below the bracket and extracts those inside it, and only that
+    # small set is partitioned. If the bracket misses the middle ranks, or
+    # holds a NaN (which compares with neither pivot), np.median runs.
+    flat = arr.reshape(-1)
+    n = flat.size
+    sample = np.sort(flat[:: max(1, n // _MEDIAN_SAMPLE)])
+    m = sample.size
+    delta = 3.0 * np.sqrt(m) + 1.0
+    lo = sample[max(0, int((m - 1) * ((n - 1) // 2) / n - delta))]
+    hi = sample[min(m - 1, int((m - 1) * (n // 2) / n + delta) + 1)]
+    n_below = 0
+    inside = []
+    for start in range(0, n, _MEDIAN_CHUNK):
+        chunk = flat[start:start + _MEDIAN_CHUNK]
+        below = chunk < lo
+        above = chunk > hi
+        n_below += int(np.count_nonzero(below))
+        inside.append(chunk[~(below | above)])
+    mid = np.concatenate(inside)
+    k = [(n - 1) // 2 - n_below, n // 2 - n_below]
+    if k[0] < 0 or k[1] >= mid.size or np.isnan(mid).any():
+        return float(np.median(arr))
+    part = np.partition(mid, k)
+    return float(np.mean(part[k[0]:k[1] + 1]))
 
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
@@ -181,12 +231,12 @@ def refine_grid(sigma: float) -> np.ndarray:
     return sigma * (0.95 + 0.01 * np.arange(11, dtype=np.float64))
 
 
-def _sum_squares(slice_data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Returns (sum over volumes of m^2, nonpadding mask). Voxels that are
+def _sum_squares(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Returns (m^2, its sum over volumes, nonpadding mask). Voxels that are
     # zero across every volume are padding, never noise draws.
-    m2 = slice_data.astype(np.float64, copy=False) ** 2
+    m2 = arr ** 2
     sum_m2 = np.sum(m2, axis=-1)
-    return sum_m2, sum_m2 > 0.0
+    return m2, sum_m2, sum_m2 > 0.0
 
 
 def _mask_from_sums(sum_m2, nonpadding, sigma, bounds):
@@ -217,23 +267,42 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    sum_m2, nonpadding = _sum_squares(arr)
+    _, sum_m2, nonpadding = _sum_squares(arr)
     mask = _mask_from_sums(sum_m2, nonpadding, sigma_candidate, bounds)
     return int(np.count_nonzero(mask)), mask
 
 
 def _best_candidate(grid, sum_m2, nonpadding, bounds):
-    # Smallest candidate wins ties, so iterate in ascending order with a
-    # strict comparison.
-    best_count = 0
-    best_sigma = None
-    best_mask = None
-    for cand in grid:
-        mask = _mask_from_sums(sum_m2, nonpadding, cand, bounds)
-        count = int(np.count_nonzero(mask))
-        if count > best_count:
-            best_count, best_sigma, best_mask = count, float(cand), mask
-    return best_count, best_sigma, best_mask
+    # All candidates at once: the grid broadcast along a new leading axis
+    # gives row i the same operations as a single call for grid[i]. argmax
+    # returns the first of tied maxima, so the smallest candidate wins ties.
+    g = grid.reshape((-1,) + (1,) * sum_m2.ndim)
+    masks = _mask_from_sums(sum_m2, nonpadding, g, bounds)
+    counts = np.count_nonzero(masks.reshape(grid.size, -1), axis=1)
+    best = int(np.argmax(counts))
+    if counts[best] == 0:
+        return 0, None, None
+    return int(counts[best]), float(grid[best]), masks[best]
+
+
+def _check_magnitudes(arr: np.ndarray) -> None:
+    # min/max reductions propagate NaN and need no temporary arrays.
+    if arr.size == 0:
+        return
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("sample values must be finite")
+    if lo < 0.0:
+        raise DomainError("magnitude samples must be nonnegative")
+
+
+def _log_moments(arr: np.ndarray, m2: np.ndarray, ref: float):
+    # Per voxel: sum over positive samples of log(m^2 / ref), and the
+    # number of zero samples. Zero samples leave t at 0, adding nothing.
+    pos = arr > 0.0
+    t = m2 / ref
+    np.log(t, out=t, where=pos)
+    return np.sum(t, axis=-1), arr.shape[-1] - np.count_nonzero(pos, axis=-1)
 
 
 def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = None,
@@ -242,10 +311,16 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
 
     Runs the full iterative search: identify noise voxels with the
     current bounds over the candidate grid, re-estimate sigma from the
-    identified samples and N per ``config.estimator``, then refine the
+    identified voxels and N per ``config.estimator``, then refine the
     grid around the new sigma and recompute the bounds from the new N.
     Iterations stop when the relative change of both falls below
     ``config.rel_tol`` or the iteration cap is hit (``converged=False``).
+
+    The slice is validated and reduced to per-voxel moments once: sums
+    over the volume axis of m^2 and m^4, and for ``estimator="mle"`` of
+    log(m^2 / (2 sigma_max^2)) over positive samples plus a count of
+    zero samples. Each iteration fits from sums of those over the
+    identified voxels, with K = count * V samples.
 
     With ``config.fixed_n`` set, N is pinned and only sigma is searched.
 
@@ -253,6 +328,7 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     ----------
     slice_data : ndarray
         Shape (..., V): spatial grid with a trailing volume axis.
+        Values must be finite and nonnegative.
     config : SearchConfig
         Search parameters.
     sigma_max : float, optional
@@ -264,20 +340,31 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
 
     Raises
     ------
+    DomainError
+        If the slice holds negative or non-finite values.
     NoNoiseVoxelsError
         If every candidate of the current grid identifies zero voxels.
     """
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
+    _check_magnitudes(arr)
     n_volumes = arr.shape[-1]
-    sum_m2, nonpadding = _sum_squares(arr)
+    m2, sum_m2, nonpadding = _sum_squares(arr)
     if not np.any(nonpadding):
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
 
     n_low, n_high = config.effective_n_bracket()
     if sigma_max is None:
         sigma_max = sigma_upper_bound(arr, n_high)
+    use_mle = config.fixed_n is None and config.estimator == "mle"
+    if use_mle:
+        # A reference that scales with the data keeps the sums, and so N,
+        # bit-exact under power-of-two scaling.
+        ref = 2.0 * sigma_max * sigma_max
+        sum_log, zeros = _log_moments(arr, m2, ref)
+    m4 = np.multiply(m2, m2, out=m2)
+    sum_m4 = np.sum(m4, axis=-1)
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
     grid = initial_grid(sigma_max, config.grid_size)
 
@@ -290,19 +377,21 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     iters = 0
 
     for iters in range(1, config.max_outer_iters + 1):
-        count, best_sigma, best_mask = _best_candidate(grid, sum_m2, nonpadding, bounds)
+        count, _, best_mask = _best_candidate(grid, sum_m2, nonpadding, bounds)
         if count == 0:
             raise NoNoiseVoxelsError(
                 f"slice {slice_index}: no candidate noise level identified any voxels"
             )
-        samples = arr[best_mask].ravel()
-        sigma = estimate_sigma(samples)
+        k = count * n_volumes
+        s2 = float(np.sum(sum_m2[best_mask]))
+        sigma = sigma_from_moments(s2, float(np.sum(sum_m4[best_mask])), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
-        elif config.estimator == "mle":
-            n_dof = estimate_n_mle(samples, sigma)
+        elif use_mle:
+            n_dof = n_from_log_moments(float(np.sum(sum_log[best_mask])), k,
+                                       int(np.sum(zeros[best_mask])), sigma, ref)
         else:
-            n_dof = estimate_n_moments(samples, sigma)
+            n_dof = n_from_moments(s2, k, sigma)
         mask = best_mask
 
         if sigma_prev is not None:
@@ -348,11 +437,13 @@ def _slice_view(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
 def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceEstimate]:
     """Estimate every slice of a 4D dataset independently.
 
-    The initial-grid upper bound is computed once from the whole 4D
-    data, then each slice along ``config.slice_axis`` is estimated on
-    its own. Slices that fail (no identifiable noise voxels, degenerate
-    samples) are reported with ``converged=False`` and zero estimates
-    instead of aborting the volume.
+    The initial-grid upper bound is computed once from the median of
+    the whole 4D data (found by selection, without copying the array),
+    then each slice along ``config.slice_axis`` is estimated on its own
+    from its per-voxel moments (see :func:`estimate_slice`). Slices that
+    fail (no identifiable noise voxels, degenerate samples) are reported
+    with ``converged=False`` and zero estimates instead of aborting the
+    volume.
 
     Parameters
     ----------
@@ -374,7 +465,7 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         raise DomainError(f"expected 4D data, got {arr.ndim} dimensions")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    axis = _AXIS_INDEX[config.slice_axis]
+    axis = AXIS_INDEX[config.slice_axis]
     n_slices = arr.shape[axis]
     _, n_high = config.effective_n_bracket()
     try:

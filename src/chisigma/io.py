@@ -188,20 +188,31 @@ def read_nifti(path) -> Volume4D:
                 _read_exact(g, max(int(vox_offset), 0), img_path, "image offset")
                 data = _read_exact(g, n_bytes, img_path, "voxel data")
 
-    arr = np.frombuffer(data, dtype=dt, count=n_vox).reshape(shape, order="F")
-    arr = arr.astype(np.float64)
+    # One C-ordered float64 copy, made straight from the file bytes, which
+    # are released before any further work. The file runs x fastest and
+    # the array its last axis, so the copy goes one slab of the third axis
+    # at a time: both sides of a slab stay in cache, where a whole-array
+    # copy would miss on nearly every element.
+    raw = np.frombuffer(data, dtype=dt, count=n_vox).reshape(shape, order="F")
+    arr = np.empty(shape, dtype=np.float64)
+    for k in range(shape[2]):
+        arr[:, :, k] = raw[:, :, k]
+    del raw, data
     if slope != 1.0 or inter != 0.0:
-        arr = arr * slope + inter
-    if not np.all(np.isfinite(arr)):
+        arr *= slope
+        arr += inter
+    # min/max propagate NaN and need no full-size temporaries.
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NiftiError(f"{path}: voxel data contains non-finite values")
-    n_neg = int(np.count_nonzero(arr < 0.0))
+    n_neg = int(np.count_nonzero(arr < 0.0)) if lo < 0.0 else 0
     if n_neg:
         warnings.warn(
             f"{path}: clamped {n_neg} negative voxel values to 0",
             RuntimeWarning,
             stacklevel=2,
         )
-        arr = np.maximum(arr, 0.0)
+        np.maximum(arr, 0.0, out=arr)
     return Volume4D(voxels=arr, spacing=spacing, scale=(float(slope), float(inter)))
 
 
@@ -267,7 +278,7 @@ def write_nifti(volume, path) -> None:
 def volume_fingerprint(volume) -> dict:
     """Dims plus a sha256 checksum of the voxel bytes."""
     arr = np.ascontiguousarray(getattr(volume, "voxels", volume), dtype=np.float64)
-    digest = hashlib.sha256(arr.tobytes()).hexdigest()
+    digest = hashlib.sha256(arr).hexdigest()
     return {"dims": list(arr.shape), "sha256": digest}
 
 

@@ -6,9 +6,13 @@ deviation ``sigma_g``. The change of variable t = m^2 / (2 sigma_g^2)
 maps those magnitudes to a gamma distribution with shape ``n_dof`` and
 unit scale, which is what the estimators in this module exploit.
 
-All estimators are pure functions of the sample values. Summations use
-numpy's pairwise reduction, so results are deterministic for a fixed
-sample ordering and accurate for sample counts well past 10^6.
+All estimators are pure functions of the sample values. Each formula
+lives in a function of sample sums (``sigma_from_moments``,
+``n_from_moments``, ``n_from_log_moments``), which the slice search
+calls with sums of per-voxel moments; ``estimate_*`` validate a sample
+array, sum it and call those. Summations use numpy's pairwise reduction,
+so results are deterministic for a fixed sample ordering and accurate
+for sample counts well past 10^6.
 """
 
 import math
@@ -30,6 +34,9 @@ __all__ = [
     "estimate_sigma",
     "estimate_n_moments",
     "estimate_n_mle",
+    "sigma_from_moments",
+    "n_from_moments",
+    "n_from_log_moments",
 ]
 
 
@@ -200,6 +207,64 @@ def transform(samples, sigma: float) -> TransformedSampleSet:
     return TransformedSampleSet(t_values=t)
 
 
+def sigma_from_moments(s2: float, s4: float, k: int) -> float:
+    """Noise standard deviation from the sums of m^2 and m^4 over K samples.
+
+        sigma = sqrt( s4/s2 - s2/K ) / sqrt(2)
+
+    Raises :class:`DegenerateDataError` for fewer than two samples, an
+    all-zero sample set, or moments that leave no spread.
+    """
+    if k < 2:
+        raise DegenerateDataError("sigma estimation needs at least 2 samples")
+    if s2 <= 0.0:
+        raise DegenerateDataError("all samples are zero")
+    term = s4 / s2 - s2 / k
+    if term <= 0.0:
+        raise DegenerateDataError(
+            "sample moments are degenerate (all values equal or nearly so)"
+        )
+    return math.sqrt(term) / math.sqrt(2.0)
+
+
+def n_from_moments(s2: float, k: int, sigma: float) -> float:
+    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2)."""
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    return s2 / (2.0 * k * sigma * sigma)
+
+
+def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
+                       ref: float) -> float:
+    """Maximum-likelihood degrees of freedom from a sum of logs.
+
+    ``sum_log`` is the sum of log(m^2 / ref) over the K - n_zero positive
+    samples of a set of K. Then N = inv_digamma(mean(log(m^2 / (2 sigma^2)))),
+    the mean being sum_log / (K - n_zero) + log(ref / (2 sigma^2)). Any
+    positive ``ref`` gives the same N up to roundoff; passing 2 sigma^2
+    makes the correction term exactly zero.
+
+    Exact-zero samples are scanner padding rather than noise draws; they
+    are dropped with a warning as long as at least 90% of the samples are
+    positive, and rejected as a domain error otherwise.
+    """
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    if n_zero > 0:
+        if n_zero > 0.1 * k:
+            raise DomainError(
+                f"{n_zero} of {k} samples are zero; "
+                "too many for a log-likelihood fit"
+            )
+        warnings.warn(
+            f"dropped {n_zero} zero-valued samples before likelihood fit",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    mean_log_t = sum_log / (k - n_zero) + math.log(ref / (2.0 * sigma * sigma))
+    return inv_digamma(mean_log_t)
+
+
 def estimate_sigma(samples) -> float:
     """Estimate the Gaussian noise standard deviation from noise samples.
 
@@ -218,19 +283,8 @@ def estimate_sigma(samples) -> float:
         The estimated standard deviation, strictly positive.
     """
     arr = _as_sample_array(samples)
-    if arr.size < 2:
-        raise DegenerateDataError("sigma estimation needs at least 2 samples")
     m2 = arr * arr
-    s2 = float(np.sum(m2))
-    s4 = float(np.sum(m2 * m2))
-    if s2 <= 0.0:
-        raise DegenerateDataError("all samples are zero")
-    term = s4 / s2 - s2 / arr.size
-    if term <= 0.0:
-        raise DegenerateDataError(
-            "sample moments are degenerate (all values equal or nearly so)"
-        )
-    return math.sqrt(term) / math.sqrt(2.0)
+    return sigma_from_moments(float(np.sum(m2)), float(np.sum(m2 * m2)), arr.size)
 
 
 def estimate_n_moments(samples, sigma: float) -> float:
@@ -239,37 +293,20 @@ def estimate_n_moments(samples, sigma: float) -> float:
     Computes N = sum(m^2) / (2 K sigma^2), the sample mean of the
     transformed values t_k = m_k^2 / (2 sigma^2).
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
     arr = _as_sample_array(samples)
-    s2 = float(np.sum(arr * arr))
-    return s2 / (2.0 * arr.size * sigma * sigma)
+    return n_from_moments(float(np.sum(arr * arr)), arr.size, sigma)
 
 
 def estimate_n_mle(samples, sigma: float) -> float:
     """Estimate the effective degrees of freedom by maximum likelihood.
 
-    Computes N = inv_digamma( mean(log(m^2 / (2 sigma^2))) ). Exact-zero
-    samples are scanner padding rather than noise draws; they are
-    dropped with a warning as long as at least 90% of the samples are
-    positive, and rejected as a domain error otherwise.
+    Computes N = inv_digamma( mean(log(m^2 / (2 sigma^2))) ), dropping or
+    rejecting exact-zero samples as :func:`n_from_log_moments` describes.
     """
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     arr = _as_sample_array(samples)
-    pos = arr > 0.0
-    n_zero = arr.size - int(np.count_nonzero(pos))
-    if n_zero > 0:
-        if n_zero > 0.1 * arr.size:
-            raise DomainError(
-                f"{n_zero} of {arr.size} samples are zero; "
-                "too many for a log-likelihood fit"
-            )
-        warnings.warn(
-            f"dropped {n_zero} zero-valued samples before likelihood fit",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        arr = arr[pos]
-    mean_log_t = float(np.mean(np.log(arr * arr / (2.0 * sigma * sigma))))
-    return inv_digamma(mean_log_t)
+    pos = arr[arr > 0.0]
+    ref = 2.0 * sigma * sigma
+    sum_log = float(np.sum(np.log(pos * pos / ref)))
+    return n_from_log_moments(sum_log, arr.size, arr.size - pos.size, sigma, ref)

@@ -6,16 +6,22 @@ incomplete gamma.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chisigma.errors import ConfigError, DomainError, NoNoiseVoxelsError
+from chisigma.errors import ChiSigmaError, ConfigError, DomainError, NoNoiseVoxelsError
 from chisigma.identify import (
     RejectionBounds,
     SearchConfig,
     SliceEstimate,
+    _best_candidate,
+    _bounds_for,
+    _median,
     count_in_bounds,
     estimate_slice,
     estimate_volume,
@@ -23,7 +29,10 @@ from chisigma.identify import (
     refine_grid,
     sigma_upper_bound,
 )
+from chisigma.io import Volume4D
+from chisigma.model import estimate_n_mle, estimate_n_moments, estimate_sigma
 from chisigma.specfun import inv_gamma_p
+from chisigma.synth import PhantomSpec, simulate
 
 mp.mp.dps = 30
 
@@ -270,7 +279,6 @@ class TestEstimateVolume:
     def test_widening_bracket_never_shrinks_first_count(self):
         rng = np.random.default_rng(41)
         data = chi_slice(rng, 10.0, 4, (32, 32), 33)
-        from chisigma.identify import _bounds_for
         sigma = 10.0
         counts = []
         for n_min, n_max in ((2.0, 8.0), (1.5, 10.0), (1.0, 12.0)):
@@ -278,3 +286,216 @@ class TestEstimateVolume:
             count, _ = count_in_bounds(data, sigma, bounds)
             counts.append(count)
         assert counts[0] <= counts[1] <= counts[2]
+
+
+def loop_best_candidate(grid, sum_m2, nonpadding, bounds):
+    # One candidate at a time, ascending, strict comparison: the smallest
+    # candidate wins ties.
+    best_count, best_sigma, best_mask = 0, None, None
+    for cand in grid:
+        s = sum_m2 / (2.0 * cand * cand)
+        mask = (s >= bounds.lambda_minus) & (s <= bounds.lambda_plus) & nonpadding
+        count = int(np.count_nonzero(mask))
+        if count > best_count:
+            best_count, best_sigma, best_mask = count, float(cand), mask
+    return best_count, best_sigma, best_mask
+
+
+def sample_path_slice(arr, config, sigma_max):
+    # Reference search that re-gathers the identified samples on every pass
+    # and fits them with the sample-array estimators.
+    n_volumes = arr.shape[-1]
+    sum_m2 = np.sum(arr ** 2, axis=-1)
+    nonpadding = sum_m2 > 0.0
+    if not np.any(nonpadding):
+        raise NoNoiseVoxelsError("no nonzero voxels")
+    n_low, n_high = config.effective_n_bracket()
+    bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
+    grid = initial_grid(sigma_max, config.grid_size)
+    sigma_prev = n_prev = None
+    for iters in range(1, config.max_outer_iters + 1):
+        count, _, mask = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
+        if count == 0:
+            raise NoNoiseVoxelsError("no candidate identified any voxels")
+        samples = arr[mask].ravel()
+        sigma = estimate_sigma(samples)
+        if config.fixed_n is not None:
+            n_dof = config.fixed_n
+        elif config.estimator == "mle":
+            n_dof = estimate_n_mle(samples, sigma)
+        else:
+            n_dof = estimate_n_moments(samples, sigma)
+        if sigma_prev is not None:
+            if (abs(sigma - sigma_prev) / sigma_prev < config.rel_tol
+                    and abs(n_dof - n_prev) / n_prev < config.rel_tol):
+                return sigma, n_dof, mask, iters, True
+        sigma_prev, n_prev = sigma, n_dof
+        grid = refine_grid(sigma)
+        bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
+    return sigma, n_dof, mask, iters, False
+
+
+def run_recording(fn):
+    # (result or exception, warning messages) of fn().
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn()
+        except ChiSigmaError as exc:
+            out = exc
+    return out, [str(w.message) for w in caught]
+
+
+class TestMomentsPathMatchesSamplePath:
+    @given(seed=st.integers(0, 2**32 - 1),
+           volumes=st.sampled_from([1, 2, 5, 17]),
+           n_true=st.integers(1, 4),
+           sigma=st.floats(0.5, 200.0),
+           zero_frac=st.sampled_from([0.0, 0.02, 0.3]),
+           padding=st.booleans(),
+           estimator=st.sampled_from(["moments", "mle"]),
+           fixed=st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_property(self, seed, volumes, n_true, sigma, zero_frac, padding,
+                      estimator, fixed):
+        rng = np.random.default_rng(seed)
+        arr = chi_slice(rng, sigma, n_true, (12, 10), volumes)
+        # Zero-filled volumes in part of the slice, and optionally
+        # all-zero padding voxels.
+        arr[rng.random(arr.shape) < zero_frac] = 0.0
+        if padding:
+            arr[:3] = 0.0
+        config = SearchConfig(estimator=estimator, fixed_n=float(n_true) if fixed else None,
+                              max_outer_iters=30)
+        sigma_max = 2.0 * sigma
+        ref, ref_warn = run_recording(lambda: sample_path_slice(arr, config, sigma_max))
+        got, got_warn = run_recording(lambda: estimate_slice(arr, config, sigma_max=sigma_max))
+        assert got_warn == ref_warn
+        if isinstance(ref, ChiSigmaError):
+            assert type(got) is type(ref)
+            return
+        assert not isinstance(got, ChiSigmaError), got
+        r_sigma, r_n, r_mask, r_iters, r_conv = ref
+        assert np.array_equal(got.mask, r_mask)
+        assert (got.outer_iters, got.converged) == (r_iters, r_conv)
+        assert got.sigma_g == pytest.approx(r_sigma, rel=1e-12)
+        assert got.n_dof == pytest.approx(r_n, rel=1e-12)
+
+    def test_mle_few_zeros_warn(self):
+        rng = np.random.default_rng(42)
+        arr = chi_slice(rng, 10.0, 2, (24, 24), 9)
+        arr[rng.random(arr.shape) < 0.01] = 0.0
+        with pytest.warns(RuntimeWarning, match="zero-valued samples"):
+            est = estimate_slice(arr, SearchConfig(estimator="mle"))
+        assert est.sigma_g == pytest.approx(10.0, rel=0.1)
+
+    def test_mle_many_zeros_fail_the_slice(self):
+        rng = np.random.default_rng(43)
+        vol = chi_slice(rng, 10.0, 2, (16, 16, 2), 9)
+        vol[:, :, 1][rng.random((16, 16, 9)) < 0.3] = 0.0
+        ests = estimate_volume(vol, SearchConfig(estimator="mle"))
+        assert ests[0].error is None
+        assert ests[1].error is not None and "too many for a log-likelihood fit" in ests[1].error
+
+    def test_rejects_negative_and_non_finite(self):
+        arr = np.ones((4, 4, 3))
+        arr[0, 0, 0] = -1.0
+        with pytest.raises(DomainError, match="nonnegative"):
+            estimate_slice(arr, SearchConfig(), sigma_max=1.0)
+        arr[0, 0, 0] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            estimate_slice(arr, SearchConfig(), sigma_max=1.0)
+
+
+class TestMleInvariances:
+    # Criterion 7 checks the moments estimator; the likelihood estimator
+    # keeps the same invariances.
+    def test_scaling_and_permutation(self):
+        spec = PhantomSpec(dims=(32, 32, 8), n_volumes=17, n_true=4.0, seed=7100)
+        noisy, _ = simulate(spec)
+        config = SearchConfig(estimator="mle")
+        base = estimate_volume(noisy, config)
+        assert all(b.error is None for b in base)
+        for c in (4.0, 0.125):
+            scaled = estimate_volume(Volume4D(voxels=c * noisy.voxels), config)
+            for b, s in zip(base, scaled):
+                assert s.sigma_g == c * b.sigma_g and s.n_dof == b.n_dof
+                assert np.array_equal(s.mask, b.mask)
+        perm = np.random.default_rng(7101).permutation(noisy.voxels.shape[-1])
+        permuted = estimate_volume(Volume4D(voxels=noisy.voxels[..., perm]), config)
+        for b, p in zip(base, permuted):
+            assert abs(p.sigma_g - b.sigma_g) <= 1e-12 * b.sigma_g
+            assert abs(p.n_dof - b.n_dof) <= 1e-12 * b.n_dof
+            assert np.array_equal(p.mask, b.mask)
+        threaded = estimate_volume(noisy, config, threads=3)
+        for b, t in zip(base, threaded):
+            assert (t.sigma_g, t.n_dof) == (b.sigma_g, b.n_dof)
+            assert np.array_equal(t.mask, b.mask)
+
+
+def assert_median_matches(arr):
+    before = arr.copy()
+    got = _median(arr)
+    want = float(np.median(arr))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    np.testing.assert_array_equal(arr, before)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 65535, 65536, 200001, 200002])
+    def test_odd_and_even_sizes(self, n):
+        rng = np.random.default_rng(n)
+        assert_median_matches(rng.uniform(0.0, 1.0, n))
+
+    def test_heavy_ties_and_constant(self):
+        rng = np.random.default_rng(60)
+        assert_median_matches(rng.integers(0, 3, 300000).astype(np.float64))
+        assert_median_matches(rng.integers(0, 2, 300001).astype(np.float64))
+        assert_median_matches(np.full(250000, 7.5))
+        assert_median_matches(np.zeros((40, 40, 40, 3)))
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(61)
+        vol = rng.gamma(4.0, 1.0, (30, 40, 50, 6))
+        assert_median_matches(vol[:, :, ::2, :])
+        assert_median_matches(vol.transpose(3, 1, 0, 2))
+        assert_median_matches(vol[..., 1])
+        assert_median_matches(np.asfortranarray(vol))
+
+    def test_misleading_sample_falls_back(self):
+        # The strided sample sees only the large values.
+        n = 1 << 18
+        arr = np.random.default_rng(62).uniform(0.0, 1.0, n)
+        arr[:: n >> 16] += 100.0
+        assert_median_matches(arr)
+
+    def test_nan_propagates(self):
+        arr = np.random.default_rng(63).uniform(0.0, 1.0, 300000)
+        arr[1234] = np.nan
+        assert_median_matches(arr)
+
+    def test_upper_bound_unchanged(self):
+        rng = np.random.default_rng(64)
+        vol = chi_slice(rng, 3.0, 4, (20, 20, 10), 33)
+        ref = float(np.median(vol)) / math.sqrt(2.0 * inv_gamma_p(12.0, 0.5))
+        assert sigma_upper_bound(vol, 12.0) == ref
+
+
+class TestBestCandidate:
+    def test_matches_loop_with_ties(self):
+        # Integer sums and a fine grid make many candidates tie.
+        rng = np.random.default_rng(65)
+        sum_m2 = rng.integers(0, 40, (9, 7)).astype(np.float64)
+        nonpadding = sum_m2 > 0.0
+        bounds = RejectionBounds(0.5, 2.0)
+        for grid in (np.linspace(0.5, 6.0, 200), np.full(5, 2.0), refine_grid(3.0)):
+            got = _best_candidate(grid, sum_m2, nonpadding, bounds)
+            want = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2])
+
+    def test_no_voxel_identified(self):
+        sum_m2 = np.full((3, 3), 1e6)
+        got = _best_candidate(initial_grid(1.0, 10), sum_m2, sum_m2 > 0.0,
+                              RejectionBounds(0.5, 2.0))
+        assert got == (0, None, None)

@@ -6,6 +6,7 @@ package's own writer.
 """
 
 import gzip
+import hashlib
 import json
 import struct
 
@@ -81,6 +82,35 @@ class TestReadNifti:
         vol = read_nifti(path)
         np.testing.assert_allclose(vol.voxels[:, 0, 0, 0], [26.0, 51.0, 76.0, 101.0])
         assert vol.scale == (2.5, 1.0)
+
+    def test_scaled_float64_single_column(self, tmp_path):
+        # With one non-unit axis the file's F-ordered view is also C-ordered;
+        # the reader must still hand back its own writable copy to scale.
+        arr = np.array([1.0, 2.0, 3.0], dtype="<f8").reshape((3, 1, 1), order="F")
+        path = tmp_path / "f8.nii"
+        path.write_bytes(craft_nifti((3, 1, 1), 64, arr.tobytes(order="F"), slope=2.0))
+        vol = read_nifti(path)
+        np.testing.assert_array_equal(vol.voxels[:, 0, 0, 0], [2.0, 4.0, 6.0])
+        assert vol.voxels.flags.c_contiguous and vol.voxels.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(5, 3, 4, 6), (2, 7, 1, 3), (3, 2, 5)])
+    def test_layout_matches_file_order(self, tmp_path, shape):
+        # Distinct axis lengths pin the slab-wise F-to-C reordering.
+        arr = np.arange(np.prod(shape), dtype="<f4").reshape(shape, order="F")
+        path = tmp_path / "layout.nii"
+        path.write_bytes(craft_nifti(shape, 16, arr.tobytes(order="F")))
+        vol = read_nifti(path)
+        expected = arr.astype(np.float64).reshape(vol.dims)
+        np.testing.assert_array_equal(vol.voxels, expected)
+        assert vol.voxels.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        arr = np.array([1.0, bad, 3.0, 4.0], dtype="<f4").reshape((4, 1, 1), order="F")
+        path = tmp_path / "nf.nii"
+        path.write_bytes(craft_nifti((4, 1, 1), 16, arr.tobytes(order="F")))
+        with pytest.raises(NiftiError, match="non-finite"):
+            read_nifti(path)
 
     def test_zero_slope_treated_as_one(self, tmp_path):
         arr = np.array([7.0, 8.0], dtype="<f4").reshape((2, 1, 1), order="F")
@@ -328,6 +358,15 @@ class TestReports:
         assert fa["dims"] == fb["dims"] == [2, 2, 2, 1]
         assert fa["sha256"] != fb["sha256"]
         assert volume_fingerprint(a) == fa
+
+    def test_fingerprint_digest_is_c_order_bytes(self):
+        rng = np.random.default_rng(56)
+        c_arr = rng.uniform(0.0, 10.0, (3, 4, 5, 2))
+        f_arr = np.asfortranarray(c_arr)
+        expected = hashlib.sha256(c_arr.tobytes()).hexdigest()
+        assert volume_fingerprint(c_arr)["sha256"] == expected
+        assert volume_fingerprint(f_arr)["sha256"] == expected
+        assert volume_fingerprint(Volume4D(voxels=f_arr))["sha256"] == expected
 
 
 class TestHdrImgPair:

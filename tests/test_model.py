@@ -21,8 +21,12 @@ from chisigma.model import (
     estimate_n_mle,
     estimate_n_moments,
     estimate_sigma,
+    n_from_log_moments,
+    n_from_moments,
+    sigma_from_moments,
     transform,
 )
+from chisigma.specfun import inv_digamma
 
 
 def chi_draws(rng, sigma, n, size):
@@ -250,3 +254,57 @@ class TestGammaIdentities:
         t = transform(chi_draws(rng, sigma, n, k), sigma).t_values
         assert float(np.mean(t)) == pytest.approx(n, abs=3.0 * math.sqrt(n / k) * 1.5)
         assert float(np.var(t)) == pytest.approx(n, rel=0.05)
+
+
+class TestMomentForms:
+    """The formulas of sample sums that the slice search and wrappers share."""
+
+    def test_sigma_wrapper_is_moment_form(self):
+        rng = np.random.default_rng(25)
+        m = chi_draws(rng, sigma=3.0, n=2, size=4000)
+        m2 = m * m
+        assert estimate_sigma(m) == sigma_from_moments(
+            float(np.sum(m2)), float(np.sum(m2 * m2)), m.size)
+
+    def test_sigma_degenerate_rules(self):
+        with pytest.raises(DegenerateDataError, match="at least 2 samples"):
+            sigma_from_moments(1.0, 1.0, 1)
+        with pytest.raises(DegenerateDataError, match="all samples are zero"):
+            sigma_from_moments(0.0, 0.0, 10)
+        with pytest.raises(DegenerateDataError, match="degenerate"):
+            sigma_from_moments(90.0, 810.0, 10)  # ten samples of m = 3
+
+    def test_n_moments_form(self):
+        rng = np.random.default_rng(26)
+        m = chi_draws(rng, sigma=2.0, n=3, size=1000)
+        assert estimate_n_moments(m, 2.0) == n_from_moments(float(np.sum(m * m)), m.size, 2.0)
+        with pytest.raises(DomainError):
+            n_from_moments(1.0, 1, 0.0)
+
+    def test_mle_wrapper_keeps_sample_formula(self):
+        rng = np.random.default_rng(27)
+        m = chi_draws(rng, sigma=1.5, n=4, size=5000)
+        ref = inv_digamma(float(np.mean(np.log(m * m / (2.0 * 1.5 * 1.5)))))
+        assert estimate_n_mle(m, 1.5) == ref
+
+    def test_mle_reference_level_is_roundoff_only(self):
+        rng = np.random.default_rng(28)
+        sigma = 7.0
+        m = chi_draws(rng, sigma=sigma, n=3, size=5000)
+        base = estimate_n_mle(m, sigma)
+        for ref in (1.0, 2.0 * 40.0 ** 2, 1e-3):
+            sum_log = float(np.sum(np.log(m * m / ref)))
+            assert n_from_log_moments(sum_log, m.size, 0, sigma, ref) == pytest.approx(
+                base, rel=1e-12)
+
+    def test_mle_zero_policy(self):
+        # 5 zeros in 100 samples are dropped with a warning, 11 are too many.
+        sum_log = 95 * math.log(2.0)
+        with pytest.warns(RuntimeWarning, match="dropped 5 zero-valued"):
+            n = n_from_log_moments(sum_log, 100, 5, 1.0, 4.0)
+        assert n == pytest.approx(n_from_log_moments(95 * math.log(2.0), 95, 0, 1.0, 4.0),
+                                  rel=1e-15)
+        with pytest.raises(DomainError, match="11 of 100 samples are zero"):
+            n_from_log_moments(sum_log, 100, 11, 1.0, 4.0)
+        with pytest.raises(DomainError):
+            n_from_log_moments(sum_log, 100, 0, 0.0, 4.0)
