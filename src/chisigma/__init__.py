@@ -39,9 +39,6 @@ from .io import (
 )
 from .model import (
     ChiParams,
-    GammaParams,
-    NoiseSampleSet,
-    TransformedSampleSet,
     chi_pdf,
     estimate_n_mle,
     estimate_n_moments,
@@ -69,9 +66,8 @@ __all__ = [
     "sigma_upper_bound",
     "EstimateReport", "Volume4D", "build_report", "read_nifti", "read_report",
     "write_nifti", "write_report", "write_slice_csv",
-    "ChiParams", "GammaParams", "NoiseSampleSet", "TransformedSampleSet",
-    "chi_pdf", "estimate_n_mle", "estimate_n_moments", "estimate_sigma",
-    "transform",
+    "ChiParams", "chi_pdf", "estimate_n_mle", "estimate_n_moments",
+    "estimate_sigma", "transform",
     "NoiseField", "PhantomSpec", "build_phantom", "build_tau", "corrupt",
     "object_mask", "sigma_from_snr", "simulate",
     "__version__",

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +23,9 @@ from .io import (
     write_report,
     write_slice_csv,
 )
-from .synth import GEOMETRIES, PhantomSpec, build_tau, object_mask, simulate
+from .synth import PhantomSpec, evaluate_report, simulate
 
-__all__ = ["EvalReport", "evaluate_report", "cmd_estimate", "cmd_simulate",
-           "cmd_evaluate", "main"]
+__all__ = ["cmd_estimate", "cmd_simulate", "cmd_evaluate", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,83 +42,6 @@ class _Parser(argparse.ArgumentParser):
     # package convention (usage errors are exit 1) instead.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-@dataclass
-class EvalReport:
-    """Per-slice percentage errors of sigma_g against ground truth.
-
-    Each record holds slice_index, pct_error_sigma, n_est and n_true,
-    with pct_error_sigma = 100 * (sigma_est - sigma_true) / sigma_true.
-    ``mean_pct_error``/``std_pct_error`` summarize the included slices;
-    ``skipped`` lists slices that produced no estimate.
-    """
-
-    per_slice: list
-    mean_pct_error: float
-    std_pct_error: float
-    skipped: list
-
-
-def _truth_spec(truth: dict) -> PhantomSpec:
-    if not isinstance(truth, dict) or "spec" not in truth or "sigma_g" not in truth:
-        raise SchemaError("ground-truth record must carry 'spec' and 'sigma_g'")
-    spec = dict(truth["spec"])
-    known = {f: spec[f] for f in PhantomSpec.__dataclass_fields__ if f in spec}
-    missing = [f for f in PhantomSpec.__dataclass_fields__ if f not in known]
-    if missing:
-        raise SchemaError(f"ground-truth spec missing fields {missing}")
-    known["dims"] = tuple(known["dims"])
-    try:
-        return PhantomSpec(**known)
-    except ConfigError as exc:
-        raise SchemaError(f"ground-truth spec is invalid: {exc}") from exc
-
-
-def evaluate_report(report, truth: dict) -> EvalReport:
-    """Compare an estimation report against a simulation's ground truth.
-
-    The estimator reports one sigma_g per slice, so spatially varying
-    truth is reduced to a per-slice scalar: the mean of tau * sigma_g
-    over the slice's true background voxels.
-    """
-    spec = _truth_spec(truth)
-    sigma_g = float(truth["sigma_g"])
-    dims = list(spec.dims) + [spec.n_volumes]
-    rep_dims = list(report.fingerprint.get("dims", []))
-    if rep_dims != dims:
-        raise SchemaError(
-            f"report volume dims {rep_dims} do not match ground truth {dims}"
-        )
-    axis = AXIS_INDEX[report.config.get("slice_axis", "z")]
-    background = ~object_mask(spec)
-    sigma_map = build_tau(spec.dims, spec.profile, spec.tau_max) * sigma_g
-
-    per_slice = []
-    skipped = []
-    for rec in report.slices:
-        k = rec["slice_index"]
-        if rec["n_identified"] <= 0 or rec["sigma_g"] <= 0.0:
-            skipped.append(k)
-            continue
-        sl = [slice(None)] * 3
-        sl[axis] = k
-        bg = background[tuple(sl)]
-        if not np.any(bg):
-            skipped.append(k)
-            continue
-        sigma_true = float(np.mean(sigma_map[tuple(sl)][bg]))
-        per_slice.append({
-            "slice_index": k,
-            "pct_error_sigma": 100.0 * (rec["sigma_g"] - sigma_true) / sigma_true,
-            "n_est": rec["n_dof"],
-            "n_true": spec.n_true,
-        })
-    errs = np.array([r["pct_error_sigma"] for r in per_slice], dtype=np.float64)
-    mean = float(np.mean(errs)) if errs.size else 0.0
-    std = float(np.std(errs)) if errs.size else 0.0
-    return EvalReport(per_slice=per_slice, mean_pct_error=mean,
-                      std_pct_error=std, skipped=skipped)
 
 
 def _resolve_threads(value: str) -> int:

@@ -30,6 +30,7 @@ from .errors import (
 # The sample-array estimators are not called here; they stay importable
 # from this module because bench/spans.py hooks them by name on it.
 from .model import (  # noqa: F401
+    check_magnitudes,
     estimate_n_mle,
     estimate_n_moments,
     estimate_sigma,
@@ -167,7 +168,8 @@ def sigma_upper_bound(data, n_max: float) -> float:
     Computed as median(all voxel values) / sqrt(2 * icdf(n_max, 1/2))
     with icdf the gamma quantile at unit scale: if the data were pure
     noise with n_max degrees of freedom, the median of the transformed
-    values would sit at that quantile.
+    values would sit at that quantile. A NaN anywhere in the data makes
+    the median NaN and raises :class:`DomainError`.
     """
     arr = np.asarray(getattr(data, "voxels", data), dtype=np.float64)
     if arr.size == 0:
@@ -175,6 +177,8 @@ def sigma_upper_bound(data, n_max: float) -> float:
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
     med = _median(arr)
+    if np.isnan(med):
+        raise DomainError("sample values must be finite")
     if med <= 0.0:
         raise DegenerateDataError("data median is zero; no signal present")
     return med / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
@@ -285,17 +289,6 @@ def _best_candidate(grid, sum_m2, nonpadding, bounds):
     return int(counts[best]), float(grid[best]), masks[best]
 
 
-def _check_magnitudes(arr: np.ndarray) -> None:
-    # min/max reductions propagate NaN and need no temporary arrays.
-    if arr.size == 0:
-        return
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise DomainError("sample values must be finite")
-    if lo < 0.0:
-        raise DomainError("magnitude samples must be nonnegative")
-
-
 def _log_moments(arr: np.ndarray, m2: np.ndarray, ref: float):
     # Per voxel: sum over positive samples of log(m^2 / ref), and the
     # number of zero samples. Zero samples leave t at 0, adding nothing.
@@ -348,7 +341,7 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    _check_magnitudes(arr)
+    check_magnitudes(arr)
     n_volumes = arr.shape[-1]
     m2, sum_m2, nonpadding = _sum_squares(arr)
     if not np.any(nonpadding):
@@ -459,6 +452,12 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     -------
     list of SliceEstimate
         One entry per slice, in slice order.
+
+    Raises
+    ------
+    DomainError
+        If the data holds a NaN, which leaves no median to bound the
+        search by.
     """
     arr = np.asarray(getattr(data, "voxels", data), dtype=np.float64)
     if arr.ndim != 4:

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NiftiError, SchemaError
-from .identify import SearchConfig, SliceEstimate
+from .identify import SearchConfig
+from .model import check_magnitudes
 
 __all__ = [
     "Volume4D",
@@ -40,7 +41,16 @@ _GZIP_MAGIC = b"\x1f\x8b"
 
 REPORT_SCHEMA = "chisigma-report-v1"
 
-_SLICE_FIELDS = ("slice_index", "sigma_g", "n_dof", "n_identified", "converged", "outer_iters")
+# JSON types each slice record field may take. Matched by exact type, so
+# true/false is never read as a number.
+_SLICE_FIELDS = {
+    "slice_index": (int,),
+    "sigma_g": (int, float),
+    "n_dof": (int, float),
+    "n_identified": (int,),
+    "converged": (bool,),
+    "outer_iters": (int,),
+}
 
 
 @dataclass
@@ -71,10 +81,7 @@ class Volume4D:
             raise DomainError(f"volume must be 3D or 4D, got {arr.ndim} dimensions")
         if any(d < 1 for d in arr.shape):
             raise DomainError(f"volume axes must be nonempty, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("volume contains non-finite values")
-        if np.any(arr < 0.0):
-            raise DomainError("magnitude volume contains negative values")
+        check_magnitudes(arr)
         if len(self.spacing) != 3 or any(not s > 0.0 for s in self.spacing):
             raise DomainError(f"spacing must be 3 positive reals, got {self.spacing}")
         self.voxels = np.ascontiguousarray(arr)
@@ -305,21 +312,8 @@ class EstimateReport:
 
 def build_report(estimates, config: SearchConfig, volume) -> EstimateReport:
     """Assemble an EstimateReport from per-slice estimates."""
-    records = []
-    for est in estimates:
-        if isinstance(est, SliceEstimate):
-            records.append({
-                "slice_index": est.slice_index,
-                "sigma_g": est.sigma_g,
-                "n_dof": est.n_dof,
-                "n_identified": est.n_identified,
-                "converged": est.converged,
-                "outer_iters": est.outer_iters,
-            })
-        else:
-            records.append({f: est[f] for f in _SLICE_FIELDS})
     return EstimateReport(
-        slices=records,
+        slices=[{f: getattr(est, f) for f in _SLICE_FIELDS} for est in estimates],
         config=asdict(config),
         fingerprint=volume_fingerprint(volume),
     )
@@ -342,7 +336,8 @@ def read_report(path) -> EstimateReport:
     """Read a report written by :func:`write_report`.
 
     Unknown extra fields are ignored for forward compatibility; missing
-    required fields raise :class:`SchemaError`.
+    required fields, or slice fields of the wrong JSON type, raise
+    :class:`SchemaError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -363,10 +358,13 @@ def read_report(path) -> EstimateReport:
         missing = [f for f in _SLICE_FIELDS if f not in rec]
         if missing:
             raise SchemaError(f"{path}: slice record {i} missing {missing}")
+        wrong = [f for f, types in _SLICE_FIELDS.items() if type(rec[f]) not in types]
+        if wrong:
+            raise SchemaError(f"{path}: slice record {i} has fields of the wrong type {wrong}")
         slices.append({f: rec[f] for f in _SLICE_FIELDS})
     fp = doc["fingerprint"]
-    if not isinstance(fp, dict) or "dims" not in fp or "sha256" not in fp:
-        raise SchemaError(f"{path}: fingerprint must carry dims and sha256")
+    if not isinstance(fp, dict) or not isinstance(fp.get("dims"), list) or "sha256" not in fp:
+        raise SchemaError(f"{path}: fingerprint must carry a dims list and sha256")
     if not isinstance(doc["config"], dict):
         raise SchemaError(f"{path}: 'config' must be an object")
     return EstimateReport(slices=slices, config=doc["config"], fingerprint=fp)

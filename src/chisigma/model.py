@@ -1,4 +1,4 @@
-"""Noise distribution types and closed-form parameter estimators.
+"""The chi noise distribution and closed-form parameter estimators.
 
 Magnitude values over signal-free voxels follow a central chi
 distribution with ``n_dof`` complex channels and per-channel standard
@@ -25,10 +25,7 @@ from .errors import DegenerateDataError, DomainError
 from .specfun import inv_digamma, ln_gamma
 
 __all__ = [
-    "NoiseSampleSet",
-    "GammaParams",
     "ChiParams",
-    "TransformedSampleSet",
     "chi_pdf",
     "transform",
     "estimate_sigma",
@@ -40,119 +37,46 @@ __all__ = [
 ]
 
 
+def check_magnitudes(arr: np.ndarray) -> None:
+    """Raise :class:`DomainError` unless every value is finite and nonnegative.
+
+    The one home of this rule for in-memory magnitudes; min/max
+    reductions propagate NaN and need no temporary arrays.
+    """
+    if arr.size == 0:
+        return
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("sample values must be finite")
+    if lo < 0.0:
+        raise DomainError("magnitude samples must be nonnegative")
+
+
 def _as_sample_array(samples) -> np.ndarray:
-    arr = samples.samples if isinstance(samples, NoiseSampleSet) else np.asarray(samples, dtype=np.float64)
-    arr = arr.ravel()
+    arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise DegenerateDataError("sample set is empty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sample values must be finite")
-    if np.any(arr < 0.0):
-        raise DomainError("magnitude samples must be nonnegative")
+    check_magnitudes(arr)
     return arr
-
-
-class NoiseSampleSet:
-    """Validated collection of magnitude values from noise-only voxels.
-
-    Parameters
-    ----------
-    samples : array_like
-        Nonnegative magnitude values, flattened to one dimension. At
-        least one value must be strictly positive.
-
-    Attributes
-    ----------
-    samples : ndarray
-        The validated float64 sample vector.
-    count : int
-        Number of samples K.
-    """
-
-    __slots__ = ("samples",)
-
-    def __init__(self, samples):
-        arr = np.asarray(samples, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise DegenerateDataError("sample set is empty")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample values must be finite")
-        if np.any(arr < 0.0):
-            raise DomainError("magnitude samples must be nonnegative")
-        if not np.any(arr > 0.0):
-            raise DegenerateDataError("sample set has no positive values")
-        arr.setflags(write=False)
-        self.samples = arr
-
-    @property
-    def count(self) -> int:
-        return self.samples.size
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def __repr__(self) -> str:
-        return f"NoiseSampleSet(count={self.count})"
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/scale parameters of a gamma distribution.
-
-    The theoretical mean is ``alpha * beta`` and the variance is
-    ``alpha * beta ** 2``.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"gamma shape must be positive, got {self.alpha}")
-        if not self.beta > 0.0:
-            raise DomainError(f"gamma scale must be positive, got {self.beta}")
-
-    @property
-    def mean(self) -> float:
-        return self.alpha * self.beta
-
-    @property
-    def variance(self) -> float:
-        return self.alpha * self.beta ** 2
 
 
 @dataclass(frozen=True)
 class ChiParams:
-    """Parameters of the magnitude-signal distribution.
+    """Parameters of the signal-free magnitude distribution.
 
-    ``sigma_g`` is the per-channel Gaussian noise standard deviation,
+    ``sigma_g`` is the per-channel Gaussian noise standard deviation and
     ``n_dof`` the effective number of complex channels (fractional
-    values allowed), and ``eta`` the underlying noiseless intensity
-    (zero over background).
+    values allowed).
     """
 
     sigma_g: float
     n_dof: float
-    eta: float = 0.0
 
     def __post_init__(self):
         if not self.sigma_g > 0.0:
             raise DomainError(f"sigma_g must be positive, got {self.sigma_g}")
         if not self.n_dof > 0.0:
             raise DomainError(f"n_dof must be positive, got {self.n_dof}")
-        if not self.eta >= 0.0:
-            raise DomainError(f"eta must be nonnegative, got {self.eta}")
-
-
-@dataclass(frozen=True)
-class TransformedSampleSet:
-    """Samples mapped to gamma space, t_k = m_k^2 / (2 sigma^2)."""
-
-    t_values: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.t_values.size
 
 
 def chi_pdf(m, params: ChiParams):
@@ -166,16 +90,13 @@ def chi_pdf(m, params: ChiParams):
     m : float or array_like
         Magnitude values, nonnegative.
     params : ChiParams
-        Distribution parameters; ``eta`` must be zero (only the
-        signal-free density is modeled).
+        Distribution parameters.
 
     Returns
     -------
     float or ndarray
         Density values, same shape as ``m``.
     """
-    if params.eta != 0.0:
-        raise DomainError("chi_pdf models signal-free voxels only (eta must be 0)")
     m_arr = np.asarray(m, dtype=np.float64)
     if np.any(m_arr < 0.0):
         raise DomainError("magnitude must be nonnegative")
@@ -198,13 +119,15 @@ def chi_pdf(m, params: ChiParams):
     return out
 
 
-def transform(samples, sigma: float) -> TransformedSampleSet:
-    """Map magnitude samples to gamma space via t = m^2 / (2 sigma^2)."""
+def transform(samples, sigma: float) -> np.ndarray:
+    """Map magnitude samples to gamma space via t = m^2 / (2 sigma^2).
+
+    Returns the flattened float64 array of t values.
+    """
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     arr = _as_sample_array(samples)
-    t = arr * arr / (2.0 * sigma * sigma)
-    return TransformedSampleSet(t_values=t)
+    return arr * arr / (2.0 * sigma * sigma)
 
 
 def sigma_from_moments(s2: float, s4: float, k: int) -> float:
@@ -274,7 +197,7 @@ def estimate_sigma(samples) -> float:
 
     Parameters
     ----------
-    samples : NoiseSampleSet or array_like
+    samples : array_like
         At least two magnitude values, not all equal.
 
     Returns

@@ -7,13 +7,17 @@ Gaussian channels per voxel, splits the noiseless intensity evenly
 across the real parts, and takes the root sum of squares, which yields
 a noncentral chi magnitude signal with the requested degrees of freedom
 and a spatially modulated noise level tau * sigma_g.
+
+``simulate`` writes a ``chisigma-truth-v1`` ground-truth record, and
+``evaluate_report`` reads it back to score an estimation report.
 """
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, DomainError
+from .errors import ConfigError, DegenerateDataError, DomainError, SchemaError
+from .identify import AXIS_INDEX
 from .io import Volume4D
 
 __all__ = [
@@ -25,6 +29,8 @@ __all__ = [
     "corrupt",
     "simulate",
     "object_mask",
+    "EvalReport",
+    "evaluate_report",
 ]
 
 GEOMETRIES = ("uniform_object", "concentric_spheres")
@@ -245,3 +251,92 @@ def simulate(spec: PhantomSpec):
     }
     truth["spec"]["dims"] = list(spec.dims)
     return noisy, truth
+
+
+@dataclass
+class EvalReport:
+    """Per-slice percentage errors of sigma_g against ground truth.
+
+    Each record holds slice_index, pct_error_sigma, n_est and n_true,
+    with pct_error_sigma = 100 * (sigma_est - sigma_true) / sigma_true.
+    ``mean_pct_error``/``std_pct_error`` summarize the included slices;
+    ``skipped`` lists slices that produced no estimate.
+    """
+
+    per_slice: list
+    mean_pct_error: float
+    std_pct_error: float
+    skipped: list
+
+
+def _truth_spec(truth: dict) -> PhantomSpec:
+    if not isinstance(truth, dict) or "spec" not in truth or "sigma_g" not in truth:
+        raise SchemaError("ground-truth record must carry 'spec' and 'sigma_g'")
+    spec = dict(truth["spec"])
+    known = {f: spec[f] for f in PhantomSpec.__dataclass_fields__ if f in spec}
+    missing = [f for f in PhantomSpec.__dataclass_fields__ if f not in known]
+    if missing:
+        raise SchemaError(f"ground-truth spec missing fields {missing}")
+    known["dims"] = tuple(known["dims"])
+    try:
+        return PhantomSpec(**known)
+    except ConfigError as exc:
+        raise SchemaError(f"ground-truth spec is invalid: {exc}") from exc
+
+
+def evaluate_report(report, truth: dict) -> EvalReport:
+    """Compare an estimation report against a simulation's ground truth.
+
+    The estimator reports one sigma_g per slice, so spatially varying
+    truth is reduced to a per-slice scalar: the mean of tau * sigma_g
+    over the slice's true background voxels.
+
+    Raises :class:`SchemaError` when the truth record is malformed, the
+    volume dims differ, or the report names an unknown slice axis or a
+    slice index outside the grid.
+    """
+    spec = _truth_spec(truth)
+    sigma_g = float(truth["sigma_g"])
+    dims = list(spec.dims) + [spec.n_volumes]
+    rep_dims = list(report.fingerprint.get("dims", []))
+    if rep_dims != dims:
+        raise SchemaError(
+            f"report volume dims {rep_dims} do not match ground truth {dims}"
+        )
+    axis_name = report.config.get("slice_axis", "z")
+    axis = AXIS_INDEX.get(axis_name) if isinstance(axis_name, str) else None
+    if axis is None:
+        raise SchemaError(f"report slice_axis must be one of x, y, z, got {axis_name!r}")
+    n_slices = spec.dims[axis]
+    background = ~object_mask(spec)
+    sigma_map = build_tau(spec.dims, spec.profile, spec.tau_max) * sigma_g
+
+    per_slice = []
+    skipped = []
+    for rec in report.slices:
+        k = rec["slice_index"]
+        if not 0 <= k < n_slices:
+            raise SchemaError(
+                f"report slice_index {k} is outside the {n_slices} slices of the truth grid"
+            )
+        if rec["n_identified"] <= 0 or rec["sigma_g"] <= 0.0:
+            skipped.append(k)
+            continue
+        sl = [slice(None)] * 3
+        sl[axis] = k
+        bg = background[tuple(sl)]
+        if not np.any(bg):
+            skipped.append(k)
+            continue
+        sigma_true = float(np.mean(sigma_map[tuple(sl)][bg]))
+        per_slice.append({
+            "slice_index": k,
+            "pct_error_sigma": 100.0 * (rec["sigma_g"] - sigma_true) / sigma_true,
+            "n_est": rec["n_dof"],
+            "n_true": spec.n_true,
+        })
+    errs = np.array([r["pct_error_sigma"] for r in per_slice], dtype=np.float64)
+    mean = float(np.mean(errs)) if errs.size else 0.0
+    std = float(np.std(errs)) if errs.size else 0.0
+    return EvalReport(per_slice=per_slice, mean_pct_error=mean,
+                      std_pct_error=std, skipped=skipped)

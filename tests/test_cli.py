@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from chisigma.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from chisigma.io import Volume4D, read_nifti, read_report, write_nifti
+from chisigma.identify import SearchConfig, SliceEstimate
+from chisigma.io import Volume4D, build_report, read_nifti, read_report, write_nifti
+from chisigma.synth import PhantomSpec, evaluate_report, simulate
 
 
 def run(argv):
@@ -24,6 +26,21 @@ def sim_paths(tmp_path_factory):
                 "--truth", str(truth)])
     assert code == EXIT_OK
     return out, truth
+
+
+@pytest.fixture(scope="module")
+def sim_report(sim_paths, tmp_path_factory):
+    # A valid report of the shared dataset, for the evaluate tests to edit.
+    out, _ = sim_paths
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    assert run(["estimate", str(out), "--out-report", str(path)]) == EXIT_OK
+    return path
+
+
+def slice_record(k, sigma_g):
+    return SliceEstimate(slice_index=k, sigma_g=sigma_g, n_dof=2.0,
+                         mask=np.ones((12, 12), dtype=bool), n_identified=10,
+                         outer_iters=1, converged=True)
 
 
 class TestExitCodes:
@@ -190,19 +207,29 @@ class TestEvaluate:
         assert run(["evaluate", "--report", str(report_path),
                     "--truth", str(other)]) == EXIT_IO
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["config"].update(slice_axis="w"),
+        lambda doc: doc["config"].update(slice_axis=["z"]),
+        lambda doc: doc["slices"][3].update(slice_index=99),
+        lambda doc: doc["slices"][3].update(slice_index=-1),
+        lambda doc: doc["slices"][3].update(sigma_g="abc"),
+        lambda doc: doc["fingerprint"].update(dims=5),
+    ], ids=["unknown_axis", "axis_not_a_string", "slice_index_out_of_range",
+            "slice_index_negative", "sigma_g_not_a_number", "dims_not_a_list"])
+    def test_malformed_report(self, sim_paths, sim_report, tmp_path, capsys, edit):
+        _, truth = sim_paths
+        doc = json.loads(sim_report.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--report", str(bad),
+                    "--truth", str(truth)]) == EXIT_IO
+
     def test_perfect_estimates_zero_error(self, tmp_path, capsys):
         # Hand-build a report that matches the truth exactly.
-        from chisigma.cli import evaluate_report
-        from chisigma.synth import PhantomSpec, simulate
         spec = PhantomSpec(dims=(12, 12, 8), n_volumes=3, n_true=2.0, seed=1)
         noisy, truth = simulate(spec)
-        from chisigma.identify import SearchConfig
-        from chisigma.io import build_report
-        recs = [
-            {"slice_index": k, "sigma_g": truth["sigma_g"], "n_dof": 2.0,
-             "n_identified": 10, "converged": True, "outer_iters": 1}
-            for k in range(8)
-        ]
+        recs = [slice_record(k, truth["sigma_g"]) for k in range(8)]
         report = build_report(recs, SearchConfig(), noisy)
         ev = evaluate_report(report, truth)
         assert ev.mean_pct_error == 0.0
@@ -210,17 +237,9 @@ class TestEvaluate:
         assert all(r["pct_error_sigma"] == 0.0 for r in ev.per_slice)
 
     def test_constant_inflation_is_exact(self, tmp_path, capsys):
-        from chisigma.cli import evaluate_report
-        from chisigma.identify import SearchConfig
-        from chisigma.io import build_report
-        from chisigma.synth import PhantomSpec, simulate
         spec = PhantomSpec(dims=(12, 12, 8), n_volumes=3, n_true=2.0, seed=2)
         noisy, truth = simulate(spec)
-        recs = [
-            {"slice_index": k, "sigma_g": 1.1 * truth["sigma_g"], "n_dof": 2.0,
-             "n_identified": 10, "converged": True, "outer_iters": 1}
-            for k in range(8)
-        ]
+        recs = [slice_record(k, 1.1 * truth["sigma_g"]) for k in range(8)]
         report = build_report(recs, SearchConfig(), noisy)
         ev = evaluate_report(report, truth)
         for r in ev.per_slice:

@@ -115,6 +115,12 @@ class TestSigmaUpperBound:
         with pytest.raises(DegenerateDataError):
             sigma_upper_bound(np.zeros((4, 4, 4, 2)), 4.0)
 
+    def test_nan_rejected(self):
+        data = np.random.default_rng(31).uniform(0.5, 2.0, (24, 24, 12, 3))
+        data[5, 7, 3, 1] = np.nan
+        with pytest.raises(DomainError, match="sample values must be finite"):
+            sigma_upper_bound(data, 12.0)
+
 
 class TestGrids:
     def test_initial_examples(self):
@@ -396,6 +402,15 @@ class TestMomentsPathMatchesSamplePath:
         ests = estimate_volume(vol, SearchConfig(estimator="mle"))
         assert ests[0].error is None
         assert ests[1].error is not None and "too many for a log-likelihood fit" in ests[1].error
+
+    def test_nan_fails_the_volume_not_every_slice(self):
+        # A NaN leaves no median to bound the search by; the volume call
+        # raises instead of failing all slices with a misleading message.
+        rng = np.random.default_rng(44)
+        vol = chi_slice(rng, 10.0, 2, (24, 24, 12), 5)
+        vol[3, 4, 5, 2] = np.nan
+        with pytest.raises(DomainError, match="sample values must be finite"):
+            estimate_volume(vol, SearchConfig())
 
     def test_rejects_negative_and_non_finite(self):
         arr = np.ones((4, 4, 3))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chisigma.errors import DomainError, NiftiError, SchemaError
-from chisigma.identify import SearchConfig, SliceEstimate
+from chisigma.identify import SearchConfig, SliceEstimate, estimate_slice
 from chisigma.io import (
     EstimateReport,
     Volume4D,
@@ -273,6 +273,15 @@ class TestVolume4D:
             Volume4D(voxels=np.full((2, 2, 2, 1), np.nan))
         with pytest.raises(DomainError):
             Volume4D(voxels=np.ones((2, 2, 2, 1)), spacing=(1.0, 0.0, 1.0))
+        # One magnitude rule: a volume and a slice fail with the same message.
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            arr = np.ones((2, 2, 2, 3))
+            arr[1, 0, 1, 2] = bad
+            with pytest.raises(DomainError) as vol_err:
+                Volume4D(voxels=arr)
+            with pytest.raises(DomainError) as slice_err:
+                estimate_slice(arr[:, :, 1], SearchConfig(), sigma_max=1.0)
+            assert str(vol_err.value) == str(slice_err.value)
 
     def test_promotes_3d(self):
         assert Volume4D(voxels=np.ones((2, 3, 4))).dims == (2, 3, 4, 1)
@@ -332,6 +341,21 @@ class TestReports:
         del doc["slices"][3]["sigma_g"]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="sigma_g"):
+            read_report(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("slice_index", "3"), ("slice_index", 3.0), ("sigma_g", "abc"),
+        ("sigma_g", None), ("n_dof", True), ("n_identified", 4.5),
+        ("converged", 1), ("outer_iters", [3]),
+    ])
+    def test_wrong_field_type_rejected(self, tmp_path, field, value):
+        report = sample_report()
+        path = tmp_path / "r.json"
+        write_report(report, path)
+        doc = json.loads(path.read_text())
+        doc["slices"][2][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
             read_report(path)
 
     def test_not_json(self, tmp_path):
