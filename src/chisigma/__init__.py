@@ -29,7 +29,6 @@ from .identify import (
 )
 from .io import (
     EstimateReport,
-    Volume4D,
     build_report,
     read_nifti,
     read_report,
@@ -39,6 +38,7 @@ from .io import (
 )
 from .model import (
     ChiParams,
+    Volume4D,
     chi_pdf,
     estimate_n_mle,
     estimate_n_moments,

@@ -2,8 +2,8 @@
 
 The CLI is a thin shell over the library. Exit codes: 0 on success, 1
 for usage or configuration errors, 2 for I/O or format errors, 3 when
-estimation fails on every slice. The CHI_SIGMA_THREADS environment
-variable overrides the --threads flag.
+estimation fails on every slice. ``--threads`` is the only thread
+setting.
 """
 
 import argparse
@@ -45,9 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_threads(value: str) -> int:
-    env = os.environ.get("CHI_SIGMA_THREADS")
-    if env is not None and env.strip() != "":
-        value = env.strip()
     if value == "auto":
         return os.cpu_count() or 1
     try:
@@ -102,7 +99,7 @@ def cmd_estimate(args) -> int:
     if args.out_mask:
         axis = AXIS_INDEX[config.slice_axis]
         mask3d = np.stack([e.mask for e in estimates], axis=axis)
-        write_nifti(mask3d, args.out_mask)
+        write_nifti(mask3d, args.out_mask, spacing=volume.spacing)
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ from .errors import (
 # The sample-array estimators are not called here; they stay importable
 # from this module because bench/spans.py hooks them by name on it.
 from .model import (  # noqa: F401
+    Volume4D,
     check_magnitudes,
     estimate_n_mle,
     estimate_n_moments,
@@ -309,7 +310,7 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     Iterations stop when the relative change of both falls below
     ``config.rel_tol`` or the iteration cap is hit (``converged=False``).
 
-    The slice is validated and reduced to per-voxel moments once: sums
+    The slice is checked and reduced to per-voxel moments once: sums
     over the volume axis of m^2 and m^4, and for ``estimator="mle"`` of
     log(m^2 / (2 sigma_max^2)) over positive samples plus a count of
     zero samples. Each iteration fits from sums of those over the
@@ -342,6 +343,12 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
     check_magnitudes(arr)
+    return _search_slice(arr, config, sigma_max, slice_index)
+
+
+def _search_slice(arr: np.ndarray, config: SearchConfig, sigma_max: float | None,
+                  slice_index: int) -> SliceEstimate:
+    # The search of estimate_slice, on float64 magnitudes already checked.
     n_volumes = arr.shape[-1]
     m2, sum_m2, nonpadding = _sum_squares(arr)
     if not np.any(nonpadding):
@@ -438,6 +445,9 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     with ``converged=False`` and zero estimates instead of aborting the
     volume.
 
+    A :class:`Volume4D` is trusted as checked; an ndarray is checked
+    once, whole, by wrapping it in one. No slice is checked again.
+
     Parameters
     ----------
     data : Volume4D or ndarray
@@ -456,14 +466,16 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     Raises
     ------
     DomainError
-        If the data holds a NaN, which leaves no median to bound the
-        search by.
+        If an ndarray is not 4D or holds a negative or non-finite value.
     """
-    arr = np.asarray(getattr(data, "voxels", data), dtype=np.float64)
-    if arr.ndim != 4:
-        raise DomainError(f"expected 4D data, got {arr.ndim} dimensions")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+    if not isinstance(data, Volume4D):
+        arr = np.asarray(data, dtype=np.float64)
+        if arr.ndim != 4:
+            raise DomainError(f"expected 4D data, got {arr.ndim} dimensions")
+        data = Volume4D(voxels=arr)
+    arr = data.voxels
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = arr.shape[axis]
     _, n_high = config.effective_n_bracket()
@@ -479,7 +491,7 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     def run_one(k: int) -> SliceEstimate:
         slice_data = _slice_view(arr, axis, k)
         try:
-            return estimate_slice(slice_data, config, sigma_max=sigma_max, slice_index=k)
+            return _search_slice(slice_data, config, sigma_max, k)
         except ChiSigmaError as exc:
             return _failed_slice(k, slice_data.shape[:-1], str(exc))
 

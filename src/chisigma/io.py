@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NiftiError, SchemaError
 from .identify import SearchConfig
-from .model import check_magnitudes
+from .model import Volume4D
 
 __all__ = [
     "Volume4D",
@@ -53,46 +53,6 @@ _SLICE_FIELDS = {
 }
 
 
-@dataclass
-class Volume4D:
-    """Dense 4D magnitude data with voxel-spacing metadata.
-
-    Attributes
-    ----------
-    voxels : ndarray
-        Shape (X, Y, Z, V), float64, finite and nonnegative. 3D input
-        arrays are promoted to a single volume.
-    spacing : tuple of float
-        Voxel edge lengths (dx, dy, dz) in mm.
-    scale : tuple of float
-        The (slope, intercept) scaling that was applied when the data
-        was read from file; (1, 0) for in-memory volumes.
-    """
-
-    voxels: np.ndarray
-    spacing: tuple = (1.0, 1.0, 1.0)
-    scale: tuple = (1.0, 0.0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.voxels, dtype=np.float64)
-        if arr.ndim == 3:
-            arr = arr[..., np.newaxis]
-        if arr.ndim != 4:
-            raise DomainError(f"volume must be 3D or 4D, got {arr.ndim} dimensions")
-        if any(d < 1 for d in arr.shape):
-            raise DomainError(f"volume axes must be nonempty, got {arr.shape}")
-        check_magnitudes(arr)
-        if len(self.spacing) != 3 or any(not s > 0.0 for s in self.spacing):
-            raise DomainError(f"spacing must be 3 positive reals, got {self.spacing}")
-        self.voxels = np.ascontiguousarray(arr)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.scale = (float(self.scale[0]), float(self.scale[1]))
-
-    @property
-    def dims(self) -> tuple:
-        return self.voxels.shape
-
-
 def _open_for_read(path):
     with open(path, "rb") as f:
         head = f.read(2)
@@ -122,15 +82,17 @@ def read_nifti(path) -> Volume4D:
 
     Voxel values are returned as float64 in signal units, with
     scl_slope/scl_inter applied (a stored slope of 0 means unscaled).
-    Negative values after scaling are clamped to 0 with a warning, since
-    magnitude data is nonnegative by definition. 3D files become a
-    single-volume 4D dataset.
+    Finite negative values after scaling are clamped to 0 with a warning,
+    since magnitude data is nonnegative by definition. 3D files become a
+    single-volume 4D dataset. The returned :class:`Volume4D` has been
+    checked once, when it was built.
 
     Raises
     ------
     NiftiError
         On truncated or malformed headers, unsupported datatypes or
-        dimensionality, or axes beyond the 512-voxel guard.
+        dimensionality, axes beyond the 512-voxel guard, or voxel values
+        that are NaN or infinite.
     """
     try:
         f = _open_for_read(path)
@@ -208,19 +170,21 @@ def read_nifti(path) -> Volume4D:
     if slope != 1.0 or inter != 0.0:
         arr *= slope
         arr += inter
-    # min/max propagate NaN and need no full-size temporaries.
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise NiftiError(f"{path}: voxel data contains non-finite values")
-    n_neg = int(np.count_nonzero(arr < 0.0)) if lo < 0.0 else 0
-    if n_neg:
+    # Finite negative values are clamped to 0. A NaN (which makes the
+    # minimum NaN) or -inf is left for Volume4D's check to reject, as +inf
+    # is; after the clamp that check has nothing else to fail on.
+    lo = float(arr.min())
+    if -np.inf < lo < 0.0:
         warnings.warn(
-            f"{path}: clamped {n_neg} negative voxel values to 0",
+            f"{path}: clamped {np.count_nonzero(arr < 0.0)} negative voxel values to 0",
             RuntimeWarning,
             stacklevel=2,
         )
         np.maximum(arr, 0.0, out=arr)
-    return Volume4D(voxels=arr, spacing=spacing, scale=(float(slope), float(inter)))
+    try:
+        return Volume4D(voxels=arr, spacing=spacing, scale=(float(slope), float(inter)))
+    except DomainError as exc:
+        raise NiftiError(f"{path}: voxel data contains non-finite values") from exc
 
 
 def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
@@ -240,13 +204,14 @@ def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
     return bytes(hdr)
 
 
-def write_nifti(volume, path) -> None:
+def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     """Write a volume or a boolean mask as a single-file NIfTI-1 image.
 
-    Volumes are stored as little-endian float32 with identity scaling;
-    boolean masks as uint8 with values {0, 1}. A ``.gz`` suffix selects
-    gzip compression with a fixed timestamp, so identical data yields
-    identical bytes.
+    Volumes are stored as little-endian float32 with identity scaling
+    and their own spacing; boolean masks as uint8 with values {0, 1} and
+    the voxel edge lengths ``spacing`` (pass the source volume's, so the
+    mask lies on its grid). A ``.gz`` suffix selects gzip compression
+    with a fixed timestamp, so identical data yields identical bytes.
     """
     if isinstance(volume, Volume4D):
         arr = volume.voxels.astype("<f4")
@@ -261,7 +226,6 @@ def write_nifti(volume, path) -> None:
         if arr.ndim == 2:
             arr = arr[..., np.newaxis]
         arr = arr.astype("u1")
-        spacing = (1.0, 1.0, 1.0)
         datatype, bitpix = 2, 8
     if any(d > _MAX_AXIS for d in arr.shape):
         raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {arr.shape}")
@@ -336,8 +300,8 @@ def read_report(path) -> EstimateReport:
     """Read a report written by :func:`write_report`.
 
     Unknown extra fields are ignored for forward compatibility; missing
-    required fields, or slice fields of the wrong JSON type, raise
-    :class:`SchemaError`.
+    required fields, slice fields of the wrong JSON type, or a slice
+    index that appears twice raise :class:`SchemaError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -351,7 +315,7 @@ def read_report(path) -> EstimateReport:
             raise SchemaError(f"{path}: missing required field {key!r}")
     if not isinstance(doc["slices"], list):
         raise SchemaError(f"{path}: 'slices' must be a list")
-    slices = []
+    slices, seen = [], set()
     for i, rec in enumerate(doc["slices"]):
         if not isinstance(rec, dict):
             raise SchemaError(f"{path}: slice record {i} must be an object")
@@ -361,6 +325,10 @@ def read_report(path) -> EstimateReport:
         wrong = [f for f, types in _SLICE_FIELDS.items() if type(rec[f]) not in types]
         if wrong:
             raise SchemaError(f"{path}: slice record {i} has fields of the wrong type {wrong}")
+        if rec["slice_index"] in seen:
+            raise SchemaError(f"{path}: slice record {i} repeats slice_index "
+                              f"{rec['slice_index']}")
+        seen.add(rec["slice_index"])
         slices.append({f: rec[f] for f in _SLICE_FIELDS})
     fp = doc["fingerprint"]
     if not isinstance(fp, dict) or not isinstance(fp.get("dims"), list) or "sha256" not in fp:

@@ -25,6 +25,7 @@ from .errors import DegenerateDataError, DomainError
 from .specfun import inv_digamma, ln_gamma
 
 __all__ = [
+    "Volume4D",
     "ChiParams",
     "chi_pdf",
     "transform",
@@ -50,6 +51,50 @@ def check_magnitudes(arr: np.ndarray) -> None:
         raise DomainError("sample values must be finite")
     if lo < 0.0:
         raise DomainError("magnitude samples must be nonnegative")
+
+
+@dataclass
+class Volume4D:
+    """Dense 4D magnitude data with voxel-spacing metadata.
+
+    Building one runs :func:`check_magnitudes` on the whole array, so
+    code handed a ``Volume4D`` takes its voxels as checked and does not
+    check them again. Replace ``voxels`` only by building a new one.
+
+    Attributes
+    ----------
+    voxels : ndarray
+        Shape (X, Y, Z, V), float64, finite and nonnegative. 3D input
+        arrays are promoted to a single volume.
+    spacing : tuple of float
+        Voxel edge lengths (dx, dy, dz) in mm.
+    scale : tuple of float
+        The (slope, intercept) scaling that was applied when the data
+        was read from file; (1, 0) for in-memory volumes.
+    """
+
+    voxels: np.ndarray
+    spacing: tuple = (1.0, 1.0, 1.0)
+    scale: tuple = (1.0, 0.0)
+
+    def __post_init__(self):
+        arr = np.asarray(self.voxels, dtype=np.float64)
+        if arr.ndim == 3:
+            arr = arr[..., np.newaxis]
+        if arr.ndim != 4:
+            raise DomainError(f"volume must be 3D or 4D, got {arr.ndim} dimensions")
+        if any(d < 1 for d in arr.shape):
+            raise DomainError(f"volume axes must be nonempty, got {arr.shape}")
+        check_magnitudes(arr)
+        if len(self.spacing) != 3 or any(not s > 0.0 for s in self.spacing):
+            raise DomainError(f"spacing must be 3 positive reals, got {self.spacing}")
+        self.voxels = np.ascontiguousarray(arr)
+        self.spacing = tuple(float(s) for s in self.spacing)
+        self.scale = (float(self.scale[0]), float(self.scale[1]))
+
+    @property
+    def dims(self) -> tuple:
+        return self.voxels.shape
 
 
 def _as_sample_array(samples) -> np.ndarray:

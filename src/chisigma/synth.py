@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, SchemaError
 from .identify import AXIS_INDEX
-from .io import Volume4D
+from .model import Volume4D
 
 __all__ = [
     "PhantomSpec",

@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 
 import chisigma
-from chisigma import cli, model, synth
+from chisigma import cli, io, model, synth
 
 MODULES = ["chisigma"] + [f"chisigma.{m.name}" for m in pkgutil.iter_modules(chisigma.__path__)]
 REMOVED = ("GammaParams", "TransformedSampleSet", "NoiseSampleSet")
@@ -30,3 +30,7 @@ def test_removed_types_are_gone(name):
 
 def test_evaluate_report_resolves_from_cli():
     assert cli.evaluate_report is synth.evaluate_report
+
+
+def test_volume4d_is_one_class():
+    assert io.Volume4D is chisigma.Volume4D is model.Volume4D

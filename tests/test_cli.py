@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from chisigma import identify, io, model
 from chisigma.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from chisigma.identify import SearchConfig, SliceEstimate
 from chisigma.io import Volume4D, build_report, read_nifti, read_report, write_nifti
@@ -157,20 +158,31 @@ class TestEstimate:
         report = read_report(report_path)
         assert all(rec["n_dof"] == 1.0 for rec in report.slices)
 
-    def test_threads_env_override(self, sim_paths, tmp_path, capsys, monkeypatch):
+    def test_mask_keeps_input_spacing(self, sim_paths, tmp_path, capsys):
         out, _ = sim_paths
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert run(["estimate", str(out), "--threads", "1",
-                    "--out-report", str(r1)]) == EXIT_OK
-        monkeypatch.setenv("CHI_SIGMA_THREADS", "3")
-        assert run(["estimate", str(out), "--threads", "1",
-                    "--out-report", str(r2)]) == EXIT_OK
-        assert read_report(r1).slices == read_report(r2).slices
+        vol = tmp_path / "spaced.nii"
+        write_nifti(Volume4D(voxels=read_nifti(out).voxels, spacing=(2.0, 2.0, 3.0)), vol)
+        mask_path = tmp_path / "mask.nii"
+        assert run(["estimate", str(vol), "--out-mask", str(mask_path)]) == EXIT_OK
+        assert read_nifti(mask_path).spacing == (2.0, 2.0, 3.0)
 
-    def test_bad_env_threads(self, sim_paths, capsys, monkeypatch):
+    def test_checks_each_input_once(self, sim_paths, tmp_path, capsys, monkeypatch):
+        # One check of the whole volume when it is read; no slice is checked
+        # again on its way through the search.
         out, _ = sim_paths
-        monkeypatch.setenv("CHI_SIGMA_THREADS", "zero")
-        assert run(["estimate", str(out)]) == EXIT_USAGE
+        shapes = []
+        real = model.check_magnitudes
+
+        def spy(arr):
+            shapes.append(arr.shape)
+            real(arr)
+
+        for module in (model, identify, io):
+            if hasattr(module, "check_magnitudes"):
+                monkeypatch.setattr(module, "check_magnitudes", spy)
+        assert run(["estimate", str(out), "--threads", "2",
+                    "--out-mask", str(tmp_path / "mask.nii")]) == EXIT_OK
+        assert shapes == [(24, 24, 8, 33)]
 
 
 class TestEvaluate:
@@ -214,8 +226,10 @@ class TestEvaluate:
         lambda doc: doc["slices"][3].update(slice_index=-1),
         lambda doc: doc["slices"][3].update(sigma_g="abc"),
         lambda doc: doc["fingerprint"].update(dims=5),
+        lambda doc: doc["slices"].extend([dict(doc["slices"][0])] * 5),
     ], ids=["unknown_axis", "axis_not_a_string", "slice_index_out_of_range",
-            "slice_index_negative", "sigma_g_not_a_number", "dims_not_a_list"])
+            "slice_index_negative", "sigma_g_not_a_number", "dims_not_a_list",
+            "slice_index_repeated"])
     def test_malformed_report(self, sim_paths, sim_report, tmp_path, capsys, edit):
         _, truth = sim_paths
         doc = json.loads(sim_report.read_text())

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chisigma import identify, model
 from chisigma.errors import ChiSigmaError, ConfigError, DomainError, NoNoiseVoxelsError
 from chisigma.identify import (
     RejectionBounds,
@@ -261,6 +262,35 @@ class TestEstimateVolume:
     def test_rejects_bad_threads(self):
         with pytest.raises(ConfigError):
             estimate_volume(np.ones((4, 4, 4, 2)), SearchConfig(), threads=0)
+
+    def test_negative_fails_the_volume(self):
+        # An ndarray is checked once, as a whole: a negative value fails the
+        # call, as a NaN does, rather than one slice's record.
+        rng = np.random.default_rng(45)
+        vol = chi_slice(rng, 10.0, 2, (24, 24, 12), 5)
+        vol[3, 4, 5, 2] = -1.0
+        with pytest.raises(DomainError, match="nonnegative"):
+            estimate_volume(vol, SearchConfig())
+
+    def test_checks_once(self, monkeypatch):
+        # A Volume4D was checked when built; an ndarray is checked once whole.
+        rng = np.random.default_rng(46)
+        arr = chi_slice(rng, 10.0, 2, (16, 16, 4), 5)
+        vol = Volume4D(voxels=arr)
+        shapes = []
+        real = model.check_magnitudes
+
+        def spy(a):
+            shapes.append(a.shape)
+            real(a)
+
+        monkeypatch.setattr(model, "check_magnitudes", spy)
+        monkeypatch.setattr(identify, "check_magnitudes", spy)
+        base = estimate_volume(vol, SearchConfig(), threads=2)
+        assert shapes == []
+        wrapped = estimate_volume(arr, SearchConfig())
+        assert shapes == [(16, 16, 4, 5)]
+        assert [(e.sigma_g, e.n_dof) for e in wrapped] == [(e.sigma_g, e.n_dof) for e in base]
 
     def test_threads_produce_identical_results(self):
         rng = np.random.default_rng(39)

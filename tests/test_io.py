@@ -9,6 +9,7 @@ import gzip
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -104,13 +105,18 @@ class TestReadNifti:
         np.testing.assert_array_equal(vol.voxels, expected)
         assert vol.voxels.flags.c_contiguous
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_values_rejected(self, tmp_path, bad):
-        arr = np.array([1.0, bad, 3.0, 4.0], dtype="<f4").reshape((4, 1, 1), order="F")
+    @pytest.mark.parametrize("first,bad", [
+        (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf), (-2.0, np.nan), (-2.0, -np.inf),
+    ], ids=["nan", "inf", "-inf", "nan_and_negative", "-inf_and_negative"])
+    def test_non_finite_values_rejected(self, tmp_path, first, bad):
+        # Rejected, with no negative value clamped (a clamp would warn).
+        arr = np.array([first, bad, 3.0, 4.0], dtype="<f4").reshape((4, 1, 1), order="F")
         path = tmp_path / "nf.nii"
         path.write_bytes(craft_nifti((4, 1, 1), 16, arr.tobytes(order="F")))
-        with pytest.raises(NiftiError, match="non-finite"):
-            read_nifti(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NiftiError, match="non-finite"):
+                read_nifti(path)
 
     def test_zero_slope_treated_as_one(self, tmp_path):
         arr = np.array([7.0, 8.0], dtype="<f4").reshape((2, 1, 1), order="F")
@@ -248,8 +254,9 @@ class TestWriteNifti:
         rng = np.random.default_rng(56)
         mask = rng.random((6, 5, 4)) > 0.5
         path = tmp_path / "mask.nii"
-        write_nifti(mask, path)
+        write_nifti(mask, path, spacing=(2.0, 2.0, 3.0))
         back = read_nifti(path)
+        assert back.spacing == (2.0, 2.0, 3.0)
         assert set(np.unique(back.voxels)) <= {0.0, 1.0}
         np.testing.assert_array_equal(back.voxels[..., 0] > 0, mask)
 
@@ -356,6 +363,16 @@ class TestReports:
         doc["slices"][2][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=field):
+            read_report(path)
+
+    def test_repeated_slice_index_rejected(self, tmp_path):
+        report = sample_report()
+        path = tmp_path / "r.json"
+        write_report(report, path)
+        doc = json.loads(path.read_text())
+        doc["slices"][5]["slice_index"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="repeats slice_index 2"):
             read_report(path)
 
     def test_not_json(self, tmp_path):
