@@ -8,6 +8,7 @@ setting.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -116,7 +117,8 @@ def _parse_dims(text: str) -> tuple:
 
 def cmd_simulate(args) -> int:
     """Generate a noisy synthetic dataset plus its ground-truth sidecar."""
-    if int(args.ncoils) != args.ncoils or args.ncoils < 1:
+    # isfinite first: int() raises on inf and NaN.
+    if not math.isfinite(args.ncoils) or int(args.ncoils) != args.ncoils or args.ncoils < 1:
         raise ConfigError(f"ncoils must be a positive integer, got {args.ncoils}")
     geometry = {"uniform": "uniform_object", "spheres": "concentric_spheres"}[args.geometry]
     profile = {"uniform": "uniform", "sphere": "sphere_ramp"}[args.profile]

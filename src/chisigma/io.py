@@ -8,12 +8,17 @@ checks so malformed files fail with :class:`NiftiError` rather than
 crashing.
 """
 
+import concurrent.futures
 import csv
 import gzip
 import hashlib
+import itertools
 import json
+import os
 import struct
 import warnings
+import zlib
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -38,6 +43,8 @@ _HEADER_SIZE = 348
 _MAX_AXIS = 512
 _DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
 _GZIP_MAGIC = b"\x1f\x8b"
+# Deflate, no flags, mtime 0, maximum compression, unknown OS.
+_GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
 
 REPORT_SCHEMA = "chisigma-report-v1"
 
@@ -204,19 +211,18 @@ def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
     return bytes(hdr)
 
 
-def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
-    """Write a volume or a boolean mask as a single-file NIfTI-1 image.
+def _file_chunks(volume, spacing, path):
+    """The NIfTI-1 file of ``volume``: its header, then a buffer per 3D volume.
 
-    Volumes are stored as little-endian float32 with identity scaling
-    and their own spacing; boolean masks as uint8 with values {0, 1} and
-    the voxel edge lengths ``spacing`` (pass the source volume's, so the
-    mask lies on its grid). A ``.gz`` suffix selects gzip compression
-    with a fixed timestamp, so identical data yields identical bytes.
+    The input is checked at once. The file runs x fastest, so each 3D
+    volume is one contiguous run of it, cast and copied only when the
+    iterator reaches it.
     """
     if isinstance(volume, Volume4D):
-        arr = volume.voxels.astype("<f4")
+        arr = volume.voxels
         spacing = volume.spacing
-        datatype, bitpix = 16, 32
+        datatype, bitpix, dtype = 16, 32, "<f4"
+        vols = (arr[..., v] for v in range(arr.shape[3]))
     else:
         arr = np.asarray(volume)
         if arr.dtype != np.bool_:
@@ -225,23 +231,76 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
             raise DomainError(f"mask must be 2D or 3D, got {arr.ndim} dimensions")
         if arr.ndim == 2:
             arr = arr[..., np.newaxis]
-        arr = arr.astype("u1")
-        datatype, bitpix = 2, 8
+        datatype, bitpix, dtype = 2, 8, "u1"
+        vols = (arr,)
     if any(d > _MAX_AXIS for d in arr.shape):
         raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {arr.shape}")
+    # Four zero bytes after the header: no extensions.
+    header = _pack_header(arr.shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
+    return itertools.chain(
+        (header,),
+        (memoryview(np.ascontiguousarray(vol.T, dtype=dtype)).cast("B") for vol in vols),
+    )
 
-    payload = _pack_header(arr.shape, spacing, datatype, bitpix)
-    payload += b"\x00\x00\x00\x00"  # no header extensions
-    payload += arr.tobytes(order="F")
+
+def _deflate(chunk) -> bytes:
+    # A raw deflate stream of its own, ended on a byte boundary by a
+    # non-final block, so that such streams concatenate into one.
+    z = zlib.compressobj(9, zlib.DEFLATED, -15)
+    return z.compress(chunk) + z.flush(zlib.Z_SYNC_FLUSH)
+
+
+def _write_gzip(f, chunks, workers: int) -> None:
+    """Write ``chunks`` to ``f`` as one gzip member, each deflated on its own.
+
+    The chunks are deflated on ``workers`` threads (zlib releases the
+    GIL), at most two per thread in flight, and written in order. Every
+    chunk starts a fresh deflate stream, so the bytes do not depend on
+    ``workers``.
+    """
+    f.write(_GZIP_HEADER)
+    crc = size = 0
+    pending = deque()
+
+    def write_oldest():
+        nonlocal crc, size
+        chunk, deflated = pending.popleft()
+        crc = zlib.crc32(chunk, crc)
+        size += len(chunk)
+        f.write(deflated.result())
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        for chunk in chunks:
+            pending.append((chunk, pool.submit(_deflate, chunk)))
+            if len(pending) > 2 * workers:
+                write_oldest()
+        while pending:
+            write_oldest()
+    # An empty final block ends the deflate stream.
+    f.write(zlib.compressobj(9, zlib.DEFLATED, -15).flush(zlib.Z_FINISH))
+    f.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
+
+
+def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
+    """Write a volume or a boolean mask as a single-file NIfTI-1 image.
+
+    Volumes are stored as little-endian float32 with identity scaling
+    and their own spacing; boolean masks as uint8 with values {0, 1} and
+    the voxel edge lengths ``spacing`` (pass the source volume's, so the
+    mask lies on its grid). The file is written one 3D volume at a time.
+    A ``.gz`` suffix selects gzip compression: each 3D volume is deflated
+    on its own, on a thread per CPU, into one gzip member with no name
+    and mtime 0, so the bytes depend neither on the thread count nor on
+    the time, and identical data yields identical bytes.
+    """
+    chunks = _file_chunks(volume, spacing, path)
     try:
-        if str(path).endswith(".gz"):
-            with open(path, "wb") as raw:
-                # Fixed mtime and no embedded name keep output byte-stable.
-                with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as zf:
-                    zf.write(payload)
-        else:
-            with open(path, "wb") as raw:
-                raw.write(payload)
+        with open(path, "wb") as f:
+            if str(path).endswith(".gz"):
+                _write_gzip(f, chunks, os.cpu_count() or 1)
+            else:
+                for chunk in chunks:
+                    f.write(chunk)
     except OSError as exc:
         raise NiftiError(f"{path}: {exc}") from exc
 

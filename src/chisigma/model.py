@@ -59,7 +59,9 @@ class Volume4D:
 
     Building one runs :func:`check_magnitudes` on the whole array, so
     code handed a ``Volume4D`` takes its voxels as checked and does not
-    check them again. Replace ``voxels`` only by building a new one.
+    check them again. ``voxels`` is a read-only view, so the checked
+    values cannot be written through it (the caller's own array stays
+    writable). Replace ``voxels`` only by building a new one.
 
     Attributes
     ----------
@@ -88,7 +90,10 @@ class Volume4D:
         check_magnitudes(arr)
         if len(self.spacing) != 3 or any(not s > 0.0 for s in self.spacing):
             raise DomainError(f"spacing must be 3 positive reals, got {self.spacing}")
-        self.voxels = np.ascontiguousarray(arr)
+        # A view, so that freezing it leaves the caller's array writable.
+        voxels = np.ascontiguousarray(arr).view()
+        voxels.flags.writeable = False
+        self.voxels = voxels
         self.spacing = tuple(float(s) for s in self.spacing)
         self.scale = (float(self.scale[0]), float(self.scale[1]))
 

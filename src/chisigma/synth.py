@@ -2,16 +2,20 @@
 
 Phantoms are simple geometric objects (a uniform ball or concentric
 spheres) on an exact-zero background, with the first volume acting as
-the non-diffusion-weighted reference. Corruption draws N complex
-Gaussian channels per voxel, splits the noiseless intensity evenly
-across the real parts, and takes the root sum of squares, which yields
-a noncentral chi magnitude signal with the requested degrees of freedom
-and a spatially modulated noise level tau * sigma_g.
+the non-diffusion-weighted reference. Corruption gives each voxel of
+each volume the magnitude of N complex Gaussian channels around the
+noiseless intensity, with a spatially modulated noise level
+s = tau * sigma_g. Its squared magnitude over s^2 is noncentral
+chi-square with 2N degrees of freedom and noncentrality (I/s)^2, so it
+is drawn once per voxel-volume from that law.
 
-``simulate`` writes a ``chisigma-truth-v1`` ground-truth record, and
-``evaluate_report`` reads it back to score an estimation report.
+``simulate`` writes a ``chisigma-truth-v1`` ground-truth record naming
+the generator (``ncchisq-philox-v1``), and ``evaluate_report`` reads it
+back, with or without that key, to score an estimation report.
 """
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,11 +39,19 @@ __all__ = [
 
 GEOMETRIES = ("uniform_object", "concentric_spheres")
 PROFILES = ("uniform", "sphere_ramp")
+GENERATOR = "ncchisq-philox-v1"
 
 # Diffusion-weighted volumes carry attenuated copies of the reference
 # intensity; the exact factor is irrelevant to noise estimation, which
 # only ever samples the background.
 _DWI_ATTENUATION = 0.5
+
+
+def _is_whole(x) -> bool:
+    # int() raises on inf and NaN, and math.isfinite on ints beyond float range.
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
 
 
 @dataclass(frozen=True)
@@ -63,24 +75,26 @@ class PhantomSpec:
     b0_intensity: float = 5130.0
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) != d or d < 1 for d in self.dims):
+        if len(self.dims) != 3 or any(not _is_whole(d) or d < 1 for d in self.dims):
             raise ConfigError(f"dims must be 3 positive integers, got {self.dims}")
-        if int(self.n_volumes) != self.n_volumes or self.n_volumes < 1:
+        if not _is_whole(self.n_volumes) or self.n_volumes < 1:
             raise ConfigError(f"n_volumes must be a positive integer, got {self.n_volumes}")
         if self.geometry not in GEOMETRIES:
             raise ConfigError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
-        if not self.snr > 0.0:
-            raise ConfigError(f"snr must be positive, got {self.snr}")
-        if not self.n_true > 0.0:
-            raise ConfigError(f"n_true must be positive, got {self.n_true}")
+        if not (math.isfinite(self.snr) and self.snr > 0.0):
+            raise ConfigError(f"snr must be positive and finite, got {self.snr}")
+        if not (math.isfinite(self.n_true) and self.n_true > 0.0):
+            raise ConfigError(f"n_true must be positive and finite, got {self.n_true}")
         if self.profile not in PROFILES:
             raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        if not self.tau_max >= 1.0:
-            raise ConfigError(f"tau_max must be at least 1, got {self.tau_max}")
-        if int(self.seed) != self.seed or self.seed < 0 or self.seed >= 2 ** 64:
+        if not (math.isfinite(self.tau_max) and self.tau_max >= 1.0):
+            raise ConfigError(f"tau_max must be finite and at least 1, got {self.tau_max}")
+        if not _is_whole(self.seed) or self.seed < 0 or self.seed >= 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.b0_intensity > 0.0:
-            raise ConfigError(f"b0_intensity must be positive, got {self.b0_intensity}")
+        if not (math.isfinite(self.b0_intensity) and self.b0_intensity > 0.0):
+            raise ConfigError(
+                f"b0_intensity must be positive and finite, got {self.b0_intensity}"
+            )
 
 
 @dataclass(frozen=True)
@@ -190,20 +204,22 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
 
     Each voxel value I becomes
 
-        sqrt( sum_{i=1..N} (I/sqrt(N) + tau*eps_i)^2 + sum_{j=1..N} (tau*eps_j)^2 )
+        s * sqrt(x),  x ~ noncentral chi-square(df = 2N, nonc = (I/s)^2)
 
-    with eps ~ Normal(0, sigma_g^2) drawn independently per voxel,
-    volume and channel. Volume v consumes the v-th child stream of a
-    counter-based generator seeded from ``seed``, with channel draws
-    laid out deterministically inside each stream, so the output is
-    reproducible and independent of any parallel schedule over volumes.
+    with s = tau * sigma_g, one draw per voxel and volume. This is
+    exactly the law of the root sum of squares of N complex channels
+    with independent Normal(0, s^2) noise in each real and imaginary
+    part, the intensity split evenly across the real parts; I = 0 gives
+    the central chi-square of the background. Volume v draws from the
+    v-th child stream of a Philox generator seeded from ``seed``, so the
+    output is reproducible and independent of any schedule over volumes.
 
     ``n_true`` must be a positive integer; fractional degrees of freedom
     exist on the estimation side only.
     """
-    if int(n_true) != n_true or n_true < 1:
+    if not _is_whole(n_true) or n_true < 1:
         raise DomainError(f"noise generation needs a positive integer N, got {n_true}")
-    n = int(n_true)
+    df = 2 * int(n_true)
     vol = noiseless if isinstance(noiseless, Volume4D) else Volume4D(voxels=noiseless)
     data = vol.voxels
     if data.shape[:3] != np.asarray(field.tau).shape:
@@ -216,17 +232,10 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
     scale = field.tau * field.sigma_g
     streams = np.random.SeedSequence(seed).spawn(data.shape[3])
     out = np.empty_like(data)
-    inv_sqrt_n = 1.0 / np.sqrt(n)
     for v in range(data.shape[3]):
         rng = np.random.Generator(np.random.Philox(streams[v]))
-        draws = rng.standard_normal((2 * n,) + data.shape[:3])
-        signal = data[..., v] * inv_sqrt_n
-        acc = np.zeros(data.shape[:3], dtype=np.float64)
-        for i in range(n):
-            acc += (signal + scale * draws[i]) ** 2
-        for j in range(n, 2 * n):
-            acc += (scale * draws[j]) ** 2
-        out[..., v] = np.sqrt(acc)
+        x = rng.noncentral_chisquare(df, np.square(data[..., v] / scale))
+        out[..., v] = scale * np.sqrt(x)
     return Volume4D(voxels=out, spacing=vol.spacing, scale=vol.scale)
 
 
@@ -246,6 +255,7 @@ def simulate(spec: PhantomSpec):
     noisy = corrupt(phantom, field, spec.n_true, spec.seed)
     truth = {
         "schema": "chisigma-truth-v1",
+        "generator": GENERATOR,
         "sigma_g": sigma_g,
         "spec": asdict(spec),
     }

@@ -75,6 +75,23 @@ class TestExitCodes:
         out = tmp_path / "o.nii"
         assert run(["simulate", "--ncoils", "2.5", "--out", str(out)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        ["--ncoils", "inf"],
+        ["--ncoils", "nan"],
+        ["--snr", "inf"],
+        ["--b0-mean", "inf"],
+        ["--profile", "sphere", "--tau-max", "inf"],
+        ["--profile", "sphere", "--tau-max", "nan"],
+    ], ids=["ncoils_inf", "ncoils_nan", "snr_inf", "b0_mean_inf", "tau_max_inf",
+            "tau_max_nan"])
+    def test_non_finite_simulate_value(self, tmp_path, capsys, flags):
+        # Rejected up front as a configuration error, before any file is written.
+        out = tmp_path / "o.nii"
+        assert run(["simulate", "--dims", "12,12,8", "--volumes", "2",
+                    *flags, "--out", str(out)]) == EXIT_USAGE
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_dims(self, tmp_path, capsys):
         out = tmp_path / "o.nii"
         assert run(["simulate", "--dims", "10,10", "--out", str(out)]) == EXIT_USAGE
@@ -206,6 +223,15 @@ class TestEvaluate:
             frags = line.split(",")
             assert abs(float(frags[1])) < 5.0
             assert float(frags[3]) == 4.0
+
+    def test_non_finite_truth_spec(self, sim_paths, sim_report, tmp_path, capsys):
+        # JSON allows Infinity; a truth record holding it is malformed, not a crash.
+        _, truth = sim_paths
+        doc = json.loads(truth.read_text())
+        doc["spec"]["n_volumes"] = float("inf")
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--report", str(sim_report), "--truth", str(bad)]) == EXIT_IO
 
     def test_mismatched_truth(self, sim_paths, tmp_path, capsys):
         out, truth = sim_paths

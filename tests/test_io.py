@@ -7,15 +7,17 @@ package's own writer.
 
 import gzip
 import hashlib
+import io
 import json
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
 from chisigma.errors import DomainError, NiftiError, SchemaError
-from chisigma.identify import SearchConfig, SliceEstimate, estimate_slice
+from chisigma.identify import SearchConfig, SliceEstimate, estimate_slice, estimate_volume
 from chisigma.io import (
     EstimateReport,
     Volume4D,
@@ -27,6 +29,7 @@ from chisigma.io import (
     write_report,
     write_slice_csv,
 )
+from chisigma.io import _file_chunks, _write_gzip
 
 
 def craft_nifti(shape, dtype_code, data_bytes, endian="<", slope=1.0, inter=0.0,
@@ -86,13 +89,15 @@ class TestReadNifti:
 
     def test_scaled_float64_single_column(self, tmp_path):
         # With one non-unit axis the file's F-ordered view is also C-ordered;
-        # the reader must still hand back its own writable copy to scale.
+        # the reader must still scale its own writable copy, not the file
+        # buffer. The volume hands out a read-only view of that copy.
         arr = np.array([1.0, 2.0, 3.0], dtype="<f8").reshape((3, 1, 1), order="F")
         path = tmp_path / "f8.nii"
         path.write_bytes(craft_nifti((3, 1, 1), 64, arr.tobytes(order="F"), slope=2.0))
         vol = read_nifti(path)
         np.testing.assert_array_equal(vol.voxels[:, 0, 0, 0], [2.0, 4.0, 6.0])
-        assert vol.voxels.flags.c_contiguous and vol.voxels.flags.writeable
+        assert vol.voxels.flags.c_contiguous and not vol.voxels.flags.writeable
+        assert vol.voxels.base.flags.owndata and vol.voxels.base.flags.writeable
 
     @pytest.mark.parametrize("shape", [(5, 3, 4, 6), (2, 7, 1, 3), (3, 2, 5)])
     def test_layout_matches_file_order(self, tmp_path, shape):
@@ -260,6 +265,36 @@ class TestWriteNifti:
         assert set(np.unique(back.voxels)) <= {0.0, 1.0}
         np.testing.assert_array_equal(back.voxels[..., 0] > 0, mask)
 
+    def test_gzip_mask_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(56)
+        mask = rng.random((6, 5)) > 0.5
+        plain, packed = tmp_path / "mask.nii", tmp_path / "mask.nii.gz"
+        write_nifti(mask, plain)
+        write_nifti(mask, packed)
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        np.testing.assert_array_equal(read_nifti(packed).voxels[..., 0, 0] > 0, mask)
+
+    def test_gzip_is_one_member_holding_the_plain_file(self, tmp_path):
+        rng = np.random.default_rng(57)
+        vol = Volume4D(voxels=rng.uniform(0.0, 9.0, (7, 5, 3, 9)))
+        plain, packed = tmp_path / "v.nii", tmp_path / "v.nii.gz"
+        write_nifti(vol, plain)
+        write_nifti(vol, packed)
+        inflate = zlib.decompressobj(wbits=31)  # gzip wrapper, one member
+        assert inflate.decompress(packed.read_bytes()) == plain.read_bytes()
+        assert inflate.eof and inflate.unused_data == b""
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+
+    def test_gzip_bytes_do_not_depend_on_workers(self, tmp_path):
+        rng = np.random.default_rng(58)
+        vol = Volume4D(voxels=rng.uniform(0.0, 9.0, (6, 4, 5, 11)))
+        path = tmp_path / "v.nii.gz"
+        write_nifti(vol, path)
+        for workers in (1, 3):
+            buf = io.BytesIO()
+            _write_gzip(buf, _file_chunks(vol, vol.spacing, path), workers)
+            assert buf.getvalue() == path.read_bytes()
+
     def test_rejects_non_boolean_array(self, tmp_path):
         with pytest.raises(DomainError):
             write_nifti(np.ones((3, 3, 3)), tmp_path / "z.nii")
@@ -289,6 +324,18 @@ class TestVolume4D:
             with pytest.raises(DomainError) as slice_err:
                 estimate_slice(arr[:, :, 1], SearchConfig(), sigma_max=1.0)
             assert str(vol_err.value) == str(slice_err.value)
+
+    def test_voxels_read_only(self):
+        # The search trusts a checked volume, so a write into it would go unseen.
+        rng = np.random.default_rng(59)
+        arr = np.sqrt(rng.chisquare(8, (16, 16, 3, 9)))
+        vol = Volume4D(voxels=arr)
+        with pytest.raises(ValueError, match="read-only"):
+            vol.voxels[2, 2, 1, 3] = -5.0
+        assert vol.voxels[2, 2, 1, 3] >= 0.0
+        assert arr.flags.writeable  # the caller's own array is left as it was
+        estimates = estimate_volume(vol, SearchConfig())
+        assert [e.error for e in estimates] == [None] * 3
 
     def test_promotes_3d(self):
         assert Volume4D(voxels=np.ones((2, 3, 4))).dims == (2, 3, 4, 1)

@@ -12,12 +12,15 @@ import pytest
 from scipy import stats
 
 from chisigma.errors import ConfigError, DegenerateDataError, DomainError
+from chisigma.io import EstimateReport
 from chisigma.synth import (
     NoiseField,
     PhantomSpec,
+    _truth_spec,
     build_phantom,
     build_tau,
     corrupt,
+    evaluate_report,
     object_mask,
     sigma_from_snr,
     simulate,
@@ -46,6 +49,13 @@ class TestPhantomSpec:
             PhantomSpec(tau_max=0.5)
         with pytest.raises(ConfigError):
             PhantomSpec(seed=-1)
+
+    @pytest.mark.parametrize("field", ["snr", "n_true", "tau_max", "b0_intensity",
+                                       "n_volumes", "seed", "dims"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PhantomSpec(**{field: (value, 16, 8) if field == "dims" else value})
 
     def test_too_small_for_object(self):
         with pytest.raises(ConfigError):
@@ -150,6 +160,8 @@ class TestCorrupt:
             corrupt(vol, field, 2.5, seed=0)
         with pytest.raises(DomainError):
             corrupt(vol, field, 0, seed=0)
+        with pytest.raises(DomainError):
+            corrupt(vol, field, math.inf, seed=0)
 
     def test_rician_background_is_exponential_after_transform(self):
         # N=1, tau=1: t = m^2/(2 sigma^2) over background is Exp(1).
@@ -193,6 +205,20 @@ class TestCorrupt:
         tol = 3.0 * float(np.std(s)) / math.sqrt(s.size)
         assert abs(float(np.mean(s)) - v * n) <= tol
 
+    def test_object_second_moment_is_noncentral(self):
+        # m^2/s^2 is noncentral chi-square(2N, (I/s)^2), with mean 2N + (I/s)^2,
+        # here over object voxels of spatially varying s.
+        n, sigma = 4, 171.0
+        spec = small_spec(dims=(24, 24, 16), n_volumes=12, profile="sphere_ramp")
+        vol = build_phantom(spec)
+        s = build_tau(spec.dims, spec.profile, spec.tau_max)[..., np.newaxis] * sigma
+        noisy = corrupt(vol, NoiseField(tau=s[..., 0] / sigma, sigma_g=sigma), n, seed=13)
+        obj = np.broadcast_to(object_mask(spec)[..., np.newaxis], vol.dims)
+        x = (noisy.voxels / s)[obj] ** 2
+        lam = (vol.voxels / s)[obj] ** 2
+        se = float(np.std(x - lam)) / math.sqrt(x.size)
+        assert abs(float(np.mean(x)) - float(np.mean(2 * n + lam))) <= 3.0 * se
+
     def test_seed_determinism(self):
         spec = small_spec()
         vol = build_phantom(spec)
@@ -224,10 +250,27 @@ class TestSimulate:
     def test_truth_record(self):
         noisy, truth = simulate(small_spec())
         assert truth["schema"] == "chisigma-truth-v1"
+        assert truth["generator"] == "ncchisq-philox-v1"
         assert truth["sigma_g"] == pytest.approx(171.0, rel=1e-12)
         assert truth["spec"]["n_true"] == 1.0
         assert truth["spec"]["dims"] == [16, 16, 8]
         assert noisy.dims == (16, 16, 8, 4)
+
+    def test_truth_read_with_or_without_generator(self):
+        spec = small_spec()
+        _, truth = simulate(spec)
+        bare = {k: v for k, v in truth.items() if k != "generator"}
+        assert _truth_spec(truth) == _truth_spec(bare) == spec
+        report = EstimateReport(
+            slices=[{"slice_index": k, "sigma_g": 171.0 + k, "n_dof": 1.0,
+                     "n_identified": 10, "converged": True, "outer_iters": 1}
+                    for k in range(spec.dims[2])],
+            config={"slice_axis": "z"},
+            fingerprint={"dims": list(spec.dims) + [spec.n_volumes], "sha256": ""},
+        )
+        with_key, without = evaluate_report(report, truth), evaluate_report(report, bare)
+        assert len(with_key.per_slice) == spec.dims[2]
+        assert with_key == without
 
     def test_deterministic(self):
         a, _ = simulate(small_spec())
