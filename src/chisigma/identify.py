@@ -9,10 +9,11 @@ noise-only. The candidate identifying the most voxels wins, the noise
 parameters are re-estimated from the identified voxels, and the search
 grid and quantile bounds are tightened until sigma and N stabilize.
 
-The fit needs only sums over the identified voxels, so each slice is
+The fit needs only sums over the identified voxels, so the data are
 reduced once to per-voxel moments (sum_v m^2, sum_v m^4 and, for the
-likelihood estimator, sum_v log m^2 and a zero count); every outer pass
-then works on those 2D arrays instead of re-gathering the samples.
+likelihood estimator, sum_v log m^2 and a zero count), adding one volume
+at a time; every outer pass then works on a slice's 2D view of those
+arrays instead of re-gathering the samples.
 """
 
 import concurrent.futures
@@ -171,13 +172,22 @@ def sigma_upper_bound(data, n_max: float) -> float:
     noise with n_max degrees of freedom, the median of the transformed
     values would sit at that quantile. A NaN anywhere in the data makes
     the median NaN and raises :class:`DomainError`.
+
+    For a :class:`Volume4D` the two middle order statistics are selected
+    among the *stored* values, then mapped to the signal and averaged in
+    float64. The map to the signal is monotone (for either sign of the
+    slope, and with the clamp at zero), so this is bit-equal to
+    ``np.median`` of the float64 signal, which is never built.
     """
-    arr = np.asarray(getattr(data, "voxels", data), dtype=np.float64)
+    if isinstance(data, Volume4D):
+        arr, to_signal = data.stored, data.to_signal
+    else:
+        arr, to_signal = np.asarray(data, dtype=np.float64), None
     if arr.size == 0:
         raise DegenerateDataError("cannot bound sigma on empty data")
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
-    med = _median(arr)
+    med = _median(arr, to_signal)
     if np.isnan(med):
         raise DomainError("sample values must be finite")
     if med <= 0.0:
@@ -189,21 +199,33 @@ _MEDIAN_SAMPLE = 1 << 16
 _MEDIAN_CHUNK = 1 << 20
 
 
-def _median(arr: np.ndarray) -> float:
-    # Bit-equal to np.median without copying or partitioning the whole
-    # array (Floyd-Rivest selection); only a non-contiguous view is
-    # flattened into a copy. Two pivots taken from a sorted
-    # strided sample bracket the middle ranks; one chunked pass counts the
-    # values below the bracket and extracts those inside it, and only that
-    # small set is partitioned. If the bracket misses the middle ranks, or
-    # holds a NaN (which compares with neither pivot), np.median runs.
+def _median(arr: np.ndarray, to_signal=None) -> float:
+    # np.median(to_signal(arr)), bit for bit, for a monotone to_signal that
+    # returns float64: the mean of the one or two middle values, mapped.
+    # The middle ranks of an even size are symmetric, so a decreasing map
+    # only swaps the two, and the sum does not depend on their order.
+    middle = _middle_values(arr)
+    return float(np.mean(middle if to_signal is None else to_signal(middle)))
+
+
+def _middle_values(arr: np.ndarray) -> np.ndarray:
+    # The middle order statistic (odd size) or two (even size) of arr, in
+    # its dtype, without copying or partitioning the whole array
+    # (Floyd-Rivest selection); only a non-contiguous view is flattened
+    # into a copy. Two pivots taken from a sorted strided sample bracket
+    # the middle ranks; one chunked pass counts the values below the
+    # bracket and extracts those inside it, and only that small set is
+    # partitioned. A NaN compares with neither pivot, so any NaN lands in
+    # the bracket and makes the result NaN, as in np.median. If the
+    # bracket misses the middle ranks, a copy of the whole is partitioned.
     flat = arr.reshape(-1)
     n = flat.size
+    k = [(n - 1) // 2, n // 2]
     sample = np.sort(flat[:: max(1, n // _MEDIAN_SAMPLE)])
     m = sample.size
     delta = 3.0 * np.sqrt(m) + 1.0
-    lo = sample[max(0, int((m - 1) * ((n - 1) // 2) / n - delta))]
-    hi = sample[min(m - 1, int((m - 1) * (n // 2) / n + delta) + 1)]
+    lo = sample[max(0, int((m - 1) * k[0] / n - delta))]
+    hi = sample[min(m - 1, int((m - 1) * k[1] / n + delta) + 1)]
     n_below = 0
     inside = []
     for start in range(0, n, _MEDIAN_CHUNK):
@@ -213,11 +235,12 @@ def _median(arr: np.ndarray) -> float:
         n_below += int(np.count_nonzero(below))
         inside.append(chunk[~(below | above)])
     mid = np.concatenate(inside)
-    k = [(n - 1) // 2 - n_below, n // 2 - n_below]
-    if k[0] < 0 or k[1] >= mid.size or np.isnan(mid).any():
-        return float(np.median(arr))
-    part = np.partition(mid, k)
-    return float(np.mean(part[k[0]:k[1] + 1]))
+    if mid.dtype.kind == "f" and np.isnan(mid).any():
+        return np.array([np.nan])
+    j = [k[0] - n_below, k[1] - n_below]
+    if j[0] < 0 or j[1] >= mid.size:
+        mid, j = flat, k
+    return np.partition(mid, j)[j[0]:j[1] + 1]
 
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
@@ -236,12 +259,51 @@ def refine_grid(sigma: float) -> np.ndarray:
     return sigma * (0.95 + 0.01 * np.arange(11, dtype=np.float64))
 
 
-def _sum_squares(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Returns (m^2, its sum over volumes, nonpadding mask). Voxels that are
-    # zero across every volume are padding, never noise draws.
-    m2 = arr ** 2
-    sum_m2 = np.sum(m2, axis=-1)
-    return m2, sum_m2, sum_m2 > 0.0
+class _Moments:
+    # Per-voxel sums over the volumes: of m^2, of m^4 and, for the
+    # likelihood estimator, of log(m^2 / ref) over positive samples, with
+    # the count of zero samples.
+    def __init__(self, s2, s4, log=None, zeros=None):
+        self.s2, self.s4, self.log, self.zeros = s2, s4, log, zeros
+
+    @classmethod
+    def of_shape(cls, shape, with_log: bool) -> "_Moments":
+        if not with_log:
+            return cls(np.zeros(shape), np.zeros(shape))
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                   np.zeros(shape, dtype=np.intp))
+
+    def map(self, fn) -> "_Moments":
+        """The same view ``fn`` of every array."""
+        return _Moments(fn(self.s2), fn(self.s4),
+                        None if self.log is None else fn(self.log),
+                        None if self.zeros is None else fn(self.zeros))
+
+
+def _accumulate(into: _Moments, volumes, ref: float | None) -> None:
+    # Adds each float64 volume of ``volumes`` to the sums of ``into``, one
+    # volume at a time and in the order given, so that a voxel's sums do
+    # not depend on how the voxels are split into blocks or threads.
+    # Zero samples leave log(m^2 / ref) out of the sum.
+    for m in volumes:
+        m2 = m * m
+        into.s2 += m2
+        if ref is not None:
+            pos = m > 0.0
+            t = m2 / ref
+            np.log(t, out=t, where=pos)
+            into.log += t
+            into.zeros += np.logical_not(pos, out=pos)
+        into.s4 += np.multiply(m2, m2, out=m2)
+
+
+def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
+    # The reference of the log sums, None unless the likelihood estimator
+    # runs. It scales with the data, which keeps the sums, and so N,
+    # bit-exact under power-of-two scaling.
+    if config.fixed_n is None and config.estimator == "mle":
+        return 2.0 * sigma_max * sigma_max
+    return None
 
 
 def _mask_from_sums(sum_m2, nonpadding, sigma, bounds):
@@ -272,9 +334,15 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    _, sum_m2, nonpadding = _sum_squares(arr)
-    mask = _mask_from_sums(sum_m2, nonpadding, sigma_candidate, bounds)
+    sums = _slice_moments(arr, None)
+    mask = _mask_from_sums(sums.s2, sums.s2 > 0.0, sigma_candidate, bounds)
     return int(np.count_nonzero(mask)), mask
+
+
+def _slice_moments(arr: np.ndarray, ref: float | None) -> _Moments:
+    sums = _Moments.of_shape(arr.shape[:-1], ref is not None)
+    _accumulate(sums, (arr[..., v] for v in range(arr.shape[-1])), ref)
+    return sums
 
 
 def _best_candidate(grid, sum_m2, nonpadding, bounds):
@@ -290,15 +358,6 @@ def _best_candidate(grid, sum_m2, nonpadding, bounds):
     return int(counts[best]), float(grid[best]), masks[best]
 
 
-def _log_moments(arr: np.ndarray, m2: np.ndarray, ref: float):
-    # Per voxel: sum over positive samples of log(m^2 / ref), and the
-    # number of zero samples. Zero samples leave t at 0, adding nothing.
-    pos = arr > 0.0
-    t = m2 / ref
-    np.log(t, out=t, where=pos)
-    return np.sum(t, axis=-1), arr.shape[-1] - np.count_nonzero(pos, axis=-1)
-
-
 def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = None,
                    slice_index: int = 0) -> SliceEstimate:
     """Estimate sigma_g and N for one slice.
@@ -310,11 +369,12 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     Iterations stop when the relative change of both falls below
     ``config.rel_tol`` or the iteration cap is hit (``converged=False``).
 
-    The slice is checked and reduced to per-voxel moments once: sums
-    over the volume axis of m^2 and m^4, and for ``estimator="mle"`` of
-    log(m^2 / (2 sigma_max^2)) over positive samples plus a count of
-    zero samples. Each iteration fits from sums of those over the
-    identified voxels, with K = count * V samples.
+    The slice is checked and reduced to per-voxel moments once, one
+    volume at a time, by the accumulator :func:`estimate_volume` uses:
+    sums over the volume axis of m^2 and m^4, and for
+    ``estimator="mle"`` of log(m^2 / (2 sigma_max^2)) over positive
+    samples plus a count of zero samples. Each iteration fits from sums
+    of those over the identified voxels, with K = count * V samples.
 
     With ``config.fixed_n`` set, N is pinned and only sigma is searched.
 
@@ -336,35 +396,31 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     ------
     DomainError
         If the slice holds negative or non-finite values.
+    DegenerateDataError
+        If ``sigma_max`` is not given and the slice's median is zero.
     NoNoiseVoxelsError
-        If every candidate of the current grid identifies zero voxels.
+        If the slice holds no nonzero voxel, or every candidate of the
+        current grid identifies zero voxels.
     """
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
     check_magnitudes(arr)
-    return _search_slice(arr, config, sigma_max, slice_index)
+    if sigma_max is None:
+        sigma_max = sigma_upper_bound(arr, config.effective_n_bracket()[1])
+    sums = _slice_moments(arr, _log_ref(config, sigma_max))
+    return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
 
 
-def _search_slice(arr: np.ndarray, config: SearchConfig, sigma_max: float | None,
+def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_max: float,
                   slice_index: int) -> SliceEstimate:
-    # The search of estimate_slice, on float64 magnitudes already checked.
-    n_volumes = arr.shape[-1]
-    m2, sum_m2, nonpadding = _sum_squares(arr)
+    # The search of estimate_slice, on one slice's per-voxel moments.
+    nonpadding = sums.s2 > 0.0
     if not np.any(nonpadding):
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
 
     n_low, n_high = config.effective_n_bracket()
-    if sigma_max is None:
-        sigma_max = sigma_upper_bound(arr, n_high)
-    use_mle = config.fixed_n is None and config.estimator == "mle"
-    if use_mle:
-        # A reference that scales with the data keeps the sums, and so N,
-        # bit-exact under power-of-two scaling.
-        ref = 2.0 * sigma_max * sigma_max
-        sum_log, zeros = _log_moments(arr, m2, ref)
-    m4 = np.multiply(m2, m2, out=m2)
-    sum_m4 = np.sum(m4, axis=-1)
+    ref = _log_ref(config, sigma_max)
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
     grid = initial_grid(sigma_max, config.grid_size)
 
@@ -372,24 +428,24 @@ def _search_slice(arr: np.ndarray, config: SearchConfig, sigma_max: float | None
     n_prev = None
     sigma = 0.0
     n_dof = 0.0
-    mask = np.zeros(arr.shape[:-1], dtype=bool)
+    mask = np.zeros(sums.s2.shape, dtype=bool)
     converged = False
     iters = 0
 
     for iters in range(1, config.max_outer_iters + 1):
-        count, _, best_mask = _best_candidate(grid, sum_m2, nonpadding, bounds)
+        count, _, best_mask = _best_candidate(grid, sums.s2, nonpadding, bounds)
         if count == 0:
             raise NoNoiseVoxelsError(
                 f"slice {slice_index}: no candidate noise level identified any voxels"
             )
         k = count * n_volumes
-        s2 = float(np.sum(sum_m2[best_mask]))
-        sigma = sigma_from_moments(s2, float(np.sum(sum_m4[best_mask])), k)
+        s2 = float(np.sum(sums.s2[best_mask]))
+        sigma = sigma_from_moments(s2, float(np.sum(sums.s4[best_mask])), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
-        elif use_mle:
-            n_dof = n_from_log_moments(float(np.sum(sum_log[best_mask])), k,
-                                       int(np.sum(zeros[best_mask])), sigma, ref)
+        elif ref is not None:
+            n_dof = n_from_log_moments(float(np.sum(sums.log[best_mask])), k,
+                                       int(np.sum(sums.zeros[best_mask])), sigma, ref)
         else:
             n_dof = n_from_moments(s2, k, sigma)
         mask = best_mask
@@ -434,15 +490,36 @@ def _slice_view(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
     return arr[tuple(sl)]
 
 
+# Voxels per block of the volume reduction: the block's sums and
+# temporaries stay in cache while every volume is added to them.
+_BLOCK_VOXELS = 1 << 15
+
+
+def _volume_moments(vol: Volume4D, ref: float | None) -> _Moments:
+    # Per-voxel moments of the whole volume, shape (Z, Y, X), built block
+    # by block of z-planes, each block adding the signal of one volume at
+    # a time. (Threads do not speed this up: it is bound by memory.)
+    n_vol, n_z, n_y, n_x = vol.stored.shape
+    sums = _Moments.of_shape((n_z, n_y, n_x), ref is not None)
+    step = max(1, _BLOCK_VOXELS // (n_y * n_x))
+    for z0 in range(0, n_z, step):
+        z = slice(z0, z0 + step)
+        _accumulate(sums.map(lambda a: a[z]),
+                    (vol.to_signal(vol.stored[v, z]) for v in range(n_vol)), ref)
+    return sums
+
+
 def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceEstimate]:
     """Estimate every slice of a 4D dataset independently.
 
     The initial-grid upper bound is computed once from the median of
-    the whole 4D data (found by selection, without copying the array),
-    then each slice along ``config.slice_axis`` is estimated on its own
-    from its per-voxel moments (see :func:`estimate_slice`). Slices that
-    fail (no identifiable noise voxels, degenerate samples) are reported
-    with ``converged=False`` and zero estimates instead of aborting the
+    the whole 4D data (selected among the stored values, without
+    copying them). Then the volume is reduced once to per-voxel moments
+    (see :func:`estimate_slice`), adding one volume at a time in a fixed
+    order, and each slice along ``config.slice_axis`` is searched on its
+    own on its 2D view of those moments. Slices that fail (no
+    identifiable noise voxels, degenerate samples) are reported with
+    ``converged=False`` and zero estimates instead of aborting the
     volume.
 
     A :class:`Volume4D` is trusted as checked; an ndarray is checked
@@ -455,8 +532,8 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     config : SearchConfig
         Search parameters.
     threads : int
-        Worker threads for slice-level parallelism; results are
-        identical for any thread count.
+        Worker threads for the slice searches; results are identical for
+        any thread count.
 
     Returns
     -------
@@ -475,25 +552,28 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         if arr.ndim != 4:
             raise DomainError(f"expected 4D data, got {arr.ndim} dimensions")
         data = Volume4D(voxels=arr)
-    arr = data.voxels
     axis = AXIS_INDEX[config.slice_axis]
-    n_slices = arr.shape[axis]
+    n_slices = data.dims[axis]
+    slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)
     _, n_high = config.effective_n_bracket()
     try:
-        sigma_max = sigma_upper_bound(arr, n_high)
+        sigma_max = sigma_upper_bound(data, n_high)
     except DegenerateDataError:
-        slice_shape = _slice_view(arr, axis, 0).shape[:-1]
         return [
             _failed_slice(k, slice_shape, "volume median is zero")
             for k in range(n_slices)
         ]
 
+    # The moments are (Z, Y, X); their transposes index as (X, Y, Z).
+    sums = _volume_moments(data, _log_ref(config, sigma_max))
+
     def run_one(k: int) -> SliceEstimate:
-        slice_data = _slice_view(arr, axis, k)
+        # A C-ordered copy runs the search faster than the strided view.
+        part = sums.map(lambda a: np.ascontiguousarray(_slice_view(a.T, axis, k)))
         try:
-            return _search_slice(slice_data, config, sigma_max, k)
+            return _search_slice(part, data.dims[3], config, sigma_max, k)
         except ChiSigmaError as exc:
-            return _failed_slice(k, slice_data.shape[:-1], str(exc))
+            return _failed_slice(k, slice_shape, str(exc))
 
     if threads == 1:
         return [run_one(k) for k in range(n_slices)]

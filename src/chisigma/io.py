@@ -14,8 +14,10 @@ import gzip
 import hashlib
 import itertools
 import json
+import math
 import os
 import struct
+import sys
 import warnings
 import zlib
 from collections import deque
@@ -46,7 +48,9 @@ _GZIP_MAGIC = b"\x1f\x8b"
 # Deflate, no flags, mtime 0, maximum compression, unknown OS.
 _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
 
-REPORT_SCHEMA = "chisigma-report-v1"
+# The report schema written; read_report also reads v1, whose fingerprint
+# is the dims and the sha256 of the float64 voxels in C order.
+REPORT_SCHEMA = "chisigma-report-v2"
 
 # JSON types each slice record field may take. Matched by exact type, so
 # true/false is never read as a number.
@@ -76,6 +80,19 @@ def _read_exact(f, n, path, what):
     return buf
 
 
+def _read_into(f, arr, path, what):
+    # Fills the contiguous ``arr`` from ``f``; a read may return less than
+    # asked, so it loops until the buffer is full or the file ends.
+    buf = memoryview(arr).cast("B")
+    got = 0
+    while got < len(buf):
+        n = f.readinto(buf[got:])
+        if not n:
+            raise NiftiError(f"{path}: truncated file while reading {what} "
+                             f"({got} of {len(buf)} bytes)")
+        got += n
+
+
 def _img_sibling(path):
     s = str(path)
     for hdr_ext, img_ext in ((".hdr.gz", ".img.gz"), (".hdr", ".img")):
@@ -87,19 +104,26 @@ def _img_sibling(path):
 def read_nifti(path) -> Volume4D:
     """Read a NIfTI-1 volume (.nii, .nii.gz, or .hdr/.img pair).
 
-    Voxel values are returned as float64 in signal units, with
-    scl_slope/scl_inter applied (a stored slope of 0 means unscaled).
-    Finite negative values after scaling are clamped to 0 with a warning,
-    since magnitude data is nonnegative by definition. 3D files become a
-    single-volume 4D dataset. The returned :class:`Volume4D` has been
-    checked once, when it was built.
+    The voxel values are kept as the file stores them, in its dtype
+    (converted to little-endian) and its order, x fastest: each 3D
+    volume is read straight into its block of the returned
+    :class:`Volume4D`'s ``stored`` array, so the file is never held
+    whole in memory and never reordered. The signal is
+    ``max(stored * slope + inter, 0)`` with the file's scl_slope and
+    scl_inter (a stored slope of 0 means unscaled); see
+    :meth:`Volume4D.to_signal`. Each volume is checked as it is read
+    (min and max of the stored values, mapped through the monotone
+    scaling). Negative scaled values are clamped to 0 with a warning,
+    since magnitude data is nonnegative by definition. 3D files become
+    a single-volume 4D dataset.
 
     Raises
     ------
     NiftiError
-        On truncated or malformed headers, unsupported datatypes or
+        On truncated or malformed headers (including a vox_offset that
+        is not a finite byte offset), unsupported datatypes or
         dimensionality, axes beyond the 512-voxel guard, or voxel values
-        that are NaN or infinite.
+        that are NaN or infinite after scaling.
     """
     try:
         f = _open_for_read(path)
@@ -131,7 +155,7 @@ def read_nifti(path) -> Volume4D:
         (datatype, bitpix) = struct.unpack(bo + "2h", hdr[70:74])
         if datatype not in _DTYPES:
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
-        dt = np.dtype(_DTYPES[datatype]).newbyteorder(bo)
+        dt = np.dtype(_DTYPES[datatype]).newbyteorder("<")
         if bitpix != 8 * dt.itemsize:
             raise NiftiError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
 
@@ -142,56 +166,49 @@ def read_nifti(path) -> Volume4D:
         (inter,) = struct.unpack(bo + "f", hdr[116:120])
         if slope == 0.0:
             slope = 1.0
-
-        n_vox = 1
-        for d in shape:
-            n_vox *= d
-        n_bytes = n_vox * dt.itemsize
-
+        # NaN, infinities and offsets past any file position would crash
+        # int() or the seek below.
+        if not (math.isfinite(vox_offset) and abs(vox_offset) < sys.maxsize):
+            raise NiftiError(f"{path}: vox_offset {vox_offset} is not a byte offset")
+        offset = int(vox_offset)
         if magic == b"n+1\x00":
-            offset = int(vox_offset)
             if offset < _HEADER_SIZE:
                 raise NiftiError(f"{path}: vox_offset {offset} overlaps the header")
-            _read_exact(f, offset - _HEADER_SIZE, path, "header extensions")
-            data = _read_exact(f, n_bytes, path, "voxel data")
+            source, data_path = f, path
         else:
             img_path = _img_sibling(path)
             try:
-                g = _open_for_read(img_path)
+                source = _open_for_read(img_path)
             except OSError as exc:
                 raise NiftiError(f"{img_path}: {exc}") from exc
-            with g:
-                _read_exact(g, max(int(vox_offset), 0), img_path, "image offset")
-                data = _read_exact(g, n_bytes, img_path, "voxel data")
+            offset = max(offset, 0)
+            data_path = img_path
 
-    # One C-ordered float64 copy, made straight from the file bytes, which
-    # are released before any further work. The file runs x fastest and
-    # the array its last axis, so the copy goes one slab of the third axis
-    # at a time: both sides of a slab stay in cache, where a whole-array
-    # copy would miss on nearly every element.
-    raw = np.frombuffer(data, dtype=dt, count=n_vox).reshape(shape, order="F")
-    arr = np.empty(shape, dtype=np.float64)
-    for k in range(shape[2]):
-        arr[:, :, k] = raw[:, :, k]
-    del raw, data
-    if slope != 1.0 or inter != 0.0:
-        arr *= slope
-        arr += inter
-    # Finite negative values are clamped to 0. A NaN (which makes the
-    # minimum NaN) or -inf is left for Volume4D's check to reject, as +inf
-    # is; after the clamp that check has nothing else to fail on.
-    lo = float(arr.min())
-    if -np.inf < lo < 0.0:
-        warnings.warn(
-            f"{path}: clamped {np.count_nonzero(arr < 0.0)} negative voxel values to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        np.maximum(arr, 0.0, out=arr)
-    try:
-        return Volume4D(voxels=arr, spacing=spacing, scale=(float(slope), float(inter)))
-    except DomainError as exc:
-        raise NiftiError(f"{path}: voxel data contains non-finite values") from exc
+        x, y, z = shape[:3]
+        stored = np.empty((shape[3] if ndim == 4 else 1, z, y, x), dtype=dt)
+        lo = np.inf
+        with source:
+            # Forward, by reading, on a gzip stream; past the end of a plain
+            # file, the first volume's read comes up short.
+            source.seek(offset)
+            for block in stored:
+                _read_into(source, block, data_path, "voxel data")
+                if bo == ">":
+                    block.byteswap(inplace=True)
+                # Checked while the block is in cache: NaN propagates to min
+                # and max, and the linear scaling maps them to the extremes
+                # of the scaled values.
+                ends = (float(block.min()) * slope + inter, float(block.max()) * slope + inter)
+                if not all(math.isfinite(e) for e in ends):
+                    raise NiftiError(f"{path}: voxel data contains non-finite values")
+                lo = min(lo, *ends)
+    clamp = lo < 0.0
+    if clamp:
+        n_neg = sum(int(np.count_nonzero(block.astype(np.float64) * slope + inter < 0.0))
+                    for block in stored)
+        warnings.warn(f"{path}: clamped {n_neg} negative voxel values to 0",
+                      RuntimeWarning, stacklevel=2)
+    return Volume4D._from_checked(stored, spacing, (slope, inter), clamp)
 
 
 def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
@@ -214,15 +231,16 @@ def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
 def _file_chunks(volume, spacing, path):
     """The NIfTI-1 file of ``volume``: its header, then a buffer per 3D volume.
 
-    The input is checked at once. The file runs x fastest, so each 3D
-    volume is one contiguous run of it, cast and copied only when the
-    iterator reaches it.
+    The input is checked at once. The file runs x fastest, as a
+    volume's ``stored`` array does, so each 3D volume is one contiguous
+    run of both, mapped to the signal and cast only when the iterator
+    reaches it.
     """
     if isinstance(volume, Volume4D):
-        arr = volume.voxels
+        shape = volume.dims
         spacing = volume.spacing
         datatype, bitpix, dtype = 16, 32, "<f4"
-        vols = (arr[..., v] for v in range(arr.shape[3]))
+        vols = (volume.to_signal(block) for block in volume.stored)
     else:
         arr = np.asarray(volume)
         if arr.dtype != np.bool_:
@@ -231,15 +249,16 @@ def _file_chunks(volume, spacing, path):
             raise DomainError(f"mask must be 2D or 3D, got {arr.ndim} dimensions")
         if arr.ndim == 2:
             arr = arr[..., np.newaxis]
+        shape = arr.shape
         datatype, bitpix, dtype = 2, 8, "u1"
-        vols = (arr,)
-    if any(d > _MAX_AXIS for d in arr.shape):
-        raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {arr.shape}")
+        vols = (arr.T,)
+    if any(d > _MAX_AXIS for d in shape):
+        raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {shape}")
     # Four zero bytes after the header: no extensions.
-    header = _pack_header(arr.shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
+    header = _pack_header(shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
     return itertools.chain(
         (header,),
-        (memoryview(np.ascontiguousarray(vol.T, dtype=dtype)).cast("B") for vol in vols),
+        (memoryview(np.ascontiguousarray(vol, dtype=dtype)).cast("B") for vol in vols),
     )
 
 
@@ -306,10 +325,23 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
 
 
 def volume_fingerprint(volume) -> dict:
-    """Dims plus a sha256 checksum of the voxel bytes."""
-    arr = np.ascontiguousarray(getattr(volume, "voxels", volume), dtype=np.float64)
-    digest = hashlib.sha256(arr).hexdigest()
-    return {"dims": list(arr.shape), "sha256": digest}
+    """The ``chisigma-report-v2`` fingerprint of a volume.
+
+    ``{"dims", "dtype", "scale", "sha256"}``: the (X, Y, Z, V) dims, the
+    stored dtype's name, the (slope, intercept) scaling, and the sha256
+    of the stored values' bytes (little-endian, x fastest, volume after
+    volume: the file's voxel payload), hashed through the buffer protocol
+    without a copy. So the same values, dtype and scaling give the same
+    fingerprint from a .nii, a .nii.gz, a big-endian file or a .hdr/.img
+    pair. An ndarray is wrapped in a :class:`Volume4D` first.
+    """
+    vol = volume if isinstance(volume, Volume4D) else Volume4D(voxels=volume)
+    return {
+        "dims": list(vol.dims),
+        "dtype": vol.stored.dtype.name,
+        "scale": list(vol.scale),
+        "sha256": hashlib.sha256(vol.stored).hexdigest(),
+    }
 
 
 @dataclass
@@ -319,7 +351,7 @@ class EstimateReport:
     ``slices`` holds one record per slice with the keys slice_index,
     sigma_g, n_dof, n_identified, converged and outer_iters. ``config``
     echoes the SearchConfig fields and ``fingerprint`` ties the report
-    to its input volume (dims plus checksum).
+    to its input volume (see :func:`volume_fingerprint`).
     """
 
     slices: list
@@ -356,7 +388,7 @@ def write_report(report: EstimateReport, path) -> None:
 
 
 def read_report(path) -> EstimateReport:
-    """Read a report written by :func:`write_report`.
+    """Read a report written by :func:`write_report`, of schema v2 or v1.
 
     Unknown extra fields are ignored for forward compatibility; missing
     required fields, slice fields of the wrong JSON type, or a slice

@@ -53,34 +53,44 @@ def check_magnitudes(arr: np.ndarray) -> None:
         raise DomainError("magnitude samples must be nonnegative")
 
 
-@dataclass
+# Stored dtypes, as kind and item size; other input is kept as float64.
+_STORED_TYPES = ("u1", "i2", "i4", "f4", "f8")
+
+
 class Volume4D:
-    """Dense 4D magnitude data with voxel-spacing metadata.
+    """Dense 4D magnitude data, kept as stored, with voxel-spacing metadata.
 
-    Building one runs :func:`check_magnitudes` on the whole array, so
-    code handed a ``Volume4D`` takes its voxels as checked and does not
-    check them again. ``voxels`` is a read-only view, so the checked
-    values cannot be written through it (the caller's own array stays
-    writable). Replace ``voxels`` only by building a new one.
+    ``stored`` holds the values as a NIfTI file stores them: dtype u1,
+    i2, i4, f4 or f8 (little-endian), C-ordered with shape (V, Z, Y, X),
+    so that each 3D volume is one contiguous block. The magnitude signal
+    is ``max(stored * slope + inter, 0)`` in float64, with ``scale =
+    (slope, inter)``; :meth:`to_signal` is the one home of that rule,
+    and code that reads the data takes one volume (or part of one) at a
+    time through it, so no float64 4D array is built.
 
-    Attributes
+    Building one from an array runs :func:`check_magnitudes` on it once,
+    so code handed a ``Volume4D`` trusts it and does not check again.
+    The array is the signal itself (``scale`` is (1, 0)). An F-ordered
+    (X, Y, Z, V) array is already volume-major and is adopted without a
+    copy: the caller must not write to it afterwards. Any other array is
+    copied into volume-major order, so later writes to it do not reach
+    the volume. ``stored`` is read-only. :func:`chisigma.io.read_nifti`
+    builds its volumes from the file's values and scaling, which it
+    checks as it reads them.
+
+    Parameters
     ----------
-    voxels : ndarray
-        Shape (X, Y, Z, V), float64, finite and nonnegative. 3D input
-        arrays are promoted to a single volume.
+    voxels : array_like
+        Shape (X, Y, Z, V), or (X, Y, Z) for a single volume. Values of
+        another dtype than the five above are converted to float64.
     spacing : tuple of float
         Voxel edge lengths (dx, dy, dz) in mm.
-    scale : tuple of float
-        The (slope, intercept) scaling that was applied when the data
-        was read from file; (1, 0) for in-memory volumes.
     """
 
-    voxels: np.ndarray
-    spacing: tuple = (1.0, 1.0, 1.0)
-    scale: tuple = (1.0, 0.0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.voxels, dtype=np.float64)
+    def __init__(self, voxels, spacing=(1.0, 1.0, 1.0)):
+        arr = np.asarray(voxels)
+        if f"{arr.dtype.kind}{arr.dtype.itemsize}" not in _STORED_TYPES:
+            arr = arr.astype(np.float64)
         if arr.ndim == 3:
             arr = arr[..., np.newaxis]
         if arr.ndim != 4:
@@ -88,18 +98,64 @@ class Volume4D:
         if any(d < 1 for d in arr.shape):
             raise DomainError(f"volume axes must be nonempty, got {arr.shape}")
         check_magnitudes(arr)
-        if len(self.spacing) != 3 or any(not s > 0.0 for s in self.spacing):
-            raise DomainError(f"spacing must be 3 positive reals, got {self.spacing}")
+        # A view of an F-ordered little-endian array, a volume-major copy
+        # of anything else.
+        stored = np.asarray(arr.T, dtype=arr.dtype.newbyteorder("<"), order="C")
+        self._adopt(stored, spacing, (1.0, 0.0), clamp=False)
+
+    @classmethod
+    def _from_checked(cls, stored: np.ndarray, spacing, scale, clamp: bool) -> "Volume4D":
+        # A volume over stored values whose scaled values the caller found
+        # finite; ``clamp`` says some of them are negative.
+        vol = cls.__new__(cls)
+        vol._adopt(stored, spacing, (float(scale[0]), float(scale[1])), clamp)
+        return vol
+
+    def _adopt(self, stored, spacing, scale, clamp):
+        if len(spacing) != 3 or any(not s > 0.0 for s in spacing):
+            raise DomainError(f"spacing must be 3 positive reals, got {spacing}")
         # A view, so that freezing it leaves the caller's array writable.
-        voxels = np.ascontiguousarray(arr).view()
-        voxels.flags.writeable = False
-        self.voxels = voxels
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.scale = (float(self.scale[0]), float(self.scale[1]))
+        stored = stored.view()
+        stored.flags.writeable = False
+        self.stored = stored
+        self.spacing = tuple(float(s) for s in spacing)
+        self.scale = scale
+        self._clamp = clamp
 
     @property
     def dims(self) -> tuple:
-        return self.voxels.shape
+        """(X, Y, Z, V)."""
+        return self.stored.shape[::-1]
+
+    def to_signal(self, values: np.ndarray) -> np.ndarray:
+        """Stored ``values`` as float64 signal: max(values * slope + inter, 0).
+
+        Float64 values under identity scaling, none of them negative,
+        come back as they are, without a copy.
+        """
+        slope, inter = self.scale
+        identity = (slope, inter) == (1.0, 0.0)
+        if values.dtype == np.float64 and identity and not self._clamp:
+            return values
+        out = values.astype(np.float64)
+        if not identity:
+            out *= slope
+            out += inter
+        if self._clamp:
+            np.maximum(out, 0.0, out=out)
+        return out
+
+    @property
+    def voxels(self) -> np.ndarray:
+        """The signal as a read-only (X, Y, Z, V) float64 array.
+
+        A zero-copy view (``stored.T``) for float64 data with identity
+        scaling; otherwise a float64 copy of the whole volume, computed
+        on each access. The estimation pipeline does not use it.
+        """
+        out = self.to_signal(self.stored)
+        out.flags.writeable = False
+        return out.T
 
 
 def _as_sample_array(samples) -> np.ndarray:

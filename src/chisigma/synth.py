@@ -161,7 +161,8 @@ def build_phantom(spec: PhantomSpec) -> Volume4D:
         b0[r <= r_obj / 3.0] = 1.3
         b0 *= spec.b0_intensity / float(np.mean(b0[inside]))
 
-    vols = np.empty(spec.dims + (spec.n_volumes,), dtype=np.float64)
+    # F-ordered, that is volume-major, so the Volume4D adopts it as it is.
+    vols = np.empty(spec.dims + (spec.n_volumes,), dtype=np.float64, order="F")
     vols[..., 0] = b0
     if spec.n_volumes > 1:
         vols[..., 1:] = (_DWI_ATTENUATION * b0)[..., np.newaxis]
@@ -221,22 +222,27 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
         raise DomainError(f"noise generation needs a positive integer N, got {n_true}")
     df = 2 * int(n_true)
     vol = noiseless if isinstance(noiseless, Volume4D) else Volume4D(voxels=noiseless)
-    data = vol.voxels
-    if data.shape[:3] != np.asarray(field.tau).shape:
+    dims = vol.dims
+    if dims[:3] != np.asarray(field.tau).shape:
         raise DomainError(
-            f"tau grid {np.asarray(field.tau).shape} does not match volume {data.shape[:3]}"
+            f"tau grid {np.asarray(field.tau).shape} does not match volume {dims[:3]}"
         )
     if field.sigma_g == 0.0:
-        return Volume4D(voxels=data.copy(), spacing=vol.spacing, scale=vol.scale)
+        return Volume4D(voxels=vol.voxels.copy(order="F"), spacing=vol.spacing)
 
-    scale = field.tau * field.sigma_g
-    streams = np.random.SeedSequence(seed).spawn(data.shape[3])
-    out = np.empty_like(data)
-    for v in range(data.shape[3]):
+    # Volume-major: each volume v is the contiguous block out[v], (Z, Y, X).
+    out = np.empty(dims[::-1])
+    # Transposed to (Z, Y, X), the blocks' order; the draws still run
+    # over (X, Y, Z) in C order, through transposed views.
+    scale = np.multiply(field.tau.T, field.sigma_g, order="C")
+    nonc = np.empty_like(scale)
+    streams = np.random.SeedSequence(seed).spawn(dims[3])
+    for v, block in enumerate(vol.stored):
         rng = np.random.Generator(np.random.Philox(streams[v]))
-        x = rng.noncentral_chisquare(df, np.square(data[..., v] / scale))
-        out[..., v] = scale * np.sqrt(x)
-    return Volume4D(voxels=out, spacing=vol.spacing, scale=vol.scale)
+        np.square(np.divide(vol.to_signal(block), scale, out=nonc), out=nonc)
+        x = rng.noncentral_chisquare(df, nonc.T)
+        np.multiply(scale, np.sqrt(x, out=x).T, out=out[v])
+    return Volume4D(voxels=out.T, spacing=vol.spacing)
 
 
 def simulate(spec: PhantomSpec):

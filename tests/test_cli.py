@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ class TestExitCodes:
         bad = tmp_path / "bad.nii"
         bad.write_bytes(b"\x00" * 64)
         assert run(["estimate", str(bad)]) == EXIT_IO
+
+    def test_bad_vox_offset(self, tmp_path, capsys):
+        # A header whose vox_offset is not a byte offset is a format error,
+        # not a traceback.
+        vol = tmp_path / "v.nii"
+        write_nifti(Volume4D(voxels=np.ones((4, 4, 4, 2))), vol)
+        raw = bytearray(vol.read_bytes())
+        for offset in (float("nan"), float("inf"), 1e30):
+            struct.pack_into("<f", raw, 108, offset)
+            vol.write_bytes(bytes(raw))
+            assert run(["estimate", str(vol)]) == EXIT_IO
+            assert "vox_offset" in capsys.readouterr().err
 
     def test_all_slices_failed(self, tmp_path, capsys):
         # A constant volume identifies voxels but yields degenerate
@@ -184,8 +197,9 @@ class TestEstimate:
         assert read_nifti(mask_path).spacing == (2.0, 2.0, 3.0)
 
     def test_checks_each_input_once(self, sim_paths, tmp_path, capsys, monkeypatch):
-        # One check of the whole volume when it is read; no slice is checked
-        # again on its way through the search.
+        # The reader checks each volume as it reads it and hands over a
+        # trusted volume: nothing is checked again, neither the whole volume
+        # nor any slice on its way through the search.
         out, _ = sim_paths
         shapes = []
         real = model.check_magnitudes
@@ -199,7 +213,7 @@ class TestEstimate:
                 monkeypatch.setattr(module, "check_magnitudes", spy)
         assert run(["estimate", str(out), "--threads", "2",
                     "--out-mask", str(tmp_path / "mask.nii")]) == EXIT_OK
-        assert shapes == [(24, 24, 8, 33)]
+        assert shapes == []
 
 
 class TestEvaluate:
@@ -223,6 +237,20 @@ class TestEvaluate:
             frags = line.split(",")
             assert abs(float(frags[1])) < 5.0
             assert float(frags[3]) == 4.0
+
+    def test_v1_report_accepted(self, sim_paths, sim_report, tmp_path, capsys):
+        # A report written before the v2 fingerprint still evaluates, alike.
+        _, truth = sim_paths
+        assert run(["evaluate", "--report", str(sim_report), "--truth", str(truth)]) == EXIT_OK
+        v2_out = capsys.readouterr().out
+        doc = json.loads(sim_report.read_text())
+        assert doc["schema"] == "chisigma-report-v2"
+        doc["schema"] = "chisigma-report-v1"
+        doc["fingerprint"] = {"dims": doc["fingerprint"]["dims"], "sha256": "0" * 64}
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(doc))
+        assert run(["evaluate", "--report", str(v1), "--truth", str(truth)]) == EXIT_OK
+        assert capsys.readouterr().out == v2_out
 
     def test_non_finite_truth_spec(self, sim_paths, sim_report, tmp_path, capsys):
         # JSON allows Infinity; a truth record holding it is malformed, not a crash.

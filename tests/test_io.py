@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -17,7 +18,14 @@ import numpy as np
 import pytest
 
 from chisigma.errors import DomainError, NiftiError, SchemaError
-from chisigma.identify import SearchConfig, SliceEstimate, estimate_slice, estimate_volume
+from chisigma.identify import (
+    SearchConfig,
+    SliceEstimate,
+    _median,
+    estimate_slice,
+    estimate_volume,
+    sigma_upper_bound,
+)
 from chisigma.io import (
     EstimateReport,
     Volume4D,
@@ -30,6 +38,7 @@ from chisigma.io import (
     write_slice_csv,
 )
 from chisigma.io import _file_chunks, _write_gzip
+from chisigma.specfun import inv_gamma_p
 
 
 def craft_nifti(shape, dtype_code, data_bytes, endian="<", slope=1.0, inter=0.0,
@@ -51,6 +60,20 @@ def craft_nifti(shape, dtype_code, data_bytes, endian="<", slope=1.0, inter=0.0,
     hdr[344:348] = magic
     pad = b"\x00" * max(0, vox_offset - 348)
     return bytes(hdr) + pad + data_bytes
+
+
+def write_layout(tmp_path, layout, shape, dtype_code, data_bytes, **kw):
+    """Write a single file (``layout`` "nii" or "nii.gz") or a .hdr/.img pair ("pair")."""
+    if layout == "pair":
+        hdr = craft_nifti(shape, dtype_code, b"", vox_offset=0, magic=b"ni1\x00", **kw)
+        (tmp_path / "pair.img").write_bytes(data_bytes)
+        path = tmp_path / "pair.hdr"
+        path.write_bytes(hdr)
+        return path
+    raw = craft_nifti(shape, dtype_code, data_bytes, **kw)
+    path = tmp_path / f"vol.{layout}"
+    path.write_bytes(gzip.compress(raw) if layout == "nii.gz" else raw)
+    return path
 
 
 class TestReadNifti:
@@ -88,27 +111,30 @@ class TestReadNifti:
         assert vol.scale == (2.5, 1.0)
 
     def test_scaled_float64_single_column(self, tmp_path):
-        # With one non-unit axis the file's F-ordered view is also C-ordered;
-        # the reader must still scale its own writable copy, not the file
-        # buffer. The volume hands out a read-only view of that copy.
+        # With one non-unit axis the file's order is also C order. The volume
+        # keeps the file's values unscaled and read-only; the signal is a
+        # scaled float64 copy that shares no memory with them.
         arr = np.array([1.0, 2.0, 3.0], dtype="<f8").reshape((3, 1, 1), order="F")
         path = tmp_path / "f8.nii"
         path.write_bytes(craft_nifti((3, 1, 1), 64, arr.tobytes(order="F"), slope=2.0))
         vol = read_nifti(path)
+        np.testing.assert_array_equal(vol.stored.ravel(), [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(vol.voxels[:, 0, 0, 0], [2.0, 4.0, 6.0])
-        assert vol.voxels.flags.c_contiguous and not vol.voxels.flags.writeable
-        assert vol.voxels.base.flags.owndata and vol.voxels.base.flags.writeable
+        assert not vol.stored.flags.writeable and not vol.voxels.flags.writeable
+        assert not np.shares_memory(vol.voxels, vol.stored)
 
     @pytest.mark.parametrize("shape", [(5, 3, 4, 6), (2, 7, 1, 3), (3, 2, 5)])
     def test_layout_matches_file_order(self, tmp_path, shape):
-        # Distinct axis lengths pin the slab-wise F-to-C reordering.
+        # Distinct axis lengths pin the volume-major layout: the stored array
+        # is the file's payload as it is, x fastest, and voxels its transpose.
         arr = np.arange(np.prod(shape), dtype="<f4").reshape(shape, order="F")
         path = tmp_path / "layout.nii"
         path.write_bytes(craft_nifti(shape, 16, arr.tobytes(order="F")))
         vol = read_nifti(path)
-        expected = arr.astype(np.float64).reshape(vol.dims)
+        expected = arr.astype(np.float64).reshape(vol.dims, order="F")
         np.testing.assert_array_equal(vol.voxels, expected)
-        assert vol.voxels.flags.c_contiguous
+        assert vol.stored.shape == vol.dims[::-1] and vol.stored.flags.c_contiguous
+        assert vol.stored.tobytes() == arr.tobytes(order="F")
 
     @pytest.mark.parametrize("first,bad", [
         (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf), (-2.0, np.nan), (-2.0, -np.inf),
@@ -197,6 +223,18 @@ class TestReadNifti:
     def test_missing_file(self, tmp_path):
         with pytest.raises(NiftiError):
             read_nifti(tmp_path / "absent.nii")
+
+    @pytest.mark.parametrize("layout", ["nii", "pair"])
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf, 1e30],
+                             ids=["nan", "inf", "-inf", "1e30"])
+    def test_vox_offset_not_a_byte_offset(self, tmp_path, layout, offset):
+        path = write_layout(tmp_path, layout, (2, 2, 2), 16,
+                            np.ones((2, 2, 2), dtype="<f4").tobytes())
+        hdr = bytearray(path.read_bytes())
+        struct.pack_into("<f", hdr, 108, offset)
+        path.write_bytes(bytes(hdr))
+        with pytest.raises(NiftiError, match="vox_offset .* is not a byte offset"):
+            read_nifti(path)
 
     def test_fuzzed_headers_never_crash(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -337,8 +375,114 @@ class TestVolume4D:
         estimates = estimate_volume(vol, SearchConfig())
         assert [e.error for e in estimates] == [None] * 3
 
+    def test_caller_c_ordered_array_is_copied(self):
+        # Volume-major storage copies a C-ordered array, so a later write to
+        # the caller's array does not reach the checked volume.
+        rng = np.random.default_rng(59)
+        arr = np.sqrt(rng.chisquare(8, (16, 16, 3, 9)))
+        vol = Volume4D(voxels=arr)
+        before = vol.voxels[2, 2, 1, 3]
+        arr[2, 2, 1, 3] = -5.0
+        assert vol.voxels[2, 2, 1, 3] == before >= 0.0
+        assert not np.shares_memory(vol.stored, arr)
+        estimates = estimate_volume(vol, SearchConfig())
+        assert [e.error for e in estimates] == [None] * 3
+
+    def test_f_ordered_array_is_adopted(self):
+        # An F-ordered array is already volume-major: no copy, and voxels is
+        # a read-only view of it, while the caller's array stays writable.
+        arr = np.asfortranarray(np.random.default_rng(60).uniform(0.0, 5.0, (6, 5, 4, 3)))
+        vol = Volume4D(voxels=arr)
+        assert np.shares_memory(vol.stored, arr) and np.shares_memory(vol.voxels, arr)
+        assert vol.stored.flags.c_contiguous and vol.stored.shape == (3, 4, 5, 6)
+        assert not vol.voxels.flags.writeable and arr.flags.writeable
+        np.testing.assert_array_equal(vol.voxels, arr)
+
     def test_promotes_3d(self):
         assert Volume4D(voxels=np.ones((2, 3, 4))).dims == (2, 3, 4, 1)
+
+
+def stored_values(rng, dtype, shape, ties):
+    # Values a file of ``dtype`` can hold: a few distinct ones, or a spread.
+    if ties:
+        return rng.integers(0, 4, shape).astype(dtype)
+    if np.dtype(dtype).kind == "f":
+        return rng.gamma(4.0, 30.0, shape).astype(dtype)
+    return rng.integers(0, 256 if np.dtype(dtype).itemsize == 1 else 30000, shape).astype(dtype)
+
+
+DTYPE_CODES = {"u1": 2, "i2": 4, "i4": 8, "f4": 16, "f8": 64}
+
+
+class TestStoredValues:
+    # The volume keeps the file's values; the median is selected among them
+    # and must equal np.median of the float64 signal, bit for bit.
+    @pytest.mark.parametrize("dtype", sorted(DTYPE_CODES))
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("slope,inter", [(1.0, 0.0), (0.37, 2.0), (-0.5, 300.0),
+                                             (2.0, -60.0), (-1.5, 90.0)],
+                             ids=["identity", "slope>0", "slope<0", "clamp", "slope<0_clamp"])
+    @pytest.mark.parametrize("shape,ties", [((7, 5, 3, 3), False), ((8, 5, 3, 3), True),
+                                            ((41, 41, 21, 5), True), ((40, 41, 21, 5), False)],
+                             ids=["odd", "even_ties", "odd_large_ties", "even_large"])
+    def test_median_matches_signal(self, tmp_path, dtype, endian, slope, inter, shape, ties):
+        rng = np.random.default_rng(list(map(ord, dtype + endian)) + [len(shape), ties])
+        values = stored_values(rng, dtype, shape, ties)
+        path = tmp_path / "m.nii"
+        path.write_bytes(craft_nifti(shape, DTYPE_CODES[dtype],
+                                     values.astype(endian + dtype).tobytes(order="F"),
+                                     endian=endian, slope=slope, inter=inter))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the clamp cases warn
+            vol = read_nifti(path)
+        slope32, inter32 = float(np.float32(slope)), float(np.float32(inter))
+        signal = np.maximum(values.astype(np.float64) * slope32 + inter32, 0.0)
+        if (slope, inter) == (1.0, 0.0):
+            signal = values.astype(np.float64)
+        np.testing.assert_array_equal(vol.voxels, signal)
+        assert vol.stored.dtype == np.dtype("<" + dtype)
+        med = float(np.median(signal))
+        assert _median(vol.stored, vol.to_signal) == med
+        if med > 0.0:
+            assert sigma_upper_bound(vol, 12.0) == med / np.sqrt(2.0 * inv_gamma_p(12.0, 0.5))
+
+    def test_scaled_int16_estimates_match_float64_signal(self, tmp_path):
+        rng = np.random.default_rng(70)
+        shape = (24, 24, 6, 9)
+        chi = 30.0 * np.sqrt(rng.chisquare(8, shape))
+        values = np.round(chi / 0.37).astype("<i2")
+        path = tmp_path / "i16.nii"
+        path.write_bytes(craft_nifti(shape, 4, values.tobytes(order="F"), slope=0.37))
+        vol = read_nifti(path)
+        signal = values.astype(np.float64) * float(np.float32(0.37))
+        np.testing.assert_array_equal(vol.voxels, signal)
+        ref = Volume4D(voxels=signal)
+        for estimator in ("moments", "mle"):
+            config = SearchConfig(estimator=estimator)
+            got = estimate_volume(vol, config, threads=2)
+            want = estimate_volume(ref, config)
+            assert all(e.error is None for e in want)
+            for a, b in zip(got, want):
+                assert (a.sigma_g, a.n_dof, a.outer_iters, a.converged) == \
+                    (b.sigma_g, b.n_dof, b.outer_iters, b.converged)
+                assert np.array_equal(a.mask, b.mask)
+
+    def test_estimate_peaks_below_one_float64_copy(self, tmp_path):
+        shape = (48, 48, 24, 33)
+        data = (10.0 * np.sqrt(np.random.default_rng(71).chisquare(8, shape))).astype("<f4")
+        path = tmp_path / "f4.nii"
+        path.write_bytes(craft_nifti(shape, 16, data.tobytes(order="F")))
+        del data
+        tracemalloc.start()
+        try:
+            vol = read_nifti(path)
+            estimates = estimate_volume(vol, SearchConfig(), threads=2)
+            volume_fingerprint(vol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(e.error is None for e in estimates)
+        assert peak < int(np.prod(shape)) * 8
 
 
 def sample_report():
@@ -361,6 +505,28 @@ class TestReports:
         assert back.slices == report.slices
         assert back.config == report.config
         assert back.fingerprint == report.fingerprint
+
+    def test_writes_schema_v2(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(sample_report(), path)
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == "chisigma-report-v2"
+        assert sorted(doc["fingerprint"]) == ["dims", "dtype", "scale", "sha256"]
+
+    def test_reads_literal_v1_report(self, tmp_path):
+        doc = {
+            "schema": "chisigma-report-v1",
+            "slices": [{"slice_index": 0, "sigma_g": 171.5, "n_dof": 4.0, "n_identified": 9,
+                        "converged": True, "outer_iters": 4}],
+            "config": {"p": 0.05, "slice_axis": "z"},
+            "fingerprint": {"dims": [3, 3, 1, 5], "sha256": "0" * 64},
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        back = read_report(path)
+        assert back.slices == doc["slices"]
+        assert back.fingerprint == doc["fingerprint"]
+        assert back.search_config() == SearchConfig()
 
     def test_config_echo_reconstructs(self, tmp_path):
         report = sample_report()
@@ -448,13 +614,39 @@ class TestReports:
         assert volume_fingerprint(a) == fa
 
     def test_fingerprint_digest_is_c_order_bytes(self):
+        # The digest is over the stored (V, Z, Y, X) array in C order, which
+        # is the (X, Y, Z, V) values in F order, whatever the input layout.
         rng = np.random.default_rng(56)
         c_arr = rng.uniform(0.0, 10.0, (3, 4, 5, 2))
         f_arr = np.asfortranarray(c_arr)
-        expected = hashlib.sha256(c_arr.tobytes()).hexdigest()
+        expected = hashlib.sha256(c_arr.tobytes(order="F")).hexdigest()
         assert volume_fingerprint(c_arr)["sha256"] == expected
         assert volume_fingerprint(f_arr)["sha256"] == expected
-        assert volume_fingerprint(Volume4D(voxels=f_arr))["sha256"] == expected
+        assert volume_fingerprint(Volume4D(voxels=f_arr)) == {
+            "dims": [3, 4, 5, 2], "dtype": "float64", "scale": [1.0, 0.0],
+            "sha256": expected}
+
+
+    def test_fingerprint_is_of_the_payload(self, tmp_path):
+        # Same values, dtype and scaling: the same fingerprint from every
+        # layout and byte order, hashed over the little-endian payload.
+        shape = (5, 4, 3, 2)
+        values = np.random.default_rng(72).integers(0, 500, shape)
+        little = values.astype("<i2").tobytes(order="F")
+        big = values.astype(">i2").tobytes(order="F")
+        prints = []
+        for layout in ("nii", "nii.gz", "pair"):
+            for endian, payload in (("<", little), (">", big)):
+                d = tmp_path / f"{layout}{endian == '>'}"
+                d.mkdir()
+                path = write_layout(d, layout, shape, 4, payload, endian=endian,
+                                    slope=0.5, inter=1.0)
+                prints.append(volume_fingerprint(read_nifti(path)))
+        assert prints == [{"dims": list(shape), "dtype": "int16", "scale": [0.5, 1.0],
+                           "sha256": hashlib.sha256(little).hexdigest()}] * 6
+        other = tmp_path / "other.nii"
+        other.write_bytes(craft_nifti(shape, 4, little, slope=0.25, inter=1.0))
+        assert volume_fingerprint(read_nifti(other))["scale"] == [0.25, 1.0]
 
 
 class TestHdrImgPair:
