@@ -54,6 +54,7 @@ from .synth import (
     object_mask,
     sigma_from_snr,
     simulate,
+    simulate_stream,
 )
 
 __version__ = "0.1.0"
@@ -69,6 +70,6 @@ __all__ = [
     "ChiParams", "chi_pdf", "estimate_n_mle", "estimate_n_moments",
     "estimate_sigma", "transform",
     "NoiseField", "PhantomSpec", "build_phantom", "build_tau", "corrupt",
-    "object_mask", "sigma_from_snr", "simulate",
+    "object_mask", "sigma_from_snr", "simulate", "simulate_stream",
     "__version__",
 ]

@@ -24,7 +24,9 @@ from .io import (
     write_report,
     write_slice_csv,
 )
-from .synth import PhantomSpec, evaluate_report, simulate
+# simulate is not called here; it stays importable from this module
+# because bench/spans.py hooks it by name on it.
+from .synth import PhantomSpec, evaluate_report, simulate, simulate_stream  # noqa: F401
 
 __all__ = ["cmd_estimate", "cmd_simulate", "cmd_evaluate", "main"]
 
@@ -133,7 +135,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         b0_intensity=args.b0_mean,
     )
-    noisy, truth = simulate(spec)
+    # Each volume is drawn as the write reaches it, so no 4D array is held.
+    noisy, truth = simulate_stream(spec)
     write_nifti(noisy, args.out)
     if args.truth:
         with open(args.truth, "w", encoding="utf-8") as f:

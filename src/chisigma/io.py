@@ -9,6 +9,7 @@ crashing.
 """
 
 import concurrent.futures
+import contextlib
 import csv
 import gzip
 import hashlib
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NiftiError, SchemaError
 from .identify import SearchConfig
-from .model import Volume4D
+from .model import Volume4D, VolumeStream
 
 __all__ = [
     "Volume4D",
@@ -51,6 +52,7 @@ _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
 # The report schema written; read_report also reads v1, whose fingerprint
 # is the dims and the sha256 of the float64 voxels in C order.
 REPORT_SCHEMA = "chisigma-report-v2"
+_READ_SCHEMAS = ("chisigma-report-v1", REPORT_SCHEMA)
 
 # JSON types each slice record field may take. Matched by exact type, so
 # true/false is never read as a number.
@@ -231,20 +233,24 @@ def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
 def _file_chunks(volume, spacing, path):
     """The NIfTI-1 file of ``volume``: its header, then a buffer per 3D volume.
 
-    The input is checked at once. The file runs x fastest, as a
-    volume's ``stored`` array does, so each 3D volume is one contiguous
-    run of both, mapped to the signal and cast only when the iterator
-    reaches it.
+    The input and its dims are checked at once, before any byte is
+    produced. The file runs x fastest, as a volume's ``stored`` array
+    and a stream's volumes do, so each 3D volume is one contiguous run
+    of both, mapped to the signal (or drawn) and cast only when the
+    iterator reaches it.
     """
-    if isinstance(volume, Volume4D):
+    if isinstance(volume, (Volume4D, VolumeStream)):
         shape = volume.dims
         spacing = volume.spacing
         datatype, bitpix, dtype = 16, 32, "<f4"
-        vols = (volume.to_signal(block) for block in volume.stored)
+        if isinstance(volume, VolumeStream):
+            vols = volume
+        else:
+            vols = (volume.to_signal(block) for block in volume.stored)
     else:
         arr = np.asarray(volume)
         if arr.dtype != np.bool_:
-            raise DomainError("write_nifti takes a Volume4D or a boolean mask")
+            raise DomainError("write_nifti takes a Volume4D, a VolumeStream or a boolean mask")
         if arr.ndim not in (2, 3):
             raise DomainError(f"mask must be 2D or 3D, got {arr.ndim} dimensions")
         if arr.ndim == 2:
@@ -256,16 +262,34 @@ def _file_chunks(volume, spacing, path):
         raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {shape}")
     # Four zero bytes after the header: no extensions.
     header = _pack_header(shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
-    return itertools.chain(
-        (header,),
-        (memoryview(np.ascontiguousarray(vol, dtype=dtype)).cast("B") for vol in vols),
-    )
+    return itertools.chain((header,), (_cast(vol, dtype, path) for vol in vols))
+
+
+def _cast(vol, dtype, path) -> memoryview:
+    # Signal values beyond the float32 range would be cast to inf, which
+    # read_nifti rejects. Magnitudes are nonnegative, so the maximum of
+    # the cast shows any such value.
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(vol, dtype=dtype)
+    if out.dtype.kind == "f" and not math.isfinite(out.max()):
+        raise NiftiError(f"{path}: voxel values are not finite in float32")
+    return memoryview(out).cast("B")
 
 
 def _deflate(chunk) -> bytes:
-    # A raw deflate stream of its own, ended on a byte boundary by a
-    # non-final block, so that such streams concatenate into one.
-    z = zlib.compressobj(9, zlib.DEFLATED, -15)
+    """``chunk`` as a raw deflate stream of its own.
+
+    Volumes and masks use the Z_RLE strategy, which matches only runs of
+    one repeated byte. That is all float32 noise offers: on simulated
+    data it gives a smaller stream than the default strategy for about a
+    quarter of the CPU time. A chunk no larger than the header (the
+    header itself) keeps the default strategy, whose match search costs
+    nothing there and finds the header's repeated fields. The stream
+    ends on a byte boundary with a non-final block, so that such streams
+    concatenate into one.
+    """
+    strategy = zlib.Z_DEFAULT_STRATEGY if len(chunk) <= _HEADER_SIZE + 4 else zlib.Z_RLE
+    z = zlib.compressobj(9, zlib.DEFLATED, -15, strategy=strategy)
     return z.compress(chunk) + z.flush(zlib.Z_SYNC_FLUSH)
 
 
@@ -273,9 +297,11 @@ def _write_gzip(f, chunks, workers: int) -> None:
     """Write ``chunks`` to ``f`` as one gzip member, each deflated on its own.
 
     The chunks are deflated on ``workers`` threads (zlib releases the
-    GIL), at most two per thread in flight, and written in order. Every
-    chunk starts a fresh deflate stream, so the bytes do not depend on
-    ``workers``.
+    GIL), at most two per thread in flight, and written in order. While
+    they deflate, this thread takes the next chunk from ``chunks``, so
+    the work that makes a chunk (a cast, or the draws of a simulated
+    volume) overlaps the deflate of earlier ones. Every chunk starts a
+    fresh deflate stream, so the bytes do not depend on ``workers``.
     """
     f.write(_GZIP_HEADER)
     crc = size = 0
@@ -301,27 +327,47 @@ def _write_gzip(f, chunks, workers: int) -> None:
 
 
 def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
-    """Write a volume or a boolean mask as a single-file NIfTI-1 image.
+    """Write a volume, a volume stream or a boolean mask as a NIfTI-1 image.
 
-    Volumes are stored as little-endian float32 with identity scaling
-    and their own spacing; boolean masks as uint8 with values {0, 1} and
-    the voxel edge lengths ``spacing`` (pass the source volume's, so the
-    mask lies on its grid). The file is written one 3D volume at a time.
-    A ``.gz`` suffix selects gzip compression: each 3D volume is deflated
-    on its own, on a thread per CPU, into one gzip member with no name
-    and mtime 0, so the bytes depend neither on the thread count nor on
-    the time, and identical data yields identical bytes.
+    Volumes and streams are stored as little-endian float32 with identity
+    scaling and their own spacing; boolean masks as uint8 with values
+    {0, 1} and the voxel edge lengths ``spacing`` (pass the source
+    volume's, so the mask lies on its grid). The header is checked
+    (including the 512-voxel guard) before any byte is written, then the
+    file is written one 3D volume at a time: a :class:`VolumeStream`'s
+    volumes are taken one by one as the write reaches them, so a stream
+    is never held whole. A ``.gz`` suffix selects gzip compression: each
+    3D volume is deflated on its own (Z_RLE strategy), on a thread per
+    CPU, into one gzip member with no name and mtime 0, so the bytes
+    depend neither on the thread count nor on the time, and identical
+    data yields identical bytes.
+
+    Raises
+    ------
+    NiftiError
+        If an axis exceeds the guard, a value is not finite as float32
+        (a signal beyond the float32 range), or the file cannot be
+        written. A write that fails part way removes the partial file.
     """
     chunks = _file_chunks(volume, spacing, path)
     try:
-        with open(path, "wb") as f:
+        f = open(path, "wb")
+    except OSError as exc:
+        raise NiftiError(f"{path}: {exc}") from exc
+    try:
+        with f:
             if str(path).endswith(".gz"):
                 _write_gzip(f, chunks, os.cpu_count() or 1)
             else:
                 for chunk in chunks:
                     f.write(chunk)
-    except OSError as exc:
-        raise NiftiError(f"{path}: {exc}") from exc
+    except BaseException as exc:
+        # A partial file is no NIfTI file; a streamed write may fail late.
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise NiftiError(f"{path}: {exc}") from exc
+        raise
 
 
 def volume_fingerprint(volume) -> dict:
@@ -390,9 +436,10 @@ def write_report(report: EstimateReport, path) -> None:
 def read_report(path) -> EstimateReport:
     """Read a report written by :func:`write_report`, of schema v2 or v1.
 
-    Unknown extra fields are ignored for forward compatibility; missing
-    required fields, slice fields of the wrong JSON type, or a slice
-    index that appears twice raise :class:`SchemaError`.
+    Unknown extra fields are ignored for forward compatibility; a
+    ``schema`` other than ``chisigma-report-v1`` or ``-v2`` (or none),
+    missing required fields, slice fields of the wrong JSON type, or a
+    slice index that appears twice raise :class:`SchemaError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -401,6 +448,9 @@ def read_report(path) -> EstimateReport:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: report must be a JSON object")
+    schema = doc.get("schema")
+    if not (isinstance(schema, str) and schema in _READ_SCHEMAS):
+        raise SchemaError(f"{path}: schema must be one of {_READ_SCHEMAS}, got {schema!r}")
     for key in ("slices", "config", "fingerprint"):
         if key not in doc:
             raise SchemaError(f"{path}: missing required field {key!r}")

@@ -16,6 +16,7 @@ for sample counts well past 10^6.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .specfun import inv_digamma, ln_gamma
 
 __all__ = [
     "Volume4D",
+    "VolumeStream",
     "ChiParams",
     "chi_pdf",
     "transform",
@@ -51,6 +53,12 @@ def check_magnitudes(arr: np.ndarray) -> None:
         raise DomainError("sample values must be finite")
     if lo < 0.0:
         raise DomainError("magnitude samples must be nonnegative")
+
+
+def _spacing(spacing) -> tuple:
+    if len(spacing) != 3 or any(not s > 0.0 for s in spacing):
+        raise DomainError(f"spacing must be 3 positive reals, got {spacing}")
+    return tuple(float(s) for s in spacing)
 
 
 # Stored dtypes, as kind and item size; other input is kept as float64.
@@ -112,13 +120,11 @@ class Volume4D:
         return vol
 
     def _adopt(self, stored, spacing, scale, clamp):
-        if len(spacing) != 3 or any(not s > 0.0 for s in spacing):
-            raise DomainError(f"spacing must be 3 positive reals, got {spacing}")
         # A view, so that freezing it leaves the caller's array writable.
         stored = stored.view()
         stored.flags.writeable = False
         self.stored = stored
-        self.spacing = tuple(float(s) for s in spacing)
+        self.spacing = _spacing(spacing)
         self.scale = scale
         self._clamp = clamp
 
@@ -156,6 +162,46 @@ class Volume4D:
         out = self.to_signal(self.stored)
         out.flags.writeable = False
         return out.T
+
+
+class VolumeStream:
+    """4D magnitude data handed over one 3D volume at a time.
+
+    ``volumes`` yields the V volumes in order, each a float64 signal
+    array of shape (Z, Y, X), the block a :class:`Volume4D`'s ``stored``
+    holds for that volume. The values are trusted to be magnitudes, that
+    is finite and nonnegative. A stream is read once:
+    :func:`chisigma.io.write_nifti` writes each volume as it arrives, so
+    no 4D array is ever built. Iterating checks each volume's shape and
+    the volume count against ``dims``.
+
+    Parameters
+    ----------
+    dims : tuple of int
+        (X, Y, Z, V).
+    volumes : iterable of ndarray
+        The V volumes, each of shape (Z, Y, X).
+    spacing : tuple of float
+        Voxel edge lengths (dx, dy, dz) in mm.
+    """
+
+    def __init__(self, dims, volumes, spacing=(1.0, 1.0, 1.0)):
+        if len(dims) != 4 or any(not isinstance(d, numbers.Integral) or d < 1 for d in dims):
+            raise DomainError(f"dims must be 4 positive integers, got {dims}")
+        self.dims = tuple(int(d) for d in dims)
+        self.spacing = _spacing(spacing)
+        self._volumes = volumes
+
+    def __iter__(self):
+        shape, count = self.dims[2::-1], self.dims[3]
+        n = 0
+        for vol in self._volumes:
+            if n == count or vol.shape != shape:
+                raise DomainError(f"stream volume {n} does not fit dims {self.dims}")
+            n += 1
+            yield vol
+        if n != count:
+            raise DomainError(f"stream ended after {n} of {count} volumes")
 
 
 def _as_sample_array(samples) -> np.ndarray:

@@ -9,6 +9,15 @@ s = tau * sigma_g. Its squared magnitude over s^2 is noncentral
 chi-square with 2N degrees of freedom and noncentrality (I/s)^2, so it
 is drawn once per voxel-volume from that law.
 
+One private generator draws the noise one 3D volume at a time, in
+volume order, each volume from its own Philox child stream, so that
+``corrupt``, ``simulate`` and ``simulate_stream`` give the same values.
+``simulate_stream`` hands the volumes over as a ``VolumeStream``, each
+one made from the reference volume and drawn when the consumer reaches
+it, so ``chisigma simulate`` holds a few 3D volumes, never a 4D array;
+``simulate`` and ``corrupt`` collect the volumes into an in-memory
+``Volume4D``.
+
 ``simulate`` writes a ``chisigma-truth-v1`` ground-truth record naming
 the generator (``ncchisq-philox-v1``), and ``evaluate_report`` reads it
 back, with or without that key, to score an estimation report.
@@ -22,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, SchemaError
 from .identify import AXIS_INDEX
-from .model import Volume4D
+from .model import Volume4D, VolumeStream
 
 __all__ = [
     "PhantomSpec",
@@ -32,6 +41,7 @@ __all__ = [
     "build_tau",
     "corrupt",
     "simulate",
+    "simulate_stream",
     "object_mask",
     "EvalReport",
     "evaluate_report",
@@ -135,15 +145,8 @@ def object_mask(spec: PhantomSpec) -> np.ndarray:
     return _radius_grid(spec.dims) <= r_obj
 
 
-def build_phantom(spec: PhantomSpec) -> Volume4D:
-    """Construct the noiseless 4D phantom.
-
-    The object sits at the grid center on an exact-zero background. For
-    ``uniform_object`` every object voxel of the reference volume holds
-    ``b0_intensity``; for ``concentric_spheres`` three nested plateaus
-    are scaled so the object mean still equals ``b0_intensity``. Volumes
-    after the first carry the same geometry at reduced intensity.
-    """
+def _reference(spec: PhantomSpec) -> np.ndarray:
+    # The noiseless reference volume b0, (X, Y, Z).
     r = _radius_grid(spec.dims)
     r_obj = _object_radius(spec.dims)
     if r_obj < 2.0:
@@ -160,12 +163,33 @@ def build_phantom(spec: PhantomSpec) -> Volume4D:
         b0[r <= 2.0 * r_obj / 3.0] = 1.0
         b0[r <= r_obj / 3.0] = 1.3
         b0 *= spec.b0_intensity / float(np.mean(b0[inside]))
+    return b0
 
+
+def _noiseless_volumes(ref: np.ndarray, n_volumes: int):
+    # The noiseless volumes, each (Z, Y, X) like a volume's stored block:
+    # the reference volume, then one attenuated copy of it, yielded again
+    # for each diffusion-weighted volume.
+    yield ref
+    dwi = _DWI_ATTENUATION * ref
+    for _ in range(1, n_volumes):
+        yield dwi
+
+
+def build_phantom(spec: PhantomSpec) -> Volume4D:
+    """Construct the noiseless 4D phantom.
+
+    The object sits at the grid center on an exact-zero background. For
+    ``uniform_object`` every object voxel of the reference volume holds
+    ``b0_intensity``; for ``concentric_spheres`` three nested plateaus
+    are scaled so the object mean still equals ``b0_intensity``. Volumes
+    after the first carry the same geometry at reduced intensity.
+    """
     # F-ordered, that is volume-major, so the Volume4D adopts it as it is.
     vols = np.empty(spec.dims + (spec.n_volumes,), dtype=np.float64, order="F")
-    vols[..., 0] = b0
-    if spec.n_volumes > 1:
-        vols[..., 1:] = (_DWI_ATTENUATION * b0)[..., np.newaxis]
+    ref = np.ascontiguousarray(_reference(spec).T)
+    for block, vol in zip(vols.T, _noiseless_volumes(ref, spec.n_volumes)):
+        block[...] = vol
     return Volume4D(voxels=vols)
 
 
@@ -200,6 +224,41 @@ def build_tau(dims, profile: str, tau_max: float) -> np.ndarray:
     return 1.0 + (tau_max - 1.0) * (r / r_max)
 
 
+def _dof(n_true) -> int:
+    # Noise generation needs whole channels; fractional degrees of
+    # freedom exist on the estimation side only.
+    if not _is_whole(n_true) or n_true < 1:
+        raise DomainError(f"noise generation needs a positive integer N, got {n_true}")
+    return 2 * int(n_true)
+
+
+def _noisy_volumes(noiseless, field: NoiseField, df: int, seed: int, n_volumes: int):
+    # The one draw loop: each noiseless (Z, Y, X) volume with noise, in
+    # volume order, volume v from the v-th Philox child stream of seed.
+    if field.sigma_g == 0.0:
+        yield from noiseless
+        return
+    # Transposed to (Z, Y, X), the volumes' order; the draws still run
+    # over (X, Y, Z) in C order, through transposed views.
+    scale = np.multiply(field.tau.T, field.sigma_g, order="C")
+    del field  # the draws need only scale, so tau can go
+    nonc = np.empty_like(scale)
+    for stream, block in zip(np.random.SeedSequence(seed).spawn(n_volumes), noiseless):
+        rng = np.random.Generator(np.random.Philox(stream))
+        np.square(np.divide(block, scale, out=nonc), out=nonc)
+        x = rng.noncentral_chisquare(df, nonc.T)
+        yield np.multiply(scale, np.sqrt(x, out=x).T, out=np.empty_like(scale))
+
+
+def _collect(stream: VolumeStream) -> Volume4D:
+    # The in-memory volume of a stream, each volume one block of a
+    # volume-major array.
+    out = np.empty(stream.dims[::-1])
+    for v, vol in enumerate(stream):
+        out[v] = vol
+    return Volume4D(voxels=out.T, spacing=stream.spacing)
+
+
 def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
     """Apply noncentral-chi noise to a noiseless volume.
 
@@ -218,31 +277,48 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
     ``n_true`` must be a positive integer; fractional degrees of freedom
     exist on the estimation side only.
     """
-    if not _is_whole(n_true) or n_true < 1:
-        raise DomainError(f"noise generation needs a positive integer N, got {n_true}")
-    df = 2 * int(n_true)
+    df = _dof(n_true)
     vol = noiseless if isinstance(noiseless, Volume4D) else Volume4D(voxels=noiseless)
     dims = vol.dims
     if dims[:3] != np.asarray(field.tau).shape:
         raise DomainError(
             f"tau grid {np.asarray(field.tau).shape} does not match volume {dims[:3]}"
         )
-    if field.sigma_g == 0.0:
-        return Volume4D(voxels=vol.voxels.copy(order="F"), spacing=vol.spacing)
+    blocks = (vol.to_signal(block) for block in vol.stored)
+    noisy = _noisy_volumes(blocks, field, df, seed, dims[3])
+    return _collect(VolumeStream(dims, noisy, vol.spacing))
 
-    # Volume-major: each volume v is the contiguous block out[v], (Z, Y, X).
-    out = np.empty(dims[::-1])
-    # Transposed to (Z, Y, X), the blocks' order; the draws still run
-    # over (X, Y, Z) in C order, through transposed views.
-    scale = np.multiply(field.tau.T, field.sigma_g, order="C")
-    nonc = np.empty_like(scale)
-    streams = np.random.SeedSequence(seed).spawn(dims[3])
-    for v, block in enumerate(vol.stored):
-        rng = np.random.Generator(np.random.Philox(streams[v]))
-        np.square(np.divide(vol.to_signal(block), scale, out=nonc), out=nonc)
-        x = rng.noncentral_chisquare(df, nonc.T)
-        np.multiply(scale, np.sqrt(x, out=x).T, out=out[v])
-    return Volume4D(voxels=out.T, spacing=vol.spacing)
+
+def simulate_stream(spec: PhantomSpec):
+    """Describe one synthetic dataset and draw it one volume at a time.
+
+    The noiseless volumes are made one at a time from the reference
+    volume and the attenuation, and each is corrupted as :func:`corrupt`
+    does, with the same draws, when the stream reaches it. So
+    ``write_nifti(simulate_stream(spec)[0], path)`` writes the same file
+    as ``write_nifti(simulate(spec)[0], path)`` and holds only a few 3D
+    volumes at a time.
+
+    Returns
+    -------
+    (VolumeStream, dict)
+        The noisy volumes, to be read once, and the ground-truth record
+        that :func:`simulate` returns.
+    """
+    b0 = _reference(spec)
+    sigma_g = sigma_from_snr(b0, spec.snr)
+    tau = build_tau(spec.dims, spec.profile, spec.tau_max)
+    field = NoiseField(tau=tau, sigma_g=sigma_g)
+    noiseless = _noiseless_volumes(np.ascontiguousarray(b0.T), spec.n_volumes)
+    noisy = _noisy_volumes(noiseless, field, _dof(spec.n_true), spec.seed, spec.n_volumes)
+    truth = {
+        "schema": "chisigma-truth-v1",
+        "generator": GENERATOR,
+        "sigma_g": sigma_g,
+        "spec": asdict(spec),
+    }
+    truth["spec"]["dims"] = list(spec.dims)
+    return VolumeStream(spec.dims + (spec.n_volumes,), noisy), truth
 
 
 def simulate(spec: PhantomSpec):
@@ -254,19 +330,8 @@ def simulate(spec: PhantomSpec):
         The noisy volume and a ground-truth record holding the full
         spec echo plus the realized sigma_g.
     """
-    phantom = build_phantom(spec)
-    sigma_g = sigma_from_snr(phantom.voxels[..., 0], spec.snr)
-    tau = build_tau(spec.dims, spec.profile, spec.tau_max)
-    field = NoiseField(tau=tau, sigma_g=sigma_g)
-    noisy = corrupt(phantom, field, spec.n_true, spec.seed)
-    truth = {
-        "schema": "chisigma-truth-v1",
-        "generator": GENERATOR,
-        "sigma_g": sigma_g,
-        "spec": asdict(spec),
-    }
-    truth["spec"]["dims"] = list(spec.dims)
-    return noisy, truth
+    stream, truth = simulate_stream(spec)
+    return _collect(stream), truth
 
 
 @dataclass

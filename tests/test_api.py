@@ -34,3 +34,10 @@ def test_evaluate_report_resolves_from_cli():
 
 def test_volume4d_is_one_class():
     assert io.Volume4D is chisigma.Volume4D is model.Volume4D
+
+
+def test_stream_names_are_exported():
+    assert "VolumeStream" in model.__all__
+    assert "simulate_stream" in synth.__all__ and "simulate_stream" in chisigma.__all__
+    assert chisigma.simulate_stream is synth.simulate_stream
+    assert synth.VolumeStream is model.VolumeStream

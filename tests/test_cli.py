@@ -1,7 +1,11 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
+import gzip
+import io as pyio
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from chisigma import identify, io, model
 from chisigma.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from chisigma.identify import SearchConfig, SliceEstimate
 from chisigma.io import Volume4D, build_report, read_nifti, read_report, write_nifti
-from chisigma.synth import PhantomSpec, evaluate_report, simulate
+from chisigma.io import _file_chunks, _write_gzip
+from chisigma.synth import PhantomSpec, evaluate_report, simulate, simulate_stream
 
 
 def run(argv):
@@ -105,6 +110,16 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
+    def test_float32_overflow(self, tmp_path, capsys, suffix):
+        # A reference intensity beyond the float32 range fails the write of
+        # the first volume, and the partial file is removed.
+        out = tmp_path / f"o.{suffix}"
+        assert run(["simulate", "--dims", "12,12,8", "--volumes", "3",
+                    "--b0-mean", "1e300", "--out", str(out)]) == EXIT_IO
+        assert "float32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_dims(self, tmp_path, capsys):
         out = tmp_path / "o.nii"
         assert run(["simulate", "--dims", "10,10", "--out", str(out)]) == EXIT_USAGE
@@ -147,6 +162,66 @@ class TestSimulate:
                     "--out", str(out)])
         assert code == EXIT_OK
         assert read_nifti(out).dims == (16, 16, 8, 4)
+
+
+    @pytest.mark.parametrize("flags,spec", [
+        (["--dims", "12,12,8", "--volumes", "1", "--seed", "3"],
+         PhantomSpec(dims=(12, 12, 8), n_volumes=1, seed=3)),
+        (["--dims", "20,14,9", "--volumes", "6", "--ncoils", "2", "--geometry", "spheres",
+          "--seed", "8"],
+         PhantomSpec(dims=(20, 14, 9), n_volumes=6, n_true=2.0,
+                     geometry="concentric_spheres", seed=8)),
+        (["--dims", "16,22,10", "--volumes", "5", "--profile", "sphere", "--tau-max", "2.5",
+          "--snr", "12", "--b0-mean", "900", "--seed", "21"],
+         PhantomSpec(dims=(16, 22, 10), n_volumes=5, profile="sphere_ramp", tau_max=2.5,
+                     snr=12.0, b0_intensity=900.0, seed=21)),
+        (["--dims", "18,12,7", "--volumes", "4", "--ncoils", "1", "--geometry", "spheres",
+          "--profile", "sphere", "--seed", "2"],
+         PhantomSpec(dims=(18, 12, 7), n_volumes=4, n_true=1.0,
+                     geometry="concentric_spheres", profile="sphere_ramp", seed=2)),
+    ], ids=["one_volume", "spheres_uniform", "uniform_sphere", "spheres_sphere"])
+    def test_stream_writes_the_simulated_volume(self, tmp_path, capsys, flags, spec):
+        # The CLI streams volume by volume; its file and truth are those of
+        # the in-memory simulation, and the .nii.gz holds the same bytes.
+        plain, packed, truth = tmp_path / "s.nii", tmp_path / "s.nii.gz", tmp_path / "t.json"
+        assert run(["simulate", *flags, "--out", str(plain), "--truth", str(truth)]) == EXIT_OK
+        assert run(["simulate", *flags, "--out", str(packed)]) == EXIT_OK
+        noisy, want_truth = simulate(spec)
+        want = tmp_path / "want.nii"
+        write_nifti(noisy, want)
+        assert plain.read_bytes() == want.read_bytes()
+        assert json.loads(truth.read_text()) == want_truth
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        assert f"dims {noisy.dims}" in capsys.readouterr().out
+
+    def test_stream_gzip_does_not_depend_on_workers(self, tmp_path, capsys):
+        spec = PhantomSpec(dims=(16, 12, 8), n_volumes=7, profile="sphere_ramp", seed=6)
+        out = tmp_path / "s.nii.gz"
+        assert run(["simulate", "--dims", "16,12,8", "--volumes", "7", "--profile", "sphere",
+                    "--seed", "6", "--out", str(out)]) == EXIT_OK
+        for workers in (1, 3):
+            buf = pyio.BytesIO()
+            stream, _ = simulate_stream(spec)
+            _write_gzip(buf, _file_chunks(stream, None, out), workers)
+            assert buf.getvalue() == out.read_bytes()
+
+    def test_stream_peaks_below_one_float64_copy(self, tmp_path, capsys, monkeypatch):
+        # In-flight chunks grow with the worker count, one per CPU; two
+        # workers are what the figures below were measured with.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        dims = (48, 48, 24, 33)
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--dims", "48,48,24", "--volumes", "33", "--profile",
+                        "sphere", "--seed", "4", "--out", str(tmp_path / "s.nii.gz")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # A phantom and a noisy volume in memory, as before streaming,
+        # peaked at 32.3 MB: two float64 copies and the writer's buffers.
+        assert peak < int(np.prod(dims)) * 8
+        assert peak < 32.3e6 / 4
 
 
 class TestEstimate:
@@ -281,9 +356,10 @@ class TestEvaluate:
         lambda doc: doc["slices"][3].update(sigma_g="abc"),
         lambda doc: doc["fingerprint"].update(dims=5),
         lambda doc: doc["slices"].extend([dict(doc["slices"][0])] * 5),
+        lambda doc: doc.update(schema="chisigma-report-v3"),
     ], ids=["unknown_axis", "axis_not_a_string", "slice_index_out_of_range",
             "slice_index_negative", "sigma_g_not_a_number", "dims_not_a_list",
-            "slice_index_repeated"])
+            "slice_index_repeated", "unknown_schema"])
     def test_malformed_report(self, sim_paths, sim_report, tmp_path, capsys, edit):
         _, truth = sim_paths
         doc = json.loads(sim_report.read_text())

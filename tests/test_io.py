@@ -38,6 +38,7 @@ from chisigma.io import (
     write_slice_csv,
 )
 from chisigma.io import _file_chunks, _write_gzip
+from chisigma.model import VolumeStream
 from chisigma.specfun import inv_gamma_p
 
 
@@ -333,6 +334,68 @@ class TestWriteNifti:
             _write_gzip(buf, _file_chunks(vol, vol.spacing, path), workers)
             assert buf.getvalue() == path.read_bytes()
 
+    @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
+    @pytest.mark.parametrize("where", ["every_volume", "last_volume"])
+    def test_float32_overflow_rejected(self, tmp_path, suffix, where):
+        # A finite signal beyond the float32 range would be written as inf,
+        # which read_nifti rejects; the write fails instead and leaves no file.
+        arr = np.full((4, 4, 4, 3), 7.0)
+        if where == "every_volume":
+            arr[...] = 1e300
+        else:
+            arr[1, 2, 3, 2] = 1e39
+        path = tmp_path / f"big.{suffix}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NiftiError, match="big") as info:
+                write_nifti(Volume4D(voxels=arr), path)
+        assert "float32" in str(info.value)
+        assert not path.exists()
+
+    def test_largest_float32_is_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "top.nii"
+        write_nifti(Volume4D(voxels=np.full((2, 2, 2, 2), top)), path)
+        assert read_nifti(path).voxels.max() == top
+
+    @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
+    def test_stream_writes_the_volume_file(self, tmp_path, suffix):
+        rng = np.random.default_rng(59)
+        vol = Volume4D(voxels=rng.uniform(0.0, 9.0, (7, 5, 3, 4)), spacing=(2.0, 1.5, 3.0))
+        want, got = tmp_path / f"v.{suffix}", tmp_path / f"s.{suffix}"
+        write_nifti(vol, want)
+        write_nifti(VolumeStream(vol.dims, iter(vol.stored), vol.spacing), got)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
+    @pytest.mark.parametrize("count,shape", [(2, (3, 5, 7)), (4, (3, 5, 7)), (3, (3, 7, 5))],
+                             ids=["short", "long", "wrong_shape"])
+    def test_stream_that_does_not_fit_its_dims(self, tmp_path, suffix, count, shape):
+        vols = (np.ones(shape) for _ in range(count))
+        path = tmp_path / f"s.{suffix}"
+        with pytest.raises(DomainError, match="stream"):
+            write_nifti(VolumeStream((7, 5, 3, 3), vols), path)
+        assert not path.exists()
+
+    def test_stream_dims_checked(self):
+        for dims in [(7, 5, 3), (7, 5, 3, 0), (7, 5, 3.0, 2)]:
+            with pytest.raises(DomainError):
+                VolumeStream(dims, iter(()))
+        with pytest.raises(DomainError):
+            VolumeStream((2, 2, 2, 1), iter(()), spacing=(1.0, 0.0, 1.0))
+
+    def test_stream_guard_runs_before_any_byte(self, tmp_path):
+        drawn = []
+
+        def volumes():
+            drawn.append(1)
+            yield np.zeros((2, 2, 513))
+
+        path = tmp_path / "big.nii"
+        with pytest.raises(NiftiError, match="guard"):
+            write_nifti(VolumeStream((513, 2, 2, 1), volumes()), path)
+        assert drawn == [] and not path.exists()
+
     def test_rejects_non_boolean_array(self, tmp_path):
         with pytest.raises(DomainError):
             write_nifti(np.ones((3, 3, 3)), tmp_path / "z.nii")
@@ -586,6 +649,21 @@ class TestReports:
         doc["slices"][5]["slice_index"] = 2
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="repeats slice_index 2"):
+            read_report(path)
+
+    @pytest.mark.parametrize(
+        "schema", [None, "not-a-report", "chisigma-report-v3", 2, ["chisigma-report-v2"]],
+        ids=["missing", "not_a_report", "v3", "number", "list"])
+    def test_unknown_schema_rejected(self, tmp_path, schema):
+        path = tmp_path / "r.json"
+        write_report(sample_report(), path)
+        doc = json.loads(path.read_text())
+        if schema is None:
+            del doc["schema"]
+        else:
+            doc["schema"] = schema
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="schema"):
             read_report(path)
 
     def test_not_json(self, tmp_path):

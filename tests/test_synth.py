@@ -24,6 +24,7 @@ from chisigma.synth import (
     object_mask,
     sigma_from_snr,
     simulate,
+    simulate_stream,
 )
 
 
@@ -276,3 +277,33 @@ class TestSimulate:
         a, _ = simulate(small_spec())
         b, _ = simulate(small_spec())
         assert np.array_equal(a.voxels, b.voxels)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"n_volumes": 1}, {"geometry": "concentric_spheres", "profile": "sphere_ramp"},
+        {"dims": (18, 13, 9), "n_true": 3.0},
+    ], ids=["default", "one_volume", "spheres_sphere", "non_cubic"])
+    def test_stream_holds_the_simulated_volumes(self, kw):
+        spec = small_spec(**kw)
+        noisy, truth = simulate(spec)
+        stream, stream_truth = simulate_stream(spec)
+        assert stream_truth == truth
+        assert stream.dims == noisy.dims and stream.spacing == noisy.spacing
+        vols = list(stream)
+        assert len(vols) == spec.n_volumes
+        for got, want in zip(vols, noisy.stored):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_stream_equals_corrupt_of_the_phantom(self):
+        spec = small_spec(profile="sphere_ramp", n_true=2.0)
+        phantom = build_phantom(spec)
+        sigma_g = sigma_from_snr(phantom.voxels[..., 0], spec.snr)
+        field = NoiseField(tau=build_tau(spec.dims, spec.profile, spec.tau_max), sigma_g=sigma_g)
+        want = corrupt(phantom, field, spec.n_true, spec.seed)
+        stream, truth = simulate_stream(spec)
+        assert truth["sigma_g"] == sigma_g
+        assert np.array_equal(np.stack(list(stream)), want.stored)
+
+    def test_stream_rejects_fractional_n_up_front(self):
+        with pytest.raises(DomainError, match="positive integer N"):
+            simulate_stream(small_spec(n_true=2.5))
