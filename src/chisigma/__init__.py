@@ -36,15 +36,7 @@ from .io import (
     write_report,
     write_slice_csv,
 )
-from .model import (
-    ChiParams,
-    Volume4D,
-    chi_pdf,
-    estimate_n_mle,
-    estimate_n_moments,
-    estimate_sigma,
-    transform,
-)
+from .model import Volume4D, estimate_n_mle, estimate_n_moments, estimate_sigma
 from .synth import (
     NoiseField,
     PhantomSpec,
@@ -67,8 +59,7 @@ __all__ = [
     "sigma_upper_bound",
     "EstimateReport", "Volume4D", "build_report", "read_nifti", "read_report",
     "write_nifti", "write_report", "write_slice_csv",
-    "ChiParams", "chi_pdf", "estimate_n_mle", "estimate_n_moments",
-    "estimate_sigma", "transform",
+    "estimate_n_mle", "estimate_n_moments", "estimate_sigma",
     "NoiseField", "PhantomSpec", "build_phantom", "build_tau", "corrupt",
     "object_mask", "sigma_from_snr", "simulate", "simulate_stream",
     "__version__",

@@ -8,7 +8,6 @@ setting.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .io import (
     write_report,
     write_slice_csv,
 )
+from .model import _is_whole
 # simulate is not called here; it stays importable from this module
 # because bench/spans.py hooks it by name on it.
 from .synth import PhantomSpec, evaluate_report, simulate, simulate_stream  # noqa: F401
@@ -119,8 +119,7 @@ def _parse_dims(text: str) -> tuple:
 
 def cmd_simulate(args) -> int:
     """Generate a noisy synthetic dataset plus its ground-truth sidecar."""
-    # isfinite first: int() raises on inf and NaN.
-    if not math.isfinite(args.ncoils) or int(args.ncoils) != args.ncoils or args.ncoils < 1:
+    if not _is_whole(args.ncoils) or args.ncoils < 1:
         raise ConfigError(f"ncoils must be a positive integer, got {args.ncoils}")
     geometry = {"uniform": "uniform_object", "spheres": "concentric_spheres"}[args.geometry]
     profile = {"uniform": "uniform", "sphere": "sphere_ramp"}[args.profile]

@@ -32,6 +32,7 @@ from .errors import (
 # from this module because bench/spans.py hooks them by name on it.
 from .model import (  # noqa: F401
     Volume4D,
+    _is_whole,
     check_magnitudes,
     estimate_n_mle,
     estimate_n_moments,
@@ -68,6 +69,7 @@ class SearchConfig:
         Two-sided rejection probability level, strictly in (0, 1).
     grid_size : int
         Number of candidates in the initial search grid, at least 2.
+        This and ``max_outer_iters`` take whole floats, stored as int.
     n_min, n_max : float
         Degrees-of-freedom bracket used for the first-iteration bounds.
     estimator : str
@@ -95,7 +97,7 @@ class SearchConfig:
 
     def __post_init__(self):
         check_prob_level(self.p)
-        if int(self.grid_size) != self.grid_size or self.grid_size < 2:
+        if not _is_whole(self.grid_size) or self.grid_size < 2:
             raise ConfigError(f"grid_size must be an integer >= 2, got {self.grid_size}")
         if not self.n_min > 0.0:
             raise ConfigError(f"n_min must be positive, got {self.n_min}")
@@ -107,12 +109,16 @@ class SearchConfig:
             raise ConfigError(f"estimator must be 'moments' or 'mle', got {self.estimator!r}")
         if self.fixed_n is not None and not self.fixed_n > 0.0:
             raise ConfigError(f"fixed_n must be positive, got {self.fixed_n}")
-        if self.max_outer_iters < 1:
-            raise ConfigError("max_outer_iters must be at least 1")
+        if not _is_whole(self.max_outer_iters) or self.max_outer_iters < 1:
+            raise ConfigError(
+                f"max_outer_iters must be an integer >= 1, got {self.max_outer_iters}"
+            )
         if not self.rel_tol > 0.0:
             raise ConfigError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.slice_axis not in AXIS_INDEX:
             raise ConfigError(f"slice_axis must be one of x, y, z, got {self.slice_axis!r}")
+        object.__setattr__(self, "grid_size", int(self.grid_size))
+        object.__setattr__(self, "max_outer_iters", int(self.max_outer_iters))
 
     def effective_n_bracket(self) -> tuple[float, float]:
         """N range for the first-iteration bounds; collapses under fixed_n."""
@@ -247,7 +253,7 @@ def initial_grid(sigma_max: float, a: int) -> np.ndarray:
     """Evenly spaced candidates sigma_max * i/a for i = 1..a."""
     if not sigma_max > 0.0:
         raise DomainError(f"sigma_max must be positive, got {sigma_max}")
-    if int(a) != a or a < 1:
+    if not _is_whole(a) or a < 1:
         raise DomainError(f"grid size must be a positive integer, got {a}")
     return sigma_max * (np.arange(1, a + 1, dtype=np.float64) / a)
 

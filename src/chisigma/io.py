@@ -48,6 +48,9 @@ _DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
 _GZIP_MAGIC = b"\x1f\x8b"
 # Deflate, no flags, mtime 0, maximum compression, unknown OS.
 _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
+# Deflate threads of a .gz write. Each keeps two volumes in flight, so a
+# fixed count, not the CPU count, bounds the memory a streamed write holds.
+_DEFLATE_WORKERS = 4
 
 # The report schema written; read_report also reads v1, whose fingerprint
 # is the dims and the sha256 of the float64 voxels in C order.
@@ -338,8 +341,8 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     volumes are taken one by one as the write reaches them, so a stream
     is never held whole. A ``.gz`` suffix selects gzip compression: each
     3D volume is deflated on its own (Z_RLE strategy), on a thread per
-    CPU, into one gzip member with no name and mtime 0, so the bytes
-    depend neither on the thread count nor on the time, and identical
+    CPU up to 4, into one gzip member with no name and mtime 0, so the
+    bytes depend neither on the thread count nor on the time, and identical
     data yields identical bytes.
 
     Raises
@@ -357,7 +360,7 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     try:
         with f:
             if str(path).endswith(".gz"):
-                _write_gzip(f, chunks, os.cpu_count() or 1)
+                _write_gzip(f, chunks, min(os.cpu_count() or 1, _DEFLATE_WORKERS))
             else:
                 for chunk in chunks:
                     f.write(chunk)

@@ -1,10 +1,10 @@
-"""The chi noise distribution and closed-form parameter estimators.
+"""Magnitude data types, shared input rules and the noise estimators.
 
-Magnitude values over signal-free voxels follow a central chi
-distribution with ``n_dof`` complex channels and per-channel standard
-deviation ``sigma_g``. The change of variable t = m^2 / (2 sigma_g^2)
-maps those magnitudes to a gamma distribution with shape ``n_dof`` and
-unit scale, which is what the estimators in this module exploit.
+``Volume4D`` and ``VolumeStream`` carry 4D magnitude data, whole or one
+volume at a time. The estimators use the change of variable
+t = m^2 / (2 sigma_g^2), which maps signal-free magnitudes (central chi
+with ``n_dof`` complex channels of standard deviation ``sigma_g``) to a
+gamma law with shape ``n_dof`` and unit scale.
 
 All estimators are pure functions of the sample values. Each formula
 lives in a function of sample sums (``sigma_from_moments``,
@@ -18,19 +18,15 @@ for sample counts well past 10^6.
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .specfun import inv_digamma, ln_gamma
+from .specfun import inv_digamma
 
 __all__ = [
     "Volume4D",
     "VolumeStream",
-    "ChiParams",
-    "chi_pdf",
-    "transform",
     "estimate_sigma",
     "estimate_n_moments",
     "estimate_n_mle",
@@ -53,6 +49,17 @@ def check_magnitudes(arr: np.ndarray) -> None:
         raise DomainError("sample values must be finite")
     if lo < 0.0:
         raise DomainError("magnitude samples must be nonnegative")
+
+
+def _is_whole(x) -> bool:
+    """True for an integer or a finite real with no fractional part.
+
+    The one home of this rule. int() raises on inf and NaN, and
+    math.isfinite on ints beyond float range, so integers go first.
+    """
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
 
 
 def _spacing(spacing) -> tuple:
@@ -210,76 +217,6 @@ def _as_sample_array(samples) -> np.ndarray:
         raise DegenerateDataError("sample set is empty")
     check_magnitudes(arr)
     return arr
-
-
-@dataclass(frozen=True)
-class ChiParams:
-    """Parameters of the signal-free magnitude distribution.
-
-    ``sigma_g`` is the per-channel Gaussian noise standard deviation and
-    ``n_dof`` the effective number of complex channels (fractional
-    values allowed).
-    """
-
-    sigma_g: float
-    n_dof: float
-
-    def __post_init__(self):
-        if not self.sigma_g > 0.0:
-            raise DomainError(f"sigma_g must be positive, got {self.sigma_g}")
-        if not self.n_dof > 0.0:
-            raise DomainError(f"n_dof must be positive, got {self.n_dof}")
-
-
-def chi_pdf(m, params: ChiParams):
-    """Probability density of the magnitude of pure complex noise.
-
-    Evaluates m^(2N-1) / (2^(N-1) sigma^(2N) Gamma(N)) * exp(-m^2 / (2 sigma^2))
-    for N = ``params.n_dof`` and sigma = ``params.sigma_g``.
-
-    Parameters
-    ----------
-    m : float or array_like
-        Magnitude values, nonnegative.
-    params : ChiParams
-        Distribution parameters.
-
-    Returns
-    -------
-    float or ndarray
-        Density values, same shape as ``m``.
-    """
-    m_arr = np.asarray(m, dtype=np.float64)
-    if np.any(m_arr < 0.0):
-        raise DomainError("magnitude must be nonnegative")
-    n = params.n_dof
-    sigma = params.sigma_g
-    log_norm = (n - 1.0) * math.log(2.0) + 2.0 * n * math.log(sigma) + ln_gamma(n)
-    out = np.zeros_like(m_arr, dtype=np.float64)
-    pos = m_arr > 0.0
-    mp = m_arr[pos]
-    out[pos] = np.exp((2.0 * n - 1.0) * np.log(mp) - mp * mp / (2.0 * sigma * sigma) - log_norm)
-    if np.any(~pos):
-        # At m = 0 the density is 0 for N > 1/2, finite for the
-        # half-Gaussian case N = 1/2, divergent below.
-        if n == 0.5:
-            out[~pos] = math.exp(-log_norm)
-        elif n < 0.5:
-            out[~pos] = np.inf
-    if np.isscalar(m) or np.ndim(m) == 0:
-        return float(out)
-    return out
-
-
-def transform(samples, sigma: float) -> np.ndarray:
-    """Map magnitude samples to gamma space via t = m^2 / (2 sigma^2).
-
-    Returns the flattened float64 array of t values.
-    """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    arr = _as_sample_array(samples)
-    return arr * arr / (2.0 * sigma * sigma)
 
 
 def sigma_from_moments(s2: float, s4: float, k: int) -> float:

@@ -194,7 +194,8 @@ def _gamma_q_cont_fraction(a: float, x: float) -> float:
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
-    d = 1.0 / b
+    # x + 1 == x for huge x, so b can start at zero.
+    d = 1.0 / (b if abs(b) >= tiny else tiny)
     h = d
     for i in range(1, 100000):
         an = -i * (i - a)

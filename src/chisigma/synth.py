@@ -24,14 +24,13 @@ back, with or without that key, to score an estimation report.
 """
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, SchemaError
 from .identify import AXIS_INDEX
-from .model import Volume4D, VolumeStream
+from .model import Volume4D, VolumeStream, _is_whole
 
 __all__ = [
     "PhantomSpec",
@@ -57,13 +56,6 @@ GENERATOR = "ncchisq-philox-v1"
 _DWI_ATTENUATION = 0.5
 
 
-def _is_whole(x) -> bool:
-    # int() raises on inf and NaN, and math.isfinite on ints beyond float range.
-    if isinstance(x, numbers.Integral):
-        return True
-    return isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     """Recipe for one synthetic dataset.
@@ -71,7 +63,8 @@ class PhantomSpec:
     ``b0_intensity`` sets the mean reference-volume intensity over the
     object, which together with ``snr`` fixes the noise level as
     sigma_g = b0_intensity / snr. The default pairs with snr=30 to give
-    sigma_g = 171.
+    sigma_g = 171. Whole floats are taken for ``dims``, ``n_volumes``
+    and ``seed`` and stored as ``int``.
     """
 
     dims: tuple = (64, 64, 50)
@@ -105,6 +98,9 @@ class PhantomSpec:
             raise ConfigError(
                 f"b0_intensity must be positive and finite, got {self.b0_intensity}"
             )
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "n_volumes", int(self.n_volumes))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,9 @@ def build_phantom(spec: PhantomSpec) -> Volume4D:
     are scaled so the object mean still equals ``b0_intensity``. Volumes
     after the first carry the same geometry at reduced intensity.
     """
-    # F-ordered, that is volume-major, so the Volume4D adopts it as it is.
-    vols = np.empty(spec.dims + (spec.n_volumes,), dtype=np.float64, order="F")
     ref = np.ascontiguousarray(_reference(spec).T)
-    for block, vol in zip(vols.T, _noiseless_volumes(ref, spec.n_volumes)):
-        block[...] = vol
-    return Volume4D(voxels=vols)
+    noiseless = _noiseless_volumes(ref, spec.n_volumes)
+    return _collect(VolumeStream(spec.dims + (spec.n_volumes,), noiseless))
 
 
 def sigma_from_snr(b0, snr: float) -> float:

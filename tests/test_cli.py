@@ -62,6 +62,15 @@ class TestExitCodes:
         write_nifti(Volume4D(voxels=np.ones((4, 4, 4, 2))), vol)
         assert run(["estimate", str(vol), "--nmin", "5", "--nmax", "2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [["--nmax", "1e16"], ["--fixed-n", "1e16"]],
+                             ids=["nmax", "fixed_n"])
+    def test_huge_n_is_one_error_line(self, sim_paths, capsys, flags):
+        # The gamma bounds cannot be found at this N: a typed error, no traceback.
+        assert run(["estimate", str(sim_paths[0]), *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["estimate", str(tmp_path / "nope.nii")]) == EXIT_IO
 
@@ -206,22 +215,23 @@ class TestSimulate:
             assert buf.getvalue() == out.read_bytes()
 
     def test_stream_peaks_below_one_float64_copy(self, tmp_path, capsys, monkeypatch):
-        # In-flight chunks grow with the worker count, one per CPU; two
-        # workers are what the figures below were measured with.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # In-flight chunks grow with the deflate worker count, which is
+        # capped, so a machine with many CPUs stays under the same bound.
         dims = (48, 48, 24, 33)
-        tracemalloc.start()
-        try:
-            code = run(["simulate", "--dims", "48,48,24", "--volumes", "33", "--profile",
-                        "sphere", "--seed", "4", "--out", str(tmp_path / "s.nii.gz")])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK
-        # A phantom and a noisy volume in memory, as before streaming,
-        # peaked at 32.3 MB: two float64 copies and the writer's buffers.
-        assert peak < int(np.prod(dims)) * 8
-        assert peak < 32.3e6 / 4
+        for cpus in (2, 16):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            tracemalloc.start()
+            try:
+                code = run(["simulate", "--dims", "48,48,24", "--volumes", "33", "--profile",
+                            "sphere", "--seed", "4", "--out", str(tmp_path / "s.nii.gz")])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            # A phantom and a noisy volume in memory, as before streaming,
+            # peaked at 32.3 MB: two float64 copies and the writer's buffers.
+            assert peak < int(np.prod(dims)) * 8, cpus
+            assert peak < 32.3e6 / 4, cpus
 
 
 class TestEstimate:

@@ -79,6 +79,25 @@ class TestSearchConfig:
         with pytest.raises(ConfigError):
             SearchConfig(fixed_n=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_outer_iters", 2.5), ("max_outer_iters", math.nan),
+        ("grid_size", math.nan), ("grid_size", math.inf),
+    ])
+    def test_rejects_non_whole_counts(self, field, value):
+        # Rejected up front, not by a TypeError or ValueError mid-search.
+        with pytest.raises(ConfigError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_whole_float_counts_are_stored_as_int(self):
+        cfg = SearchConfig(grid_size=20.0, max_outer_iters=3.0)
+        assert type(cfg.grid_size) is int and type(cfg.max_outer_iters) is int
+        data = chi_slice(np.random.default_rng(33), 2.0, 2, (16, 16), 9)
+        got = estimate_slice(data, cfg)
+        want = estimate_slice(data, SearchConfig(grid_size=20, max_outer_iters=3))
+        assert (got.sigma_g, got.n_dof, got.outer_iters) == (
+            want.sigma_g, want.n_dof, want.outer_iters)
+        assert np.array_equal(got.mask, want.mask)
+
     def test_fixed_n_collapses_bracket(self):
         assert SearchConfig(fixed_n=1.0).effective_n_bracket() == (1.0, 1.0)
         assert SearchConfig().effective_n_bracket() == (1.0, 12.0)
@@ -134,6 +153,11 @@ class TestGrids:
         assert g[0] == pytest.approx(3.7 / 50.0, rel=1e-15)
         assert g[-1] == 3.7
         assert np.all(np.diff(g) > 0)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf])
+    def test_initial_rejects_non_whole_size(self, size):
+        with pytest.raises(DomainError, match="grid size"):
+            initial_grid(1.0, size)
 
     def test_refine_examples(self):
         g = refine_grid(100.0)

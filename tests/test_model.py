@@ -14,15 +14,12 @@ from hypothesis import strategies as st
 
 from chisigma.errors import DegenerateDataError, DomainError
 from chisigma.model import (
-    ChiParams,
-    chi_pdf,
     estimate_n_mle,
     estimate_n_moments,
     estimate_sigma,
     n_from_log_moments,
     n_from_moments,
     sigma_from_moments,
-    transform,
 )
 from chisigma.specfun import inv_digamma
 
@@ -45,61 +42,6 @@ class TestTypes:
             estimate_sigma([1.0, -2.0])
         with pytest.raises(DomainError, match="finite"):
             estimate_sigma([1.0, float("nan")])
-
-    def test_chi_params_validates(self):
-        ChiParams(sigma_g=1.0, n_dof=0.47)
-        with pytest.raises(DomainError):
-            ChiParams(sigma_g=0.0, n_dof=1.0)
-        with pytest.raises(DomainError):
-            ChiParams(sigma_g=1.0, n_dof=0.0)
-
-
-class TestChiPdf:
-    def test_rayleigh_value(self):
-        # N=1, sigma=1 reduces to the Rayleigh density m*exp(-m^2/2).
-        p = chi_pdf(1.0, ChiParams(sigma_g=1.0, n_dof=1.0))
-        assert p == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_zero_magnitude(self):
-        assert chi_pdf(0.0, ChiParams(sigma_g=2.0, n_dof=1.0)) == 0.0
-        assert chi_pdf(0.0, ChiParams(sigma_g=3.0, n_dof=4.0)) == 0.0
-
-    def test_half_gaussian_mass(self):
-        # N = 1/2 is a half Gaussian; quadrature oracle for total mass.
-        params = ChiParams(sigma_g=1.0, n_dof=0.5)
-        m = np.linspace(0.0, 12.0, 20001)
-        mass = np.trapezoid(chi_pdf(m, params), m)
-        assert mass == pytest.approx(1.0, abs=1e-6)
-        expected_at_0 = math.sqrt(2.0 / math.pi)
-        assert chi_pdf(0.0, params) == pytest.approx(expected_at_0, rel=1e-12)
-
-    def test_integrates_to_one(self):
-        for n in (0.5, 1.0, 4.0, 12.0):
-            for sigma in (0.5, 1.0, 171.0):
-                params = ChiParams(sigma_g=sigma, n_dof=n)
-                hi = sigma * (math.sqrt(2.0 * n) + 10.0)
-                m = np.linspace(0.0, hi, 40001)
-                mass = np.trapezoid(chi_pdf(m, params), m)
-                assert mass == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_signal_and_negative_magnitude(self):
-        with pytest.raises(DomainError):
-            chi_pdf(-1.0, ChiParams(sigma_g=1.0, n_dof=1.0))
-
-
-class TestTransform:
-    def test_examples(self):
-        assert transform([0.0, 1.0], 1.0).tolist() == [0.0, 0.5]
-        assert transform([2.0], 1.0).tolist() == [2.0]
-        got = transform([3.0, 4.0], math.sqrt(2.0))
-        np.testing.assert_allclose(got, [2.25, 4.0], rtol=1e-15)
-
-    def test_preserves_count(self):
-        assert transform(np.ones(17), 2.0).size == 17
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(DomainError):
-            transform([1.0], 0.0)
 
 
 class TestEstimateSigma:
@@ -157,7 +99,7 @@ class TestEstimateN:
     def test_moments_equals_mean_of_transform(self):
         rng = np.random.default_rng(16)
         m = chi_draws(rng, sigma=5.0, n=3, size=1000)
-        t = transform(m, 5.0)
+        t = m * m / (2.0 * 5.0 * 5.0)
         assert estimate_n_moments(m, 5.0) == pytest.approx(float(np.mean(t)), rel=1e-13)
 
     def test_moments_scale_equivariance(self):
@@ -230,7 +172,8 @@ class TestGammaIdentities:
         # t = m^2/(2 sigma^2) of chi draws has gamma moments.
         rng = np.random.default_rng(24)
         sigma, n, k = 3.0, 4, 100000
-        t = transform(chi_draws(rng, sigma, n, k), sigma)
+        m = chi_draws(rng, sigma, n, k)
+        t = m * m / (2.0 * sigma * sigma)
         assert float(np.mean(t)) == pytest.approx(n, abs=3.0 * math.sqrt(n / k) * 1.5)
         assert float(np.var(t)) == pytest.approx(n, rel=0.05)
 

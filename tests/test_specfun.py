@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chisigma.errors import ConvergenceError, DomainError
+from chisigma.errors import ChiSigmaError, ConvergenceError, DomainError
 from chisigma.specfun import (
     EULER_GAMMA,
     check_prob_level,
@@ -189,6 +189,12 @@ class TestInvGammaP:
         for bad_p in (0.0, 1.0, -0.2, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 inv_gamma_p(2.0, bad_p)
+
+    @pytest.mark.parametrize("a", [1e16, 1e20, 1e300])
+    def test_huge_shape_is_a_typed_error(self, a):
+        # x + 1 == x at this size, so the continued fraction starts at b = 0.
+        with pytest.raises(ChiSigmaError):
+            inv_gamma_p(a, 0.5)
 
 
 class TestInvDigamma:

@@ -58,6 +58,15 @@ class TestPhantomSpec:
         with pytest.raises(ConfigError, match=field):
             PhantomSpec(**{field: (value, 16, 8) if field == "dims" else value})
 
+    def test_whole_floats_are_stored_as_int(self):
+        spec = small_spec(dims=(16.0, 16, 8), n_volumes=4.0, seed=5.0)
+        assert spec == small_spec()
+        assert all(type(d) is int for d in spec.dims)
+        noisy, truth = simulate(spec)
+        want, want_truth = simulate(small_spec())
+        assert np.array_equal(noisy.stored, want.stored)
+        assert repr(truth) == repr(want_truth)
+
     def test_too_small_for_object(self):
         with pytest.raises(ConfigError):
             build_phantom(PhantomSpec(dims=(4, 4, 4)))
