@@ -17,6 +17,7 @@ arrays instead of re-gathering the samples.
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,13 +72,17 @@ class SearchConfig:
         Number of candidates in the initial search grid, at least 2.
         This and ``max_outer_iters`` take whole floats, stored as int.
     n_min, n_max : float
-        Degrees-of-freedom bracket used for the first-iteration bounds.
+        Degrees-of-freedom bracket used for the first-iteration bounds;
+        positive and finite, as is ``fixed_n``.
     estimator : str
         "moments" or "mle"; how N is re-estimated each iteration.
     fixed_n : float or None
         When set, N is never estimated and all bounds use this value.
     max_outer_iters : int
         Cap on outer iterations; hitting it returns converged=False.
+        A search that repeats an earlier pass's (sigma, N) exactly is
+        cycling, and returns the capped pass's result without running
+        every pass up to the cap.
     rel_tol : float
         Convergence threshold on the relative change of sigma and N.
     slice_axis : str
@@ -99,16 +104,16 @@ class SearchConfig:
         check_prob_level(self.p)
         if not _is_whole(self.grid_size) or self.grid_size < 2:
             raise ConfigError(f"grid_size must be an integer >= 2, got {self.grid_size}")
-        if not self.n_min > 0.0:
-            raise ConfigError(f"n_min must be positive, got {self.n_min}")
+        for name in ("n_min", "n_max", "fixed_n"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not self.n_min <= self.n_max:
             raise ConfigError(
                 f"n_min must not exceed n_max, got [{self.n_min}, {self.n_max}]"
             )
         if self.estimator not in ("moments", "mle"):
             raise ConfigError(f"estimator must be 'moments' or 'mle', got {self.estimator!r}")
-        if self.fixed_n is not None and not self.fixed_n > 0.0:
-            raise ConfigError(f"fixed_n must be positive, got {self.fixed_n}")
         if not _is_whole(self.max_outer_iters) or self.max_outer_iters < 1:
             raise ConfigError(
                 f"max_outer_iters must be an integer >= 1, got {self.max_outer_iters}"
@@ -351,17 +356,27 @@ def _slice_moments(arr: np.ndarray, ref: float | None) -> _Moments:
     return sums
 
 
+# Most voxel-candidate pairs scored in one broadcast of _best_candidate.
+_SCORE_BLOCK = 1 << 20
+
+
 def _best_candidate(grid, sum_m2, nonpadding, bounds):
-    # All candidates at once: the grid broadcast along a new leading axis
-    # gives row i the same operations as a single call for grid[i]. argmax
-    # returns the first of tied maxima, so the smallest candidate wins ties.
-    g = grid.reshape((-1,) + (1,) * sum_m2.ndim)
-    masks = _mask_from_sums(sum_m2, nonpadding, g, bounds)
-    counts = np.count_nonzero(masks.reshape(grid.size, -1), axis=1)
-    best = int(np.argmax(counts))
-    if counts[best] == 0:
-        return 0, None, None
-    return int(counts[best]), float(grid[best]), masks[best]
+    # Candidates in blocks of at most _SCORE_BLOCK voxel-candidate pairs:
+    # a block broadcast along a new leading axis gives row i the same
+    # operations as a single call for grid[i]. argmax returns the first of
+    # tied maxima, and a later block wins only with a larger count, so the
+    # smallest candidate wins ties.
+    step = max(1, _SCORE_BLOCK // sum_m2.size)
+    best_count, best_sigma, best_mask = 0, None, None
+    for start in range(0, grid.size, step):
+        block = grid[start:start + step]
+        masks = _mask_from_sums(sum_m2, nonpadding,
+                                block.reshape((-1,) + (1,) * sum_m2.ndim), bounds)
+        counts = np.count_nonzero(masks.reshape(block.size, -1), axis=1)
+        i = int(np.argmax(counts))
+        if counts[i] > best_count:
+            best_count, best_sigma, best_mask = int(counts[i]), float(block[i]), masks[i].copy()
+    return best_count, best_sigma, best_mask
 
 
 def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = None,
@@ -374,6 +389,11 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     grid around the new sigma and recompute the bounds from the new N.
     Iterations stop when the relative change of both falls below
     ``config.rel_tol`` or the iteration cap is hit (``converged=False``).
+    A pass's (sigma, N) fixes the next pass, so once a pass repeats an
+    earlier pass's (sigma, N) bit for bit, the search runs only the
+    passes up to the one in phase with the cap and returns that pass's
+    estimate with ``outer_iters`` equal to the cap: the result of
+    running every pass.
 
     The slice is checked and reduced to per-voxel moments once, one
     volume at a time, by the accumulator :func:`estimate_volume` uses:
@@ -420,7 +440,15 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
 
 def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_max: float,
                   slice_index: int) -> SliceEstimate:
-    # The search of estimate_slice, on one slice's per-voxel moments.
+    # The search of estimate_slice, on one slice's per-voxel moments. A
+    # pass's output (sigma, N) sets the next pass's grid and bounds on the
+    # fixed moments, so when pass i repeats the state of pass j < i, the
+    # passes after i repeat those after j with period i - j, failed
+    # convergence checks included. The capped pass then has the state of
+    # pass i + (cap - i) mod (i - j): the search stops there, and that
+    # pass computes its own mask. The states compare as floats, which is
+    # bit for bit here: sigma and N of a pass whose grid and bounds were
+    # refined from them are positive and finite.
     nonpadding = sums.s2 > 0.0
     if not np.any(nonpadding):
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
@@ -437,6 +465,8 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     mask = np.zeros(sums.s2.shape, dtype=bool)
     converged = False
     iters = 0
+    first_pass = {}  # the first pass that returned each (sigma, N)
+    last_pass = config.max_outer_iters
 
     for iters in range(1, config.max_outer_iters + 1):
         count, _, best_mask = _best_candidate(grid, sums.s2, nonpadding, bounds)
@@ -462,9 +492,14 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
             if d_sigma < config.rel_tol and d_n < config.rel_tol:
                 converged = True
                 break
+        first = first_pass.setdefault((sigma, n_dof), iters)
+        if first < iters:
+            last_pass = iters + (config.max_outer_iters - iters) % (iters - first)
         sigma_prev, n_prev = sigma, n_dof
         grid = refine_grid(sigma)
         bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
+        if iters == last_pass:
+            break
 
     return SliceEstimate(
         slice_index=slice_index,
@@ -472,7 +507,7 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
         n_dof=n_dof,
         mask=mask,
         n_identified=int(np.count_nonzero(mask)),
-        outer_iters=iters,
+        outer_iters=iters if converged else config.max_outer_iters,
         converged=converged,
     )
 

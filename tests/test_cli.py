@@ -71,6 +71,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,field", [("--nmax", "n_max"), ("--fixed-n", "fixed_n")],
+                             ids=["nmax", "fixed_n"])
+    def test_infinite_n_names_the_option(self, sim_paths, capsys, flag, field):
+        assert run(["estimate", str(sim_paths[0]), flag, "inf"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["estimate", str(tmp_path / "nope.nii")]) == EXIT_IO
 

@@ -6,6 +6,7 @@ incomplete gamma.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -78,6 +79,12 @@ class TestSearchConfig:
             SearchConfig(slice_axis="t")
         with pytest.raises(ConfigError):
             SearchConfig(fixed_n=0.0)
+
+    @pytest.mark.parametrize("field", ["n_min", "n_max", "fixed_n"])
+    def test_rejects_infinite_n(self, field):
+        # Named up front, not left to fail in inv_gamma_p at a=inf.
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            SearchConfig(**{field: math.inf})
 
     @pytest.mark.parametrize("field,value", [
         ("max_outer_iters", 2.5), ("max_outer_iters", math.nan),
@@ -568,3 +575,145 @@ class TestBestCandidate:
         got = _best_candidate(initial_grid(1.0, 10), sum_m2, sum_m2 > 0.0,
                               RejectionBounds(0.5, 2.0))
         assert got == (0, None, None)
+
+    def test_blocks_match_one_broadcast(self, monkeypatch):
+        # Ties and grids that end inside, at and just past a block edge.
+        rng = np.random.default_rng(66)
+        sum_m2 = rng.integers(0, 40, (9, 7)).astype(np.float64)
+        nonpadding = sum_m2 > 0.0
+        bounds = RejectionBounds(0.5, 2.0)
+        for block in (7, 63, 64, 63 * 5):
+            monkeypatch.setattr(identify, "_SCORE_BLOCK", block)
+            for grid in (np.linspace(0.5, 6.0, 200), np.linspace(0.5, 6.0, 5),
+                         np.linspace(0.5, 6.0, 6), np.full(5, 2.0), refine_grid(3.0)):
+                got = _best_candidate(grid, sum_m2, nonpadding, bounds)
+                want = broadcast_best_candidate(grid, sum_m2, nonpadding, bounds)
+                assert got[:2] == want[:2]
+                assert np.array_equal(got[2], want[2])
+
+    def test_large_grid_memory_is_bounded(self):
+        # 20,000 candidates on a 24x24 slice: blocks of 2**20 // 576 = 1,820
+        # candidates. One broadcast would hold at least its float64
+        # (20000, 24, 24) statistic, 92 MB; the blocks stay under a quarter.
+        rng = np.random.default_rng(67)
+        sum_m2 = np.sum(rng.rayleigh(1.0, (24, 24, 5)) ** 2, axis=-1)
+        grid = initial_grid(4.0, 20_000)
+        bounds = _bounds_for(1.0, 1.0, 5, 0.05)
+        tracemalloc.start()
+        try:
+            got = _best_candidate(grid, sum_m2, sum_m2 > 0.0, bounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size * sum_m2.size * 8 / 4
+        want = loop_best_candidate(grid[::97], sum_m2, sum_m2 > 0.0, bounds)
+        assert got[0] >= want[0] > 0
+
+
+def broadcast_best_candidate(grid, sum_m2, nonpadding, bounds):
+    # Every candidate in one broadcast along a new leading axis.
+    g = grid.reshape((-1,) + (1,) * sum_m2.ndim)
+    s = sum_m2 / (2.0 * g * g)
+    masks = (s >= bounds.lambda_minus) & (s <= bounds.lambda_plus) & nonpadding
+    counts = np.count_nonzero(masks.reshape(grid.size, -1), axis=1)
+    best = int(np.argmax(counts))
+    if counts[best] == 0:
+        return 0, None, None
+    return int(counts[best]), float(grid[best]), masks[best]
+
+
+def plain_passes(sums, n_volumes, config, sigma_max):
+    # Reference for _search_slice: the search loop with no cycle detection,
+    # yielding (sigma, N, mask, converged) after every pass up to the cap.
+    # Its first c passes are the whole run at a cap of c.
+    nonpadding = sums.s2 > 0.0
+    n_low, n_high = config.effective_n_bracket()
+    ref = identify._log_ref(config, sigma_max)
+    bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
+    grid = initial_grid(sigma_max, config.grid_size)
+    sigma_prev = n_prev = None
+    for _ in range(config.max_outer_iters):
+        count, _, mask = _best_candidate(grid, sums.s2, nonpadding, bounds)
+        k = count * n_volumes
+        s2 = float(np.sum(sums.s2[mask]))
+        sigma = model.sigma_from_moments(s2, float(np.sum(sums.s4[mask])), k)
+        if config.fixed_n is not None:
+            n_dof = config.fixed_n
+        elif ref is not None:
+            n_dof = model.n_from_log_moments(float(np.sum(sums.log[mask])), k,
+                                             int(np.sum(sums.zeros[mask])), sigma, ref)
+        else:
+            n_dof = model.n_from_moments(s2, k, sigma)
+        if sigma_prev is not None:
+            if (abs(sigma - sigma_prev) / sigma_prev < config.rel_tol
+                    and abs(n_dof - n_prev) / n_prev < config.rel_tol):
+                yield sigma, n_dof, mask, True
+                return
+        yield sigma, n_dof, mask, False
+        sigma_prev, n_prev = sigma, n_dof
+        grid = refine_grid(sigma)
+        bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
+
+
+@pytest.fixture(scope="module")
+def cycling_phantom():
+    # N = 1 on five volumes: several slices oscillate to the pass cap.
+    noisy, _ = simulate(PhantomSpec(dims=(32, 32, 12), n_volumes=5, n_true=1,
+                                    profile="sphere_ramp", seed=3))
+    return noisy
+
+
+def slice_searches(vol, config):
+    # The per-slice arguments of _search_slice, as estimate_volume builds them.
+    sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
+    sums = identify._volume_moments(vol, identify._log_ref(config, sigma_max))
+    for k in range(vol.dims[2]):
+        part = sums.map(lambda a: np.ascontiguousarray(a.T[:, :, k]))
+        yield part, vol.dims[3], sigma_max, k
+
+
+class TestCycleSkip:
+    @pytest.mark.parametrize("kwargs", [{"estimator": "moments"}, {"estimator": "mle"},
+                                        {"fixed_n": 1.0}], ids=["moments", "mle", "fixed_n"])
+    def test_matches_plain_loop_at_every_cap(self, cycling_phantom, kwargs):
+        capped = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for part, n_vol, sigma_max, k in slice_searches(cycling_phantom,
+                                                            SearchConfig(**kwargs)):
+                passes = list(plain_passes(part, n_vol, SearchConfig(max_outer_iters=40,
+                                                                     **kwargs), sigma_max))
+                for cap in range(1, 41):
+                    config = SearchConfig(max_outer_iters=cap, **kwargs)
+                    got = identify._search_slice(part, n_vol, config, sigma_max, k)
+                    iters = min(cap, len(passes))
+                    sigma, n_dof, mask, converged = passes[iters - 1]
+                    assert (got.sigma_g, got.n_dof, got.outer_iters, got.converged) == (
+                        sigma, n_dof, iters, converged), (k, cap)
+                    assert np.array_equal(got.mask, mask), (k, cap)
+                    assert got.n_identified == np.count_nonzero(mask)
+                capped += not converged
+        assert capped >= 3
+
+    def test_cycling_slice_runs_fewer_passes(self, cycling_phantom, monkeypatch):
+        config = SearchConfig(fixed_n=1.0)
+        passes = []
+        real = identify._best_candidate
+
+        def spy(*args):
+            passes[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(identify, "_best_candidate", spy)
+        results = []
+        for part, n_vol, sigma_max, k in slice_searches(cycling_phantom, config):
+            passes.append(0)
+            results.append(identify._search_slice(part, n_vol, config, sigma_max, k))
+        capped = [(r, n) for r, n in zip(results, passes) if not r.converged]
+        assert len(capped) >= 3
+        for r, n in capped:
+            assert r.outer_iters == config.max_outer_iters
+            assert n < config.max_outer_iters // 4
+        for r, n in zip(results, passes):
+            if r.converged:
+                assert n == r.outer_iters
