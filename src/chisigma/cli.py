@@ -7,6 +7,7 @@ setting.
 """
 
 import argparse
+import concurrent.futures
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ from .io import (
     build_report,
     read_nifti,
     read_report,
+    volume_fingerprint,
     write_nifti,
     write_report,
     write_slice_csv,
@@ -72,7 +74,14 @@ def cmd_estimate(args) -> int:
         slice_axis=args.axis,
     )
     volume = read_nifti(args.input)
-    estimates = estimate_volume(volume, config, threads=threads)
+    want_report = bool(args.out_report or args.out_csv)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+        # hashlib releases the interpreter lock, so a second thread hashes
+        # the input for the report while the slices are searched.
+        hashing = (helper.submit(volume_fingerprint, volume)
+                   if want_report and threads > 1 else None)
+        estimates = estimate_volume(volume, config, threads=threads)
+        fingerprint = None if hashing is None else hashing.result()
 
     ok = [e for e in estimates if e.error is None]
     failed = [e for e in estimates if e.error is not None]
@@ -94,7 +103,8 @@ def cmd_estimate(args) -> int:
         print("error: estimation failed on every slice", file=sys.stderr)
         return EXIT_ALL_FAILED
 
-    report = build_report(estimates, config, volume)
+    if want_report:
+        report = build_report(estimates, config, volume, fingerprint=fingerprint)
     if args.out_report:
         write_report(report, args.out_report)
     if args.out_csv:
@@ -199,7 +209,9 @@ def _build_parser() -> _Parser:
     est.add_argument("--out-csv", dest="out_csv", default=None,
                      help="write per-slice CSV here")
     est.add_argument("--threads", default="auto",
-                     help="worker threads, integer or 'auto' (default auto)")
+                     help="threads, integer or 'auto' (default auto); with 2 or more, "
+                          "a second thread hashes the input for the report while "
+                          "the slices are searched")
 
     sim = sub.add_parser("simulate", help="generate a noisy synthetic dataset")
     sim.add_argument("--dims", default="64,64,50", help="X,Y,Z (default 64,64,50)")

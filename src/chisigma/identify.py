@@ -14,9 +14,14 @@ reduced once to per-voxel moments (sum_v m^2, sum_v m^4 and, for the
 likelihood estimator, sum_v log m^2 and a zero count), adding one volume
 at a time; every outer pass then works on a slice's 2D view of those
 arrays instead of re-gathering the samples.
+
+Candidates are scored on each slice's sums of m^2, sorted once: for a
+candidate, s never decreases as sum_v m^2 grows, so the voxels it
+identifies are one run of the sorted sums, found by binary search, and
+only the winner's mask is built.
 """
 
-import concurrent.futures
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -169,6 +174,9 @@ class SliceEstimate:
     error: str | None = field(default=None)
 
 
+# Pure, and called with the same first-pass arguments by every slice and
+# with repeated N by cycling searches.
+@functools.lru_cache(maxsize=1 << 12)
 def _bounds_for(n_low: float, n_high: float, n_volumes: int, p: float) -> RejectionBounds:
     lam_minus = inv_gamma_p(n_volumes * n_low, p / 2.0)
     lam_plus = inv_gamma_p(n_volumes * n_high, 1.0 - p / 2.0)
@@ -256,11 +264,25 @@ def _middle_values(arr: np.ndarray) -> np.ndarray:
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
     """Evenly spaced candidates sigma_max * i/a for i = 1..a."""
-    if not sigma_max > 0.0:
-        raise DomainError(f"sigma_max must be positive, got {sigma_max}")
-    if not _is_whole(a) or a < 1:
-        raise DomainError(f"grid size must be a positive integer, got {a}")
-    return sigma_max * (np.arange(1, a + 1, dtype=np.float64) / a)
+    return _InitialGrid(sigma_max, a)[:]
+
+
+class _InitialGrid:
+    # initial_grid(sigma_max, a) without building it: a slice holds the same
+    # candidates, bit for bit, so a huge grid is made a block at a time.
+    def __init__(self, sigma_max: float, a: int):
+        if not sigma_max > 0.0:
+            raise DomainError(f"sigma_max must be positive, got {sigma_max}")
+        if not _is_whole(a) or a < 1:
+            raise DomainError(f"grid size must be a positive integer, got {a}")
+        self.sigma_max, self.size = sigma_max, int(a)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        start, stop, _ = part.indices(self.size)
+        return self.sigma_max * (np.arange(start + 1, stop + 1, dtype=np.float64) / self.size)
 
 
 def refine_grid(sigma: float) -> np.ndarray:
@@ -356,27 +378,55 @@ def _slice_moments(arr: np.ndarray, ref: float | None) -> _Moments:
     return sums
 
 
-# Most voxel-candidate pairs scored in one broadcast of _best_candidate.
-_SCORE_BLOCK = 1 << 20
+# Most candidates scored at once by _best_candidate.
+_SCORE_BLOCK = 1 << 16
 
 
-def _best_candidate(grid, sum_m2, nonpadding, bounds):
-    # Candidates in blocks of at most _SCORE_BLOCK voxel-candidate pairs:
-    # a block broadcast along a new leading axis gives row i the same
-    # operations as a single call for grid[i]. argmax returns the first of
-    # tied maxima, and a later block wins only with a larger count, so the
-    # smallest candidate wins ties.
-    step = max(1, _SCORE_BLOCK // sum_m2.size)
-    best_count, best_sigma, best_mask = 0, None, None
-    for start in range(0, grid.size, step):
-        block = grid[start:start + step]
-        masks = _mask_from_sums(sum_m2, nonpadding,
-                                block.reshape((-1,) + (1,) * sum_m2.ndim), bounds)
-        counts = np.count_nonzero(masks.reshape(block.size, -1), axis=1)
+def _best_candidate(grid, sum_m2, nonpadding, ranked, bounds):
+    # ranked holds sum_m2[nonpadding], ascending. For a divisor d > 0,
+    # v / d never decreases as v grows, so a candidate's mask, s in
+    # [lambda-, lambda+], is the run of ranked between the values with
+    # s < lambda- and those past s <= lambda+ (a NaN s, inf / inf, fails
+    # both tests and sits at the end): its count is the run's length. The
+    # grid goes in blocks of at most _SCORE_BLOCK candidates; argmax returns
+    # the first of tied maxima, and a later block wins only with a larger
+    # count, so the smallest candidate wins ties. Only the winner's mask is
+    # built.
+    if ranked.size == 0:
+        return 0, None, None
+    best_count, best_sigma = 0, None
+    for start in range(0, len(grid), _SCORE_BLOCK):
+        block = grid[start:start + _SCORE_BLOCK]
+        d = 2.0 * block * block
+        counts = (_count_leading(ranked, d, np.less_equal, bounds.lambda_plus, "right")
+                  - _count_leading(ranked, d, np.less, bounds.lambda_minus, "left"))
         i = int(np.argmax(counts))
         if counts[i] > best_count:
-            best_count, best_sigma, best_mask = int(counts[i]), float(block[i]), masks[i].copy()
-    return best_count, best_sigma, best_mask
+            best_count, best_sigma = int(counts[i]), float(block[i])
+    if best_sigma is None:
+        return 0, None, None
+    return best_count, best_sigma, _mask_from_sums(sum_m2, nonpadding, best_sigma, bounds)
+
+
+def _count_leading(ranked, d, below, lam, side):
+    # Per divisor in d, how many leading values v of ranked pass
+    # below(v / d, lam), a test that holds on a prefix of ranked. The
+    # rounded lam * d only guesses that count: the guess stands when the
+    # value before it passes and the value at it fails, and a bisection on
+    # the same test settles each candidate where it does not.
+    n = ranked.size
+    k = np.searchsorted(ranked, lam * d, side)
+    right = ((k == 0) | below(ranked[np.maximum(k - 1, 0)] / d, lam)) & (
+        (k == n) | ~below(ranked[np.minimum(k, n - 1)] / d, lam))
+    if right.all():
+        return k
+    lo, hi = np.where(right, k, 0), np.where(right, k, n)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        passes = below(ranked[np.minimum(mid, n - 1)] / d, lam)
+        lo = np.where(open_ & passes, mid + 1, lo)
+        hi = np.where(open_ & ~passes, mid, hi)
+    return lo
 
 
 def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = None,
@@ -450,13 +500,14 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     # bit for bit here: sigma and N of a pass whose grid and bounds were
     # refined from them are positive and finite.
     nonpadding = sums.s2 > 0.0
-    if not np.any(nonpadding):
+    ranked = np.sort(sums.s2[nonpadding])
+    if ranked.size == 0:
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
 
     n_low, n_high = config.effective_n_bracket()
     ref = _log_ref(config, sigma_max)
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
-    grid = initial_grid(sigma_max, config.grid_size)
+    grid = _InitialGrid(sigma_max, config.grid_size)
 
     sigma_prev = None
     n_prev = None
@@ -469,7 +520,7 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     last_pass = config.max_outer_iters
 
     for iters in range(1, config.max_outer_iters + 1):
-        count, _, best_mask = _best_candidate(grid, sums.s2, nonpadding, bounds)
+        count, _, best_mask = _best_candidate(grid, sums.s2, nonpadding, ranked, bounds)
         if count == 0:
             raise NoNoiseVoxelsError(
                 f"slice {slice_index}: no candidate noise level identified any voxels"
@@ -558,7 +609,8 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     copying them). Then the volume is reduced once to per-voxel moments
     (see :func:`estimate_slice`), adding one volume at a time in a fixed
     order, and each slice along ``config.slice_axis`` is searched on its
-    own on its 2D view of those moments. Slices that fail (no
+    own on its 2D view of those moments, one slice after another on the
+    calling thread. Slices that fail (no
     identifiable noise voxels, degenerate samples) are reported with
     ``converged=False`` and zero estimates instead of aborting the
     volume.
@@ -573,8 +625,10 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     config : SearchConfig
         Search parameters.
     threads : int
-        Worker threads for the slice searches; results are identical for
-        any thread count.
+        At least 1. The search is serial whatever the count: it spends
+        its time in many small numpy calls that hold the interpreter
+        lock, so worker threads made it no faster. Results are identical
+        for any thread count.
 
     Returns
     -------
@@ -616,7 +670,4 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         except ChiSigmaError as exc:
             return _failed_slice(k, slice_shape, str(exc))
 
-    if threads == 1:
-        return [run_one(k) for k in range(n_slices)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, range(n_slices)))
+    return [run_one(k) for k in range(n_slices)]

@@ -414,12 +414,18 @@ class EstimateReport:
         return SearchConfig(**known)
 
 
-def build_report(estimates, config: SearchConfig, volume) -> EstimateReport:
-    """Assemble an EstimateReport from per-slice estimates."""
+def build_report(estimates, config: SearchConfig, volume,
+                 fingerprint: dict | None = None) -> EstimateReport:
+    """Assemble an EstimateReport from per-slice estimates.
+
+    ``fingerprint`` is ``volume_fingerprint(volume)`` when already
+    computed, for instance on another thread; by default it is computed
+    here.
+    """
     return EstimateReport(
         slices=[{f: getattr(est, f) for f in _SLICE_FIELDS} for est in estimates],
         config=asdict(config),
-        fingerprint=volume_fingerprint(volume),
+        fingerprint=volume_fingerprint(volume) if fingerprint is None else fingerprint,
     )
 
 

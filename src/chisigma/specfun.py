@@ -305,8 +305,10 @@ def inv_gamma_p(a: float, p: float) -> float:
         else:
             raise ConvergenceError(f"could not bracket inv_gamma_p(a={a}, p={p})")
 
-    for _ in range(_MAX_NEWTON_ITERS):
-        f = gamma_p(a, x) - p
+    # f already holds P(a, x) - p at the starting x.
+    for i in range(_MAX_NEWTON_ITERS):
+        if i:
+            f = gamma_p(a, x) - p
         if abs(f) <= 1e-12:
             return x
         if f > 0.0:

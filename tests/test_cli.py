@@ -5,12 +5,13 @@ import io as pyio
 import json
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from chisigma import identify, io, model
+from chisigma import cli, identify, io, model
 from chisigma.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from chisigma.identify import SearchConfig, SliceEstimate
 from chisigma.io import Volume4D, build_report, read_nifti, read_report, write_nifti
@@ -307,6 +308,46 @@ class TestEstimate:
         assert run(["estimate", str(out), "--threads", "2",
                     "--out-mask", str(tmp_path / "mask.nii")]) == EXIT_OK
         assert shapes == []
+
+
+    def test_thread_count_changes_no_output_byte(self, sim_paths, tmp_path, capsys):
+        # With two threads the fingerprint is hashed beside the search.
+        out, _ = sim_paths
+        written = []
+        for threads in ("1", "2"):
+            d = tmp_path / threads
+            d.mkdir()
+            assert run(["estimate", str(out), "--threads", threads,
+                        "--out-report", str(d / "report.json"),
+                        "--out-csv", str(d / "slices.csv"),
+                        "--out-mask", str(d / "mask.nii")]) == EXIT_OK
+            written.append([(d / name).read_bytes()
+                            for name in ("report.json", "slices.csv", "mask.nii")]
+                           + [capsys.readouterr().out])
+        assert written[0] == written[1]
+
+    def test_fingerprint_hashed_once_and_only_for_a_report(self, sim_paths, tmp_path,
+                                                            capsys, monkeypatch):
+        out, _ = sim_paths
+        hashed_on = []
+        real = io.volume_fingerprint
+
+        def spy(volume):
+            hashed_on.append(threading.get_ident())
+            return real(volume)
+
+        monkeypatch.setattr(cli, "volume_fingerprint", spy)
+        monkeypatch.setattr(io, "volume_fingerprint", spy)
+        csv = ["--out-csv", str(tmp_path / "slices.csv")]
+        for threads, outputs, helper in (("1", [], None), ("2", [], None),
+                                         ("1", csv, False), ("2", csv, True)):
+            hashed_on.clear()
+            assert run(["estimate", str(out), "--threads", threads, *outputs]) == EXIT_OK
+            if helper is None:
+                assert hashed_on == []
+            else:
+                assert len(hashed_on) == 1
+                assert (hashed_on[0] != threading.get_ident()) == helper
 
 
 class TestEvaluate:

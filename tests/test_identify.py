@@ -8,6 +8,7 @@ incomplete gamma.
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -565,7 +566,7 @@ class TestBestCandidate:
         nonpadding = sum_m2 > 0.0
         bounds = RejectionBounds(0.5, 2.0)
         for grid in (np.linspace(0.5, 6.0, 200), np.full(5, 2.0), refine_grid(3.0)):
-            got = _best_candidate(grid, sum_m2, nonpadding, bounds)
+            got = _best_candidate(grid, sum_m2, nonpadding, np.sort(sum_m2[nonpadding]), bounds)
             want = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
             assert got[:2] == want[:2]
             assert np.array_equal(got[2], want[2])
@@ -573,7 +574,7 @@ class TestBestCandidate:
     def test_no_voxel_identified(self):
         sum_m2 = np.full((3, 3), 1e6)
         got = _best_candidate(initial_grid(1.0, 10), sum_m2, sum_m2 > 0.0,
-                              RejectionBounds(0.5, 2.0))
+                              np.sort(sum_m2, axis=None), RejectionBounds(0.5, 2.0))
         assert got == (0, None, None)
 
     def test_blocks_match_one_broadcast(self, monkeypatch):
@@ -586,7 +587,8 @@ class TestBestCandidate:
             monkeypatch.setattr(identify, "_SCORE_BLOCK", block)
             for grid in (np.linspace(0.5, 6.0, 200), np.linspace(0.5, 6.0, 5),
                          np.linspace(0.5, 6.0, 6), np.full(5, 2.0), refine_grid(3.0)):
-                got = _best_candidate(grid, sum_m2, nonpadding, bounds)
+                got = _best_candidate(grid, sum_m2, nonpadding,
+                                      np.sort(sum_m2[nonpadding]), bounds)
                 want = broadcast_best_candidate(grid, sum_m2, nonpadding, bounds)
                 assert got[:2] == want[:2]
                 assert np.array_equal(got[2], want[2])
@@ -601,13 +603,109 @@ class TestBestCandidate:
         bounds = _bounds_for(1.0, 1.0, 5, 0.05)
         tracemalloc.start()
         try:
-            got = _best_candidate(grid, sum_m2, sum_m2 > 0.0, bounds)
+            got = _best_candidate(grid, sum_m2, sum_m2 > 0.0, np.sort(sum_m2, axis=None), bounds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < grid.size * sum_m2.size * 8 / 4
         want = loop_best_candidate(grid[::97], sum_m2, sum_m2 > 0.0, bounds)
         assert got[0] >= want[0] > 0
+
+    @given(seed=st.integers(0, 2**32 - 1), integer=st.booleans(),
+           scale=st.sampled_from([-300, 0, 300]), padding=st.sampled_from([0.0, 0.3, 1.0]),
+           lam_minus=st.floats(0.0, 8.0), width=st.floats(0.01, 20.0),
+           n_grid=st.integers(1, 40), edges=st.integers(0, 12),
+           block=st.sampled_from([1, 3, identify._SCORE_BLOCK]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_property_matches_references(self, seed, integer, scale, padding, lam_minus,
+                                         width, n_grid, edges, block):
+        # Sums on lambda * 2 sigma^2 of some candidate and one ulp either
+        # side, heavy ties (integer sums, with quarter-step bounds and
+        # half-step candidates that put the edges on integers), zero
+        # padding, a power-of-two scale that changes no quotient, and
+        # blocks that split tied candidates.
+        rng = np.random.default_rng(seed)
+        if integer:
+            sum_m2 = rng.integers(0, 60, (9, 8)).astype(np.float64)
+            grid = 0.5 * rng.integers(1, 9, n_grid)
+            lam_minus = round(4.0 * lam_minus) / 4.0
+            width = max(0.25, round(4.0 * width) / 4.0)
+        else:
+            sum_m2 = rng.uniform(0.0, 60.0, (9, 8))
+            grid = rng.uniform(0.5, 4.0, n_grid)
+        bounds = RejectionBounds(lam_minus, lam_minus + width)
+        flat = sum_m2.reshape(-1)
+        for j in range(edges):
+            cand = grid[rng.integers(n_grid)]
+            edge = (bounds.lambda_minus, bounds.lambda_plus)[j % 2] * (2.0 * cand * cand)
+            for value in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                flat[rng.integers(flat.size, size=rng.integers(1, 4))] = value
+        flat[rng.random(flat.size) < padding] = 0.0
+        sum_m2 *= 2.0 ** scale
+        grid = grid * 2.0 ** (scale // 2)
+        nonpadding = sum_m2 > 0.0
+        with mock.patch.object(identify, "_SCORE_BLOCK", block):
+            got = _best_candidate(grid, sum_m2, nonpadding, np.sort(sum_m2[nonpadding]),
+                                  bounds)
+        for ref in (loop_best_candidate, broadcast_best_candidate):
+            want = ref(grid, sum_m2, nonpadding, bounds)
+            assert got[:2] == want[:2]
+            assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
+
+    def test_rounded_threshold_misses_are_settled(self):
+        # A sum one ulp below the rounded lambda- * 2 sigma^2 that the
+        # exact test still counts, and one at the rounded lambda+ * 2 sigma^2
+        # that it rejects, each tied across many voxels: the count taken from
+        # the rounded product alone is off by the size of the tie.
+        rng = np.random.default_rng(69)
+        cases = {"minus": None, "plus": None}
+        while None in cases.values():
+            cand, lam = rng.uniform(0.5, 4.0), rng.uniform(0.1, 8.0)
+            d = 2.0 * cand * cand
+            below = np.nextafter(lam * d, 0.0)
+            if cases["minus"] is None and below / d >= lam:
+                cases["minus"] = cand, RejectionBounds(lam, 3.0 * lam), below
+            if cases["plus"] is None and (lam * d) / d > lam:
+                cases["plus"] = cand, RejectionBounds(lam / 3.0, lam), lam * d
+        for cand, bounds, tied in cases.values():
+            sum_m2 = np.full((6, 5), tied)
+            sum_m2[0] = rng.uniform(0.0, 2.0 * tied, 5)
+            nonpadding = sum_m2 > 0.0
+            ranked = np.sort(sum_m2[nonpadding])
+            grid = np.array([cand])
+            got = _best_candidate(grid, sum_m2, nonpadding, ranked, bounds)
+            want = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2])
+            d = 2.0 * cand * cand
+            rounded = (np.searchsorted(ranked, bounds.lambda_plus * d, "right")
+                       - np.searchsorted(ranked, bounds.lambda_minus * d, "left"))
+            assert abs(rounded - got[0]) >= 24
+
+    def test_initial_grid_slices_are_bit_equal(self):
+        for a in (1, 7, 1000, 65537):
+            whole = initial_grid(3.7, a)
+            lazy = identify._InitialGrid(3.7, a)
+            assert len(lazy) == a
+            parts = np.concatenate([lazy[i:i + 9] for i in range(0, a, 9)])
+            assert parts.tobytes() == whole.tobytes()
+
+    def test_huge_grid_memory_is_bounded(self):
+        # 10**7 candidates on a 24x24 slice: the grid alone would take 80 MB,
+        # and as many again to build; made and scored a block at a time, the
+        # search stays under a tenth of that.
+        rng = np.random.default_rng(70)
+        data = chi_slice(rng, 2.0, 1, (24, 24), 5)
+        config = SearchConfig(grid_size=10**7, max_outer_iters=2)
+        tracemalloc.start()
+        try:
+            est = estimate_slice(data, config, sigma_max=8.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7 * 8 / 10
+        assert est.n_identified > 0.8 * 24 * 24
+        assert est.sigma_g == pytest.approx(2.0, rel=0.2)
 
 
 def broadcast_best_candidate(grid, sum_m2, nonpadding, bounds):
@@ -633,7 +731,8 @@ def plain_passes(sums, n_volumes, config, sigma_max):
     grid = initial_grid(sigma_max, config.grid_size)
     sigma_prev = n_prev = None
     for _ in range(config.max_outer_iters):
-        count, _, mask = _best_candidate(grid, sums.s2, nonpadding, bounds)
+        count, _, mask = _best_candidate(grid, sums.s2, nonpadding,
+                                         np.sort(sums.s2[nonpadding]), bounds)
         k = count * n_volumes
         s2 = float(np.sum(sums.s2[mask]))
         sigma = model.sigma_from_moments(s2, float(np.sum(sums.s4[mask])), k)
@@ -717,3 +816,33 @@ class TestCycleSkip:
         for r, n in zip(results, passes):
             if r.converged:
                 assert n == r.outer_iters
+
+
+class TestBoundsCache:
+    def test_each_distinct_bounds_computed_once(self, cycling_phantom, monkeypatch):
+        # The first-pass bounds are the same for every slice, and a cycling
+        # search repeats its N; each distinct call is computed once.
+        calls = []
+        real = identify.inv_gamma_p
+
+        def spy(a, p):
+            calls.append((a, p))
+            return real(a, p)
+
+        monkeypatch.setattr(identify, "inv_gamma_p", spy)
+        config = SearchConfig(estimator="mle")
+        identify._bounds_for.cache_clear()
+        cached = estimate_volume(cycling_phantom, config)
+        info = identify._bounds_for.cache_info()
+        assert len(calls) == 1 + 2 * info.misses
+        assert info.hits >= cycling_phantom.dims[2] - 1
+        n_cached = len(calls)
+
+        calls.clear()
+        monkeypatch.setattr(identify, "_bounds_for", identify._bounds_for.__wrapped__)
+        plain = estimate_volume(cycling_phantom, config)
+        assert len(calls) == n_cached + 2 * info.hits
+        for c, p in zip(cached, plain):
+            assert (c.sigma_g, c.n_dof, c.outer_iters, c.converged) == (
+                p.sigma_g, p.n_dof, p.outer_iters, p.converged)
+            assert np.array_equal(c.mask, p.mask)

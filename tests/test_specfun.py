@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chisigma import specfun
 from chisigma.errors import ChiSigmaError, ConvergenceError, DomainError
 from chisigma.specfun import (
     EULER_GAMMA,
@@ -189,6 +190,23 @@ class TestInvGammaP:
         for bad_p in (0.0, 1.0, -0.2, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 inv_gamma_p(2.0, bad_p)
+
+    def test_evaluates_gamma_p_once_per_point(self, monkeypatch):
+        # The starting point's value serves both the bracket and the first
+        # Newton step.
+        points = []
+
+        def spy(a, x):
+            points.append(x)
+            return gamma_p(a, x)
+
+        monkeypatch.setattr(specfun, "gamma_p", spy)
+        for a in (0.3, 1.0, 5.0, 60.0, 780.0):
+            for p in (1e-6, 0.025, 0.5, 0.975):
+                points.clear()
+                x = inv_gamma_p(a, p)
+                assert len(points) == len(set(points)), (a, p, points)
+                assert abs(gamma_p(a, x) - p) <= 1e-10
 
     @pytest.mark.parametrize("a", [1e16, 1e20, 1e300])
     def test_huge_shape_is_a_typed_error(self, a):
