@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ChiSigmaError, ConfigError, NiftiError, SchemaError
-from .identify import AXIS_INDEX, SearchConfig, estimate_volume
+from .identify import AXIS_INDEX, ESTIMATORS, SearchConfig, estimate_volume
 from .io import (
     build_report,
     read_nifti,
@@ -116,30 +116,30 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# The --geometry and --profile keys, and the PhantomSpec value of each.
+_GEOMETRIES = {"uniform": "uniform_object", "spheres": "concentric_spheres"}
+_PROFILES = {"uniform": "uniform", "sphere": "sphere_ramp"}
+
+
 def _parse_dims(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"dims must be X,Y,Z - got {text!r}")
+    # PhantomSpec checks the count and the range.
     try:
-        dims = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"dims must be integers, got {text!r}")
-    return dims
 
 
 def cmd_simulate(args) -> int:
     """Generate a noisy synthetic dataset plus its ground-truth sidecar."""
     if not _is_whole(args.ncoils) or args.ncoils < 1:
         raise ConfigError(f"ncoils must be a positive integer, got {args.ncoils}")
-    geometry = {"uniform": "uniform_object", "spheres": "concentric_spheres"}[args.geometry]
-    profile = {"uniform": "uniform", "sphere": "sphere_ramp"}[args.profile]
     spec = PhantomSpec(
         dims=_parse_dims(args.dims),
         n_volumes=args.volumes,
-        geometry=geometry,
+        geometry=_GEOMETRIES[args.geometry],
         snr=args.snr,
         n_true=float(int(args.ncoils)),
-        profile=profile,
+        profile=_PROFILES[args.profile],
         tau_max=args.tau_max,
         seed=args.seed,
         b0_intensity=args.b0_mean,
@@ -188,20 +188,20 @@ def _build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="estimate sigma_g and N per slice")
     est.add_argument("input", help="input volume (.nii or .nii.gz)")
-    est.add_argument("--p", type=float, default=0.05,
-                     help="rejection probability level (default 0.05)")
-    est.add_argument("--grid", type=int, default=50,
-                     help="initial search grid size (default 50)")
-    est.add_argument("--nmin", type=float, default=1.0,
-                     help="lower bound on N (default 1)")
-    est.add_argument("--nmax", type=float, default=12.0,
-                     help="upper bound on N (default 12)")
-    est.add_argument("--estimator", choices=("moments", "mle"), default="moments",
-                     help="N estimator (default moments)")
-    est.add_argument("--fixed-n", dest="fixed_n", type=float, default=None,
+    est.add_argument("--p", type=float, default=SearchConfig.p,
+                     help="rejection probability level (default %(default)s)")
+    est.add_argument("--grid", type=int, default=SearchConfig.grid_size,
+                     help="initial search grid size (default %(default)s)")
+    est.add_argument("--nmin", type=float, default=SearchConfig.n_min,
+                     help="lower bound on N (default %(default)s)")
+    est.add_argument("--nmax", type=float, default=SearchConfig.n_max,
+                     help="upper bound on N (default %(default)s)")
+    est.add_argument("--estimator", choices=ESTIMATORS, default=SearchConfig.estimator,
+                     help="N estimator (default %(default)s)")
+    est.add_argument("--fixed-n", dest="fixed_n", type=float, default=SearchConfig.fixed_n,
                      help="pin N to this value and estimate only sigma_g")
-    est.add_argument("--axis", choices=("x", "y", "z"), default="z",
-                     help="slice axis (default z)")
+    est.add_argument("--axis", choices=tuple(AXIS_INDEX), default=SearchConfig.slice_axis,
+                     help="slice axis (default %(default)s)")
     est.add_argument("--out-report", dest="out_report", default=None,
                      help="write the JSON report here")
     est.add_argument("--out-mask", dest="out_mask", default=None,
@@ -214,22 +214,26 @@ def _build_parser() -> _Parser:
                           "the slices are searched")
 
     sim = sub.add_parser("simulate", help="generate a noisy synthetic dataset")
-    sim.add_argument("--dims", default="64,64,50", help="X,Y,Z (default 64,64,50)")
-    sim.add_argument("--volumes", type=int, default=65,
-                     help="number of volumes (default 65)")
-    sim.add_argument("--snr", type=float, default=30.0,
-                     help="reference-volume SNR (default 30)")
-    sim.add_argument("--ncoils", type=float, default=4,
-                     help="true N, a positive integer (default 4)")
-    sim.add_argument("--geometry", choices=("uniform", "spheres"), default="uniform",
-                     help="object geometry (default uniform)")
-    sim.add_argument("--profile", choices=("uniform", "sphere"), default="uniform",
-                     help="noise profile (default uniform)")
-    sim.add_argument("--tau-max", dest="tau_max", type=float, default=1.75,
-                     help="noise modulation at the volume edge (default 1.75)")
-    sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sim.add_argument("--b0-mean", dest="b0_mean", type=float, default=5130.0,
-                     help="object mean of the reference volume (default 5130)")
+    sim.add_argument("--dims", default=",".join(map(str, PhantomSpec.dims)),
+                     help="X,Y,Z (default %(default)s)")
+    sim.add_argument("--volumes", type=int, default=PhantomSpec.n_volumes,
+                     help="number of volumes (default %(default)s)")
+    sim.add_argument("--snr", type=float, default=PhantomSpec.snr,
+                     help="reference-volume SNR (default %(default)s)")
+    sim.add_argument("--ncoils", type=float, default=PhantomSpec.n_true,
+                     help="true N, a positive integer (default %(default)s)")
+    sim.add_argument("--geometry", choices=tuple(_GEOMETRIES),
+                     default={v: k for k, v in _GEOMETRIES.items()}[PhantomSpec.geometry],
+                     help="object geometry (default %(default)s)")
+    sim.add_argument("--profile", choices=tuple(_PROFILES),
+                     default={v: k for k, v in _PROFILES.items()}[PhantomSpec.profile],
+                     help="noise profile (default %(default)s)")
+    sim.add_argument("--tau-max", dest="tau_max", type=float, default=PhantomSpec.tau_max,
+                     help="noise modulation at the volume edge (default %(default)s)")
+    sim.add_argument("--seed", type=int, default=PhantomSpec.seed,
+                     help="RNG seed (default %(default)s)")
+    sim.add_argument("--b0-mean", dest="b0_mean", type=float, default=PhantomSpec.b0_intensity,
+                     help="object mean of the reference volume (default %(default)s)")
     sim.add_argument("--out", required=True, help="output volume path")
     sim.add_argument("--truth", default=None, help="ground-truth JSON path")
 

@@ -63,6 +63,8 @@ __all__ = [
 
 # Spatial axis of a (X, Y, Z, V) array for each slice-axis name.
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# How N is re-estimated each pass: method of moments or maximum likelihood.
+ESTIMATORS = ("moments", "mle")
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,8 @@ class SearchConfig:
             raise ConfigError(
                 f"n_min must not exceed n_max, got [{self.n_min}, {self.n_max}]"
             )
-        if self.estimator not in ("moments", "mle"):
-            raise ConfigError(f"estimator must be 'moments' or 'mle', got {self.estimator!r}")
+        if self.estimator not in ESTIMATORS:
+            raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if not _is_whole(self.max_outer_iters) or self.max_outer_iters < 1:
             raise ConfigError(
                 f"max_outer_iters must be an integer >= 1, got {self.max_outer_iters}"
@@ -126,7 +128,8 @@ class SearchConfig:
         if not self.rel_tol > 0.0:
             raise ConfigError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.slice_axis not in AXIS_INDEX:
-            raise ConfigError(f"slice_axis must be one of x, y, z, got {self.slice_axis!r}")
+            raise ConfigError(f"slice_axis must be one of {', '.join(AXIS_INDEX)}, "
+                              f"got {self.slice_axis!r}")
         object.__setattr__(self, "grid_size", int(self.grid_size))
         object.__setattr__(self, "max_outer_iters", int(self.max_outer_iters))
 
@@ -511,31 +514,26 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
 
     sigma_prev = None
     n_prev = None
-    sigma = 0.0
-    n_dof = 0.0
-    mask = np.zeros(sums.s2.shape, dtype=bool)
     converged = False
-    iters = 0
     first_pass = {}  # the first pass that returned each (sigma, N)
     last_pass = config.max_outer_iters
 
     for iters in range(1, config.max_outer_iters + 1):
-        count, _, best_mask = _best_candidate(grid, sums.s2, nonpadding, ranked, bounds)
+        count, _, mask = _best_candidate(grid, sums.s2, nonpadding, ranked, bounds)
         if count == 0:
             raise NoNoiseVoxelsError(
                 f"slice {slice_index}: no candidate noise level identified any voxels"
             )
         k = count * n_volumes
-        s2 = float(np.sum(sums.s2[best_mask]))
-        sigma = sigma_from_moments(s2, float(np.sum(sums.s4[best_mask])), k)
+        s2 = float(np.sum(sums.s2[mask]))
+        sigma = sigma_from_moments(s2, float(np.sum(sums.s4[mask])), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
         elif ref is not None:
-            n_dof = n_from_log_moments(float(np.sum(sums.log[best_mask])), k,
-                                       int(np.sum(sums.zeros[best_mask])), sigma, ref)
+            n_dof = n_from_log_moments(float(np.sum(sums.log[mask])), k,
+                                       int(np.sum(sums.zeros[mask])), sigma, ref)
         else:
             n_dof = n_from_moments(s2, k, sigma)
-        mask = best_mask
 
         if sigma_prev is not None:
             d_sigma = abs(sigma - sigma_prev) / sigma_prev
@@ -546,11 +544,11 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
         first = first_pass.setdefault((sigma, n_dof), iters)
         if first < iters:
             last_pass = iters + (config.max_outer_iters - iters) % (iters - first)
+        if iters == last_pass:
+            break
         sigma_prev, n_prev = sigma, n_dof
         grid = refine_grid(sigma)
         bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
-        if iters == last_pass:
-            break
 
     return SliceEstimate(
         slice_index=slice_index,
@@ -574,12 +572,6 @@ def _failed_slice(index: int, shape, message: str) -> SliceEstimate:
         converged=False,
         error=message,
     )
-
-
-def _slice_view(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = index
-    return arr[tuple(sl)]
 
 
 # Voxels per block of the volume reduction: the block's sums and
@@ -659,12 +651,14 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
             for k in range(n_slices)
         ]
 
-    # The moments are (Z, Y, X); their transposes index as (X, Y, Z).
+    # The moments are (Z, Y, X), and are sliced along their own axes: np.take
+    # would first copy a transposed array whole.
     sums = _volume_moments(data, _log_ref(config, sigma_max))
 
     def run_one(k: int) -> SliceEstimate:
-        # A C-ordered copy runs the search faster than the strided view.
-        part = sums.map(lambda a: np.ascontiguousarray(_slice_view(a.T, axis, k)))
+        # The slice in (X, Y, Z) order, copied C-ordered: the search runs
+        # faster on it than on a strided view.
+        part = sums.map(lambda a: np.take(a, k, axis=2 - axis).T.copy())
         try:
             return _search_slice(part, data.dims[3], config, sigma_max, k)
         except ChiSigmaError as exc:

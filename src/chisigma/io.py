@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NiftiError, SchemaError
 from .identify import SearchConfig
-from .model import Volume4D, VolumeStream
+from .model import _STORED_TYPES, Volume4D, VolumeStream
 
 __all__ = [
     "Volume4D",
@@ -44,7 +44,6 @@ __all__ = [
 
 _HEADER_SIZE = 348
 _MAX_AXIS = 512
-_DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
 _GZIP_MAGIC = b"\x1f\x8b"
 # Deflate, no flags, mtime 0, maximum compression, unknown OS.
 _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
@@ -75,14 +74,6 @@ def _open_for_read(path):
     if head == _GZIP_MAGIC:
         return gzip.open(path, "rb")
     return open(path, "rb")
-
-
-def _read_exact(f, n, path, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise NiftiError(f"{path}: truncated file while reading {what} "
-                         f"({len(buf)} of {n} bytes)")
-    return buf
 
 
 def _read_into(f, arr, path, what):
@@ -127,15 +118,18 @@ def read_nifti(path) -> Volume4D:
     NiftiError
         On truncated or malformed headers (including a vox_offset that
         is not a finite byte offset), unsupported datatypes or
-        dimensionality, axes beyond the 512-voxel guard, or voxel values
-        that are NaN or infinite after scaling.
+        dimensionality, axes beyond the 512-voxel guard, dims that need
+        more voxel data than the file can hold (checked before any
+        allocation; a gzip file holds at most 1032 times its size), or
+        voxel values that are NaN or infinite after scaling.
     """
     try:
         f = _open_for_read(path)
     except OSError as exc:
         raise NiftiError(f"{path}: {exc}") from exc
     with f:
-        hdr = _read_exact(f, _HEADER_SIZE, path, "header")
+        hdr = bytearray(_HEADER_SIZE)
+        _read_into(f, hdr, path, "header")
         (sizeof_hdr,) = struct.unpack("<i", hdr[:4])
         if sizeof_hdr == _HEADER_SIZE:
             bo = "<"
@@ -143,7 +137,7 @@ def read_nifti(path) -> Volume4D:
             bo = ">"
         else:
             raise NiftiError(f"{path}: not a NIfTI-1 file (sizeof_hdr={sizeof_hdr})")
-        magic = hdr[344:348]
+        magic = bytes(hdr[344:348])
         if magic not in (b"n+1\x00", b"ni1\x00"):
             raise NiftiError(f"{path}: bad magic {magic!r}")
 
@@ -158,9 +152,9 @@ def read_nifti(path) -> Volume4D:
             raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {shape}")
 
         (datatype, bitpix) = struct.unpack(bo + "2h", hdr[70:74])
-        if datatype not in _DTYPES:
+        if datatype not in _STORED_TYPES:
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
-        dt = np.dtype(_DTYPES[datatype]).newbyteorder("<")
+        dt = np.dtype(_STORED_TYPES[datatype]).newbyteorder("<")
         if bitpix != 8 * dt.itemsize:
             raise NiftiError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
 
@@ -190,11 +184,17 @@ def read_nifti(path) -> Volume4D:
             data_path = img_path
 
         x, y, z = shape[:3]
-        stored = np.empty((shape[3] if ndim == 4 else 1, z, y, x), dtype=dt)
         lo = np.inf
         with source:
-            # Forward, by reading, on a gzip stream; past the end of a plain
-            # file, the first volume's read comes up short.
+            # Checked before anything is allocated: deflate expands at most 1032-fold.
+            room = os.fstat(source.fileno()).st_size * (
+                1032 if isinstance(source, gzip.GzipFile) else 1) - offset
+            need = math.prod(shape) * dt.itemsize
+            if need > room:
+                raise NiftiError(f"{data_path}: truncated file: dims {shape} need {need} "
+                                 f"bytes of voxel data, at most {max(room, 0)} fit")
+            stored = np.empty((shape[3] if ndim == 4 else 1, z, y, x), dtype=dt)
+            # Forward, by reading, on a gzip stream.
             source.seek(offset)
             for block in stored:
                 _read_into(source, block, data_path, "voxel data")

@@ -68,8 +68,8 @@ def _spacing(spacing) -> tuple:
     return tuple(float(s) for s in spacing)
 
 
-# Stored dtypes, as kind and item size; other input is kept as float64.
-_STORED_TYPES = ("u1", "i2", "i4", "f4", "f8")
+# Stored dtypes by NIfTI-1 datatype code; other input is kept as float64.
+_STORED_TYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
 
 
 class Volume4D:
@@ -104,7 +104,7 @@ class Volume4D:
 
     def __init__(self, voxels, spacing=(1.0, 1.0, 1.0)):
         arr = np.asarray(voxels)
-        if f"{arr.dtype.kind}{arr.dtype.itemsize}" not in _STORED_TYPES:
+        if f"{arr.dtype.kind}{arr.dtype.itemsize}" not in _STORED_TYPES.values():
             arr = arr.astype(np.float64)
         if arr.ndim == 3:
             arr = arr[..., np.newaxis]

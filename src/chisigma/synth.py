@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, SchemaError
-from .identify import AXIS_INDEX
+from .identify import AXIS_INDEX, SearchConfig
 from .model import Volume4D, VolumeStream, _is_whole
 
 __all__ = [
@@ -130,23 +130,21 @@ def _radius_grid(dims) -> np.ndarray:
 
 
 def _object_radius(dims) -> float:
-    return 0.8 * (min(dims) / 2.0 - 1.0)
+    r_obj = 0.8 * (min(dims) / 2.0 - 1.0)
+    if r_obj < 2.0:
+        raise ConfigError(f"dims {dims} are too small to hold the object")
+    return r_obj
 
 
 def object_mask(spec: PhantomSpec) -> np.ndarray:
     """Boolean grid marking the phantom object (True) vs background."""
-    r_obj = _object_radius(spec.dims)
-    if r_obj < 2.0:
-        raise ConfigError(f"dims {spec.dims} are too small to hold the object")
-    return _radius_grid(spec.dims) <= r_obj
+    return _radius_grid(spec.dims) <= _object_radius(spec.dims)
 
 
 def _reference(spec: PhantomSpec) -> np.ndarray:
     # The noiseless reference volume b0, (X, Y, Z).
     r = _radius_grid(spec.dims)
     r_obj = _object_radius(spec.dims)
-    if r_obj < 2.0:
-        raise ConfigError(f"dims {spec.dims} are too small to hold the object")
     inside = r <= r_obj
 
     b0 = np.zeros(spec.dims, dtype=np.float64)
@@ -377,10 +375,11 @@ def evaluate_report(report, truth: dict) -> EvalReport:
         raise SchemaError(
             f"report volume dims {rep_dims} do not match ground truth {dims}"
         )
-    axis_name = report.config.get("slice_axis", "z")
+    axis_name = report.config.get("slice_axis", SearchConfig.slice_axis)
     axis = AXIS_INDEX.get(axis_name) if isinstance(axis_name, str) else None
     if axis is None:
-        raise SchemaError(f"report slice_axis must be one of x, y, z, got {axis_name!r}")
+        raise SchemaError(f"report slice_axis must be one of {', '.join(AXIS_INDEX)}, "
+                          f"got {axis_name!r}")
     n_slices = spec.dims[axis]
     background = ~object_mask(spec)
     sigma_map = build_tau(spec.dims, spec.profile, spec.tau_max) * sigma_g
@@ -396,13 +395,11 @@ def evaluate_report(report, truth: dict) -> EvalReport:
         if rec["n_identified"] <= 0 or rec["sigma_g"] <= 0.0:
             skipped.append(k)
             continue
-        sl = [slice(None)] * 3
-        sl[axis] = k
-        bg = background[tuple(sl)]
+        bg = np.take(background, k, axis=axis)
         if not np.any(bg):
             skipped.append(k)
             continue
-        sigma_true = float(np.mean(sigma_map[tuple(sl)][bg]))
+        sigma_true = float(np.mean(np.take(sigma_map, k, axis=axis)[bg]))
         per_slice.append({
             "slice_index": k,
             "pct_error_sigma": 100.0 * (rec["sigma_g"] - sigma_true) / sigma_true,

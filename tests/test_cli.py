@@ -100,6 +100,20 @@ class TestExitCodes:
             assert run(["estimate", str(vol)]) == EXIT_IO
             assert "vox_offset" in capsys.readouterr().err
 
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, capsys):
+        # 512 x 512 x 512 x 512 float64 is 512 GiB; the file is 416 bytes.
+        path = tmp_path / "big.nii"
+        write_nifti(Volume4D(voxels=np.ones((4, 4, 1, 1))), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<5h", raw, 40, 4, 512, 512, 512, 512)
+        struct.pack_into("<2h", raw, 70, 64, 64)
+        path.write_bytes(bytes(raw))
+        assert len(raw) == 416
+        assert run(["estimate", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated file" in err
+        assert "Traceback" not in err
+
     def test_all_slices_failed(self, tmp_path, capsys):
         # A constant volume identifies voxels but yields degenerate
         # samples on every slice.
@@ -447,3 +461,40 @@ class TestEvaluate:
         ev = evaluate_report(report, truth)
         for r in ev.per_slice:
             assert r["pct_error_sigma"] == pytest.approx(10.0, abs=1e-9)
+
+
+class TestDefaultsFromLibrary:
+    def test_estimate_config_is_the_library_default(self, monkeypatch):
+        seen = []
+
+        def capture(volume, config, threads):
+            seen.append(config)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "read_nifti", lambda path: None)
+        monkeypatch.setattr(cli, "estimate_volume", capture)
+        with pytest.raises(_Stop):
+            run(["estimate", "in.nii"])
+        assert seen == [SearchConfig()]
+
+    def test_simulate_spec_is_the_library_default(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(spec):
+            seen.append(spec)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "simulate_stream", capture)
+        with pytest.raises(_Stop):
+            run(["simulate", "--out", str(tmp_path / "sim.nii.gz")])
+        assert seen == [PhantomSpec()]
+
+    def test_choices_are_the_library_vocabularies(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        flags = {a.dest: a for a in sub.choices["estimate"]._actions}
+        assert flags["axis"].choices == tuple(identify.AXIS_INDEX)
+        assert flags["estimator"].choices == identify.ESTIMATORS
+
+
+class _Stop(Exception):
+    """Raised by a stand-in to end a command once its input is captured."""

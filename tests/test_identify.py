@@ -846,3 +846,42 @@ class TestBoundsCache:
             assert (c.sigma_g, c.n_dof, c.outer_iters, c.converged) == (
                 p.sigma_g, p.n_dof, p.outer_iters, p.converged)
             assert np.array_equal(c.mask, p.mask)
+
+
+class TestPostCapWork:
+    def test_last_pass_prepares_no_next_pass(self, cycling_phantom, monkeypatch):
+        # The pass a search returns builds no grid or bounds for a pass
+        # that never runs.
+        config = SearchConfig(max_outer_iters=1)
+        part, n_vol, sigma_max, k = next(slice_searches(cycling_phantom, config))
+        bounds_calls, grid_calls = [], []
+        real_bounds, real_grid = identify._bounds_for, identify.refine_grid
+        monkeypatch.setattr(identify, "_bounds_for",
+                            lambda *a: bounds_calls.append(a) or real_bounds(*a))
+        monkeypatch.setattr(identify, "refine_grid",
+                            lambda s: grid_calls.append(s) or real_grid(s))
+        got = identify._search_slice(part, n_vol, config, sigma_max, k)
+        assert (got.outer_iters, got.converged) == (1, False)
+        assert len(bounds_calls) == 1 and grid_calls == []
+
+    def test_capped_pass_is_reported_when_next_bounds_would_fail(self, cycling_phantom,
+                                                                 monkeypatch):
+        # Bounds for a pass past the cap are never computed, so they cannot
+        # fail the slice: it reports its last pass.
+        config = SearchConfig(max_outer_iters=3)
+        part, n_vol, sigma_max, k = next(slice_searches(cycling_phantom, config))
+        expected = list(plain_passes(part, n_vol, config, sigma_max))
+        assert len(expected) == 3 and not expected[-1][3]
+        real_bounds, calls = identify._bounds_for, []
+
+        def bounds_failing_after_cap(*args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise DomainError("no usable bounds")
+            return real_bounds(*args)
+
+        monkeypatch.setattr(identify, "_bounds_for", bounds_failing_after_cap)
+        got = identify._search_slice(part, n_vol, config, sigma_max, k)
+        sigma, n_dof, mask, _ = expected[-1]
+        assert (got.sigma_g, got.n_dof, got.outer_iters) == (sigma, n_dof, 3)
+        assert np.array_equal(got.mask, mask)

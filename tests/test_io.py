@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chisigma.errors import DomainError, NiftiError, SchemaError
 from chisigma.identify import (
@@ -742,3 +744,73 @@ class TestHdrImgPair:
         (tmp_path / "lone.hdr").write_bytes(full[:348])
         with pytest.raises(NiftiError):
             read_nifti(tmp_path / "lone.hdr")
+
+
+class TestOversizedHeader:
+    @pytest.mark.parametrize("layout", ["nii", "nii.gz", "pair"])
+    def test_claim_beyond_file_raises_before_allocating(self, tmp_path, layout):
+        # 512 x 512 x 64 x 2 float64 is 256 MiB; the file holds 64 bytes.
+        path = write_layout(tmp_path, layout, (512, 512, 64, 2), 64, b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NiftiError, match="truncated file"):
+                read_nifti(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_most_compressible_gzip_still_reads(self, tmp_path):
+        # All zeros deflate close to the 1032-fold limit the check allows.
+        path = tmp_path / "zeros.nii.gz"
+        write_nifti(Volume4D(voxels=np.zeros((64, 64, 64, 2), dtype=np.float32)), path)
+        assert read_nifti(path).dims == (64, 64, 64, 2)
+
+
+_INT16 = st.integers(-(1 << 15), (1 << 15) - 1)
+_FLOAT32 = st.floats(width=32)
+
+
+def _fields(valid, fmt):
+    # A header field: drawn from a readable value's branch or from anything
+    # its struct format can hold, so that the parser is reached at depth.
+    anything = st.tuples(*([_INT16] if fmt == "h" else [_FLOAT32]) * len(valid[0]))
+    return st.one_of(st.sampled_from(valid), anything)
+
+
+@st.composite
+def nifti_headers(draw):
+    """Any 348-byte NIfTI-1 header: dims, datatype, bitpix, offset, scaling, magic."""
+    endian = draw(st.sampled_from("<>"))
+    hdr = bytearray(348)
+    struct.pack_into(endian + "i", hdr, 0, 348)
+    small = st.tuples(st.sampled_from([3, 4]), *[st.integers(1, 2)] * 7)
+    dim = draw(st.one_of(small, st.tuples(*[_INT16] * 8)))
+    struct.pack_into(endian + "8h", hdr, 40, *dim)
+    types = [(2, 8), (4, 16), (8, 32), (16, 32), (64, 64)]
+    struct.pack_into(endian + "2h", hdr, 70, *draw(_fields(types, "h")))
+    struct.pack_into(endian + "8f", hdr, 76, *draw(_fields([(1.0,) * 8], "f")))
+    struct.pack_into(endian + "3f", hdr, 108, *draw(st.tuples(
+        st.one_of(st.sampled_from([348.0, 352.0]), _FLOAT32),
+        st.one_of(st.sampled_from([0.0, 1.0, -1.0]), _FLOAT32),
+        st.one_of(st.sampled_from([0.0, -1.0]), _FLOAT32))))
+    hdr[344:348] = draw(st.one_of(st.just(b"n+1\x00"), st.binary(min_size=4, max_size=4)))
+    return bytes(hdr)
+
+
+class TestHeaderFuzz:
+    @given(nifti_headers(), st.binary(max_size=160))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_header_reads_or_raises_nifti_error(self, tmp_path, header, payload):
+        raw = header + payload
+        for name, data in (("f.nii", raw), ("f.nii.gz", gzip.compress(raw, mtime=0))):
+            path = tmp_path / name
+            path.write_bytes(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    vol = read_nifti(path)
+                except NiftiError:
+                    continue
+            assert isinstance(vol, Volume4D)
