@@ -199,17 +199,20 @@ def sigma_upper_bound(data, n_max: float) -> float:
     among the *stored* values, then mapped to the signal and averaged in
     float64. The map to the signal is monotone (for either sign of the
     slope, and with the clamp at zero), so this is bit-equal to
-    ``np.median`` of the float64 signal, which is never built.
+    ``np.median`` of the float64 signal, which is never built. The
+    selection takes one pass over the stored values: for a file-backed
+    volume, one read of its file.
     """
     if isinstance(data, Volume4D):
-        arr, to_signal = data.stored, data.to_signal
+        to_signal, size = data.to_signal, math.prod(data.dims)
     else:
-        arr, to_signal = np.asarray(data, dtype=np.float64), None
-    if arr.size == 0:
+        data = np.asarray(data, dtype=np.float64)
+        to_signal, size = None, data.size
+    if size == 0:
         raise DegenerateDataError("cannot bound sigma on empty data")
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
-    med = _median(arr, to_signal)
+    med = _median(data, to_signal)
     if np.isnan(med):
         raise DomainError("sample values must be finite")
     if med <= 0.0:
@@ -219,50 +222,103 @@ def sigma_upper_bound(data, n_max: float) -> float:
 
 _MEDIAN_SAMPLE = 1 << 16
 _MEDIAN_CHUNK = 1 << 20
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _median(arr: np.ndarray, to_signal=None) -> float:
-    # np.median(to_signal(arr)), bit for bit, for a monotone to_signal that
-    # returns float64: the mean of the one or two middle values, mapped.
-    # The middle ranks of an even size are symmetric, so a decreasing map
-    # only swaps the two, and the sum does not depend on their order.
-    middle = _middle_values(arr)
+def _median_sample(groups, n: int) -> np.ndarray:
+    # The sorted sample whose order statistics bracket the median of the n
+    # values of ``groups`` (consecutive blocks, each valid only until the
+    # next is taken): all of them up to 2 * _MEDIAN_SAMPLE values, else the
+    # values at the _MEDIAN_SAMPLE positions n * frac(i * golden ratio). A
+    # stride can line up with the voxel grid (120 over rows of 64 voxels
+    # samples every 8th column) and bias the bracket until it misses the
+    # median; this sequence is evenly spread modulo any period.
+    positions = None
+    if n > 2 * _MEDIAN_SAMPLE:
+        at = np.arange(1.0, _MEDIAN_SAMPLE + 1.0) * _GOLDEN
+        at -= np.floor(at)
+        at *= n
+        positions = np.minimum(at.astype(np.int64), n - 1)
+        positions.sort()
+    parts, start = [], 0
+    for group in groups:
+        flat = group.reshape(-1)
+        if positions is None:
+            parts.append(flat.copy())
+        else:
+            a, b = np.searchsorted(positions, (start, start + flat.size))
+            parts.append(flat[positions[a:b] - start])
+        start += flat.size
+    sample = np.concatenate(parts)
+    sample.sort()
+    return sample
+
+
+def _median(data, to_signal=None) -> float:
+    # np.median(to_signal(values)), bit for bit, for a monotone to_signal
+    # that returns float64: the mean of the one or two middle values,
+    # mapped. The middle ranks of an even size are symmetric, so a
+    # decreasing map only swaps the two, and the sum does not depend on
+    # their order. ``data`` is an array or a Volume4D's stored values.
+    middle = _middle_values(data)
     return float(np.mean(middle if to_signal is None else to_signal(middle)))
 
 
-def _middle_values(arr: np.ndarray) -> np.ndarray:
-    # The middle order statistic (odd size) or two (even size) of arr, in
-    # its dtype, without copying or partitioning the whole array
-    # (Floyd-Rivest selection); only a non-contiguous view is flattened
-    # into a copy. Two pivots taken from a sorted strided sample bracket
-    # the middle ranks; one chunked pass counts the values below the
-    # bracket and extracts those inside it, and only that small set is
-    # partitioned. A NaN compares with neither pivot, so any NaN lands in
-    # the bracket and makes the result NaN, as in np.median. If the
-    # bracket misses the middle ranks, a copy of the whole is partitioned.
-    flat = arr.reshape(-1)
-    n = flat.size
+def _middle_values(data) -> np.ndarray:
+    # The middle order statistic (odd size) or two (even size) of an array
+    # or of a Volume4D's stored values, in their dtype, without copying or
+    # partitioning the whole (Floyd-Rivest selection). Two pivots taken
+    # from the sorted sample of _median_sample (for a volume that
+    # read_nifti built, the one it took while checking) bracket the middle
+    # ranks; one chunked pass over the values (for a file-backed volume,
+    # one read of the file) counts those below the bracket and extracts
+    # those inside it, and only that small set is partitioned. A NaN
+    # compares with neither pivot, so any NaN lands in the bracket and
+    # makes the result NaN, as in np.median. If the bracket misses the
+    # middle ranks, a copy of the whole is partitioned. A sample of every
+    # value is the whole, sorted, and needs no pass.
+    if isinstance(data, Volume4D):
+        n, groups = math.prod(data.dims), data._groups
+        sample = data._sample
+    else:
+        flat = data.reshape(-1)
+        n, groups = flat.size, lambda: (flat,)
+        sample = None
+    if sample is None:
+        sample = _median_sample(groups(), n)
     k = [(n - 1) // 2, n // 2]
-    sample = np.sort(flat[:: max(1, n // _MEDIAN_SAMPLE)])
+    if sample.size == n:
+        # NaNs sort last.
+        if sample.dtype.kind == "f" and np.isnan(sample[-1]):
+            return np.array([np.nan])
+        return sample[k[0]:k[1] + 1]
     m = sample.size
     delta = 3.0 * np.sqrt(m) + 1.0
     lo = sample[max(0, int((m - 1) * k[0] / n - delta))]
     hi = sample[min(m - 1, int((m - 1) * k[1] / n + delta) + 1)]
     n_below = 0
     inside = []
-    for start in range(0, n, _MEDIAN_CHUNK):
-        chunk = flat[start:start + _MEDIAN_CHUNK]
-        below = chunk < lo
-        above = chunk > hi
-        n_below += int(np.count_nonzero(below))
-        inside.append(chunk[~(below | above)])
+    below = above = None
+    for group in groups():
+        flat = group.reshape(-1)
+        if below is None:
+            # One pair of mask buffers serves the whole pass.
+            below, above = (np.empty(min(flat.size, _MEDIAN_CHUNK), bool) for _ in "ab")
+        for start in range(0, flat.size, _MEDIAN_CHUNK):
+            chunk = flat[start:start + _MEDIAN_CHUNK]
+            lt = np.less(chunk, lo, out=below[:chunk.size])
+            keep = np.greater(chunk, hi, out=above[:chunk.size])
+            n_below += int(np.count_nonzero(lt))
+            np.logical_not(np.logical_or(lt, keep, out=keep), out=keep)
+            inside.append(chunk[keep])
     mid = np.concatenate(inside)
     if mid.dtype.kind == "f" and np.isnan(mid).any():
         return np.array([np.nan])
     j = [k[0] - n_below, k[1] - n_below]
     if j[0] < 0 or j[1] >= mid.size:
-        mid, j = flat, k
-    return np.partition(mid, j)[j[0]:j[1] + 1]
+        mid, j = np.concatenate([g.reshape(-1).copy() for g in groups()]), k
+    mid.partition(j)
+    return mid[j[0]:j[1] + 1]
 
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
@@ -316,17 +372,20 @@ class _Moments:
                         None if self.zeros is None else fn(self.zeros))
 
 
-def _accumulate(into: _Moments, volumes, ref: float | None) -> None:
+def _accumulate(into: _Moments, volumes, ref: float | None, scratch=None) -> None:
     # Adds each float64 volume of ``volumes`` to the sums of ``into``, one
     # volume at a time and in the order given, so that a voxel's sums do
     # not depend on how the voxels are split into blocks or threads.
-    # Zero samples leave log(m^2 / ref) out of the sum.
+    # Zero samples leave log(m^2 / ref) out of the sum. ``scratch`` holds
+    # a float64, a float64 and a bool buffer of the sums' shape for the
+    # temporaries; by default each volume allocates its own.
+    m2_buf, t_buf, pos_buf = scratch or (None, None, None)
     for m in volumes:
-        m2 = m * m
+        m2 = np.multiply(m, m, out=m2_buf)
         into.s2 += m2
         if ref is not None:
-            pos = m > 0.0
-            t = m2 / ref
+            pos = np.greater(m, 0.0, out=pos_buf)
+            t = np.divide(m2, ref, out=t_buf)
             np.log(t, out=t, where=pos)
             into.log += t
             into.zeros += np.logical_not(pos, out=pos)
@@ -580,16 +639,24 @@ _BLOCK_VOXELS = 1 << 15
 
 
 def _volume_moments(vol: Volume4D, ref: float | None) -> _Moments:
-    # Per-voxel moments of the whole volume, shape (Z, Y, X), built block
-    # by block of z-planes, each block adding the signal of one volume at
-    # a time. (Threads do not speed this up: it is bound by memory.)
-    n_vol, n_z, n_y, n_x = vol.stored.shape
+    # Per-voxel moments of the whole volume, shape (Z, Y, X). Each group of
+    # volumes that vol._groups() yields (all of them for a volume in memory)
+    # is added block by block of z-planes, each block adding the signal of
+    # one volume at a time, so every voxel sees the volumes in file order.
+    # The block's temporaries reuse buffers allocated once per call. (Threads
+    # do not speed this up: it is bound by memory.)
+    n_z, n_y, n_x = vol.dims[2::-1]
     sums = _Moments.of_shape((n_z, n_y, n_x), ref is not None)
-    step = max(1, _BLOCK_VOXELS // (n_y * n_x))
-    for z0 in range(0, n_z, step):
-        z = slice(z0, z0 + step)
-        _accumulate(sums.map(lambda a: a[z]),
-                    (vol.to_signal(vol.stored[v, z]) for v in range(n_vol)), ref)
+    step = min(n_z, max(1, _BLOCK_VOXELS // (n_y * n_x)))
+    buffers = (np.empty(step * n_y * n_x), np.empty(step * n_y * n_x),
+               np.empty(step * n_y * n_x), np.empty(step * n_y * n_x, bool))
+    for group in vol._groups():
+        for z0 in range(0, n_z, step):
+            z = slice(z0, z0 + step)
+            shape = (min(step, n_z - z0), n_y, n_x)
+            signal, *scratch = (b[:math.prod(shape)].reshape(shape) for b in buffers)
+            _accumulate(sums.map(lambda a: a[z]),
+                        (vol.to_signal(block[z], out=signal) for block in group), ref, scratch)
     return sums
 
 
@@ -606,6 +673,15 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     identifiable noise voxels, degenerate samples) are reported with
     ``converged=False`` and zero estimates instead of aborting the
     volume.
+
+    The median and the moments each take one pass over the stored
+    values. A file-backed volume (see :func:`chisigma.io.read_nifti`)
+    is read from its file in each pass, a few volumes at a time, so only
+    the 3D moments (two float64 arrays, four for ``estimator="mle"``)
+    and a read buffer stay in memory; the moments pass must follow the
+    median, whose value sets the reference of the likelihood's log
+    sums. The results are those of the same data held in memory, bit
+    for bit.
 
     A :class:`Volume4D` is trusted as checked; an ndarray is checked
     once, whole, by wrapping it in one. No slice is checked again.
@@ -631,6 +707,8 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     ------
     DomainError
         If an ndarray is not 4D or holds a negative or non-finite value.
+    NiftiError
+        If the file of a file-backed volume changed since it was read.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NiftiError, SchemaError
-from .identify import SearchConfig
+from .identify import SearchConfig, _median_sample
 from .model import _STORED_TYPES, Volume4D, VolumeStream
 
 __all__ = [
@@ -43,7 +43,17 @@ __all__ = [
 ]
 
 _HEADER_SIZE = 348
+# Largest spatial axis read or written; it bounds the per-voxel moments
+# that estimate keeps. The volume axis has no such guard.
 _MAX_AXIS = 512
+# A payload of at most this many bytes per voxel is read into memory: it
+# is no larger than the two float64 moment arrays estimate reduces it to.
+# A larger one is read again in passes; see _Payload.
+_RESIDENT_BYTES = 16
+# Largest group of whole volumes read at once.
+_GROUP_BYTES = 8 << 20
+# Largest request of one read call.
+_READ_BYTES = 1 << 20
 _GZIP_MAGIC = b"\x1f\x8b"
 # Deflate, no flags, mtime 0, maximum compression, unknown OS.
 _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
@@ -78,11 +88,13 @@ def _open_for_read(path):
 
 def _read_into(f, arr, path, what):
     # Fills the contiguous ``arr`` from ``f``; a read may return less than
-    # asked, so it loops until the buffer is full or the file ends.
+    # asked, so it loops until the buffer is full or the file ends. Each
+    # call asks for at most _READ_BYTES: a gzip stream inflates a request
+    # into a temporary of its size before copying it.
     buf = memoryview(arr).cast("B")
     got = 0
     while got < len(buf):
-        n = f.readinto(buf[got:])
+        n = f.readinto(buf[got:got + _READ_BYTES])
         if not n:
             raise NiftiError(f"{path}: truncated file while reading {what} "
                              f"({got} of {len(buf)} bytes)")
@@ -97,31 +109,107 @@ def _img_sibling(path):
     raise NiftiError(f"{path}: two-file layout requires a .hdr/.img pair")
 
 
+def _check_axes(path, shape) -> None:
+    if any(d > _MAX_AXIS for d in shape[:3]):
+        raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {shape}")
+
+
+def _identity(f) -> tuple:
+    st = os.fstat(f.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _Payload:
+    """The voxel payload of a file that read_nifti checked, read in passes.
+
+    ``shape`` (V, Z, Y, X) and ``dtype`` (little-endian) are those of the
+    stored array. Each pass of :meth:`groups` opens the file on its own
+    handle, so passes may run on several threads at once, and reads the
+    array in groups of whole volumes into one buffer: at most 8 MiB and
+    at most the 16 bytes per voxel of the moments, but at least one
+    volume. A pass that finds the file changed since the check (another
+    device, inode, size or mtime) raises :class:`NiftiError` instead of
+    reading other values than were checked.
+    """
+
+    def __init__(self, path, offset: int, dtype, swap: bool, shape: tuple, identity: tuple):
+        self.path, self.offset, self.dtype, self.swap = path, offset, dtype, swap
+        self.shape, self.identity = shape, identity
+        spatial = math.prod(shape[1:])
+        budget = min(_GROUP_BYTES, _RESIDENT_BYTES * spatial)
+        self.group_volumes = max(1, budget // (spatial * dtype.itemsize))
+
+    def read(self, f, into=None):
+        """Yield the groups from ``f``, positioned at the payload's start.
+
+        Each group is a view of ``into`` (the whole stored array), filled
+        as the read reaches it, or of one reused buffer.
+        """
+        n_vol, g = self.shape[0], self.group_volumes
+        buf = np.empty((min(g, n_vol), *self.shape[1:]), self.dtype) if into is None else None
+        for v0 in range(0, n_vol, g):
+            block = into[v0:v0 + g] if into is not None else buf[:min(g, n_vol - v0)]
+            _read_into(f, block, self.path, "voxel data")
+            if self.swap:
+                block.byteswap(inplace=True)
+            yield block
+
+    def groups(self):
+        """One pass over the payload, checked against the file read_nifti checked."""
+        try:
+            f = _open_for_read(self.path)
+        except OSError as exc:
+            raise NiftiError(f"{self.path}: {exc}") from exc
+        with f:
+            self._same_file(f)
+            f.seek(self.offset)
+            yield from self.read(f)
+            self._same_file(f)
+
+    def _same_file(self, f) -> None:
+        if _identity(f) != self.identity:
+            raise NiftiError(f"{self.path}: file changed while being read")
+
+
 def read_nifti(path) -> Volume4D:
     """Read a NIfTI-1 volume (.nii, .nii.gz, or .hdr/.img pair).
 
     The voxel values are kept as the file stores them, in its dtype
-    (converted to little-endian) and its order, x fastest: each 3D
-    volume is read straight into its block of the returned
-    :class:`Volume4D`'s ``stored`` array, so the file is never held
-    whole in memory and never reordered. The signal is
+    (converted to little-endian) and its order, x fastest. The signal is
     ``max(stored * slope + inter, 0)`` with the file's scl_slope and
     scl_inter (a stored slope of 0 means unscaled); see
-    :meth:`Volume4D.to_signal`. Each volume is checked as it is read
-    (min and max of the stored values, mapped through the monotone
-    scaling). Negative scaled values are clamped to 0 with a warning,
-    since magnitude data is nonnegative by definition. 3D files become
-    a single-volume 4D dataset.
+    :meth:`Volume4D.to_signal`. The file is read once here, a few volumes
+    at a time, and each group of volumes is checked as it is read (min
+    and max of the stored values, mapped through the monotone scaling).
+    Negative scaled values are clamped to 0 with a warning, since
+    magnitude data is nonnegative by definition. 3D files become a
+    single-volume 4D dataset.
+
+    A file whose payload holds at most 16 bytes per voxel (V times the
+    dtype's size), no more than the two float64 moment arrays that
+    :func:`~chisigma.identify.estimate_volume` reduces it to, is read
+    straight into the returned :class:`Volume4D`'s ``stored`` array. A
+    larger one is not kept: the volume is *file-backed*, and holds only
+    the header, the scaling and the check's results (among them the
+    strided sample that brackets the median). ``estimate_volume`` and
+    :func:`volume_fingerprint` then read the file again, in groups of
+    whole volumes (at most 8 MiB) into one reused buffer, and only the
+    3D moments stay in memory. The checks are not repeated; instead each
+    such pass raises :class:`NiftiError` if the file changed (device,
+    inode, size or mtime) since it was checked. ``stored`` and
+    ``voxels`` of a file-backed volume read the whole file when first
+    accessed.
 
     Raises
     ------
     NiftiError
         On truncated or malformed headers (including a vox_offset that
         is not a finite byte offset), unsupported datatypes or
-        dimensionality, axes beyond the 512-voxel guard, dims that need
-        more voxel data than the file can hold (checked before any
-        allocation; a gzip file holds at most 1032 times its size), or
-        voxel values that are NaN or infinite after scaling.
+        dimensionality, spatial axes beyond the 512-voxel guard (the
+        volume axis has none), dims that need more voxel data than the
+        file can hold (checked before any allocation; a gzip file holds
+        at most 1032 times its size), or voxel values that are NaN or
+        infinite after scaling.
     """
     try:
         f = _open_for_read(path)
@@ -148,8 +236,7 @@ def read_nifti(path) -> Volume4D:
         shape = tuple(int(d) for d in dim[1 : ndim + 1])
         if any(d < 1 for d in shape):
             raise NiftiError(f"{path}: nonpositive axis in dims {shape}")
-        if any(d > _MAX_AXIS for d in shape):
-            raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {shape}")
+        _check_axes(path, shape)
 
         (datatype, bitpix) = struct.unpack(bo + "2h", hdr[70:74])
         if datatype not in _STORED_TYPES:
@@ -184,36 +271,46 @@ def read_nifti(path) -> Volume4D:
             data_path = img_path
 
         x, y, z = shape[:3]
-        lo = np.inf
+        stored_shape = (shape[3] if ndim == 4 else 1, z, y, x)
         with source:
+            identity = _identity(source)
             # Checked before anything is allocated: deflate expands at most 1032-fold.
-            room = os.fstat(source.fileno()).st_size * (
-                1032 if isinstance(source, gzip.GzipFile) else 1) - offset
+            room = identity[2] * (1032 if isinstance(source, gzip.GzipFile) else 1) - offset
             need = math.prod(shape) * dt.itemsize
             if need > room:
                 raise NiftiError(f"{data_path}: truncated file: dims {shape} need {need} "
                                  f"bytes of voxel data, at most {max(room, 0)} fit")
-            stored = np.empty((shape[3] if ndim == 4 else 1, z, y, x), dtype=dt)
-            # Forward, by reading, on a gzip stream.
-            source.seek(offset)
-            for block in stored:
-                _read_into(source, block, data_path, "voxel data")
-                if bo == ">":
-                    block.byteswap(inplace=True)
-                # Checked while the block is in cache: NaN propagates to min
+            payload = _Payload(data_path, offset, dt, bo == ">", stored_shape, identity)
+            resident = stored_shape[0] * dt.itemsize <= _RESIDENT_BYTES
+            stored = np.empty(stored_shape, dtype=dt) if resident else None
+            lo, n_neg = np.inf, 0
+
+            def checked(groups):
+                # Checked while the group is in memory: NaN propagates to min
                 # and max, and the linear scaling maps them to the extremes
                 # of the scaled values.
-                ends = (float(block.min()) * slope + inter, float(block.max()) * slope + inter)
-                if not all(math.isfinite(e) for e in ends):
-                    raise NiftiError(f"{path}: voxel data contains non-finite values")
-                lo = min(lo, *ends)
+                nonlocal lo, n_neg
+                for group in groups:
+                    ends = (float(group.min()) * slope + inter,
+                            float(group.max()) * slope + inter)
+                    if not all(math.isfinite(e) for e in ends):
+                        raise NiftiError(f"{path}: voxel data contains non-finite values")
+                    if min(ends) < 0.0:
+                        n_neg += sum(int(np.count_nonzero(block.astype(np.float64) * slope
+                                                          + inter < 0.0)) for block in group)
+                    lo = min(lo, *ends)
+                    yield group
+
+            # Forward, by reading, on a gzip stream.
+            source.seek(offset)
+            sample = _median_sample(checked(payload.read(source, stored)),
+                                    math.prod(stored_shape))
     clamp = lo < 0.0
     if clamp:
-        n_neg = sum(int(np.count_nonzero(block.astype(np.float64) * slope + inter < 0.0))
-                    for block in stored)
         warnings.warn(f"{path}: clamped {n_neg} negative voxel values to 0",
                       RuntimeWarning, stacklevel=2)
-    return Volume4D._from_checked(stored, spacing, (slope, inter), clamp)
+    return Volume4D._from_checked(stored if resident else payload, spacing, (slope, inter),
+                                  clamp, sample)
 
 
 def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
@@ -239,8 +336,8 @@ def _file_chunks(volume, spacing, path):
     The input and its dims are checked at once, before any byte is
     produced. The file runs x fastest, as a volume's ``stored`` array
     and a stream's volumes do, so each 3D volume is one contiguous run
-    of both, mapped to the signal (or drawn) and cast only when the
-    iterator reaches it.
+    of both, mapped to the signal (or drawn, or read from a file-backed
+    volume's file) and cast only when the iterator reaches it.
     """
     if isinstance(volume, (Volume4D, VolumeStream)):
         shape = volume.dims
@@ -249,7 +346,7 @@ def _file_chunks(volume, spacing, path):
         if isinstance(volume, VolumeStream):
             vols = volume
         else:
-            vols = (volume.to_signal(block) for block in volume.stored)
+            vols = (volume.to_signal(block) for group in volume._groups() for block in group)
     else:
         arr = np.asarray(volume)
         if arr.dtype != np.bool_:
@@ -261,8 +358,7 @@ def _file_chunks(volume, spacing, path):
         shape = arr.shape
         datatype, bitpix, dtype = 2, 8, "u1"
         vols = (arr.T,)
-    if any(d > _MAX_AXIS for d in shape):
-        raise NiftiError(f"{path}: axis exceeds the {_MAX_AXIS}-voxel guard: {shape}")
+    _check_axes(path, shape)
     # Four zero bytes after the header: no extensions.
     header = _pack_header(shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
     return itertools.chain((header,), (_cast(vol, dtype, path) for vol in vols))
@@ -308,22 +404,18 @@ def _write_gzip(f, chunks, workers: int) -> None:
     """
     f.write(_GZIP_HEADER)
     crc = size = 0
+    # Only the deflate futures wait here: each chunk is summed as it is
+    # submitted, so the raw chunk is freed as soon as its deflate is done.
     pending = deque()
-
-    def write_oldest():
-        nonlocal crc, size
-        chunk, deflated = pending.popleft()
-        crc = zlib.crc32(chunk, crc)
-        size += len(chunk)
-        f.write(deflated.result())
-
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         for chunk in chunks:
-            pending.append((chunk, pool.submit(_deflate, chunk)))
+            crc = zlib.crc32(chunk, crc)
+            size += len(chunk)
+            pending.append(pool.submit(_deflate, chunk))
             if len(pending) > 2 * workers:
-                write_oldest()
+                f.write(pending.popleft().result())
         while pending:
-            write_oldest()
+            f.write(pending.popleft().result())
     # An empty final block ends the deflate stream.
     f.write(zlib.compressobj(9, zlib.DEFLATED, -15).flush(zlib.Z_FINISH))
     f.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
@@ -336,19 +428,20 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     scaling and their own spacing; boolean masks as uint8 with values
     {0, 1} and the voxel edge lengths ``spacing`` (pass the source
     volume's, so the mask lies on its grid). The header is checked
-    (including the 512-voxel guard) before any byte is written, then the
-    file is written one 3D volume at a time: a :class:`VolumeStream`'s
-    volumes are taken one by one as the write reaches them, so a stream
-    is never held whole. A ``.gz`` suffix selects gzip compression: each
-    3D volume is deflated on its own (Z_RLE strategy), on a thread per
-    CPU up to 4, into one gzip member with no name and mtime 0, so the
-    bytes depend neither on the thread count nor on the time, and identical
-    data yields identical bytes.
+    (including the 512-voxel guard on the spatial axes) before any byte
+    is written, then the file is written one 3D volume at a time: a
+    :class:`VolumeStream`'s volumes are taken one by one as the write
+    reaches them, so a stream is never held whole, and a file-backed
+    volume is read from its file as it is written. A ``.gz`` suffix
+    selects gzip compression: each 3D volume is deflated on its own
+    (Z_RLE strategy), on a thread per CPU up to 4, into one gzip member
+    with no name and mtime 0, so the bytes depend neither on the thread
+    count nor on the time, and identical data yields identical bytes.
 
     Raises
     ------
     NiftiError
-        If an axis exceeds the guard, a value is not finite as float32
+        If a spatial axis exceeds the guard, a value is not finite as float32
         (a signal beyond the float32 range), or the file cannot be
         written. A write that fails part way removes the partial file.
     """
@@ -382,14 +475,21 @@ def volume_fingerprint(volume) -> dict:
     volume: the file's voxel payload), hashed through the buffer protocol
     without a copy. So the same values, dtype and scaling give the same
     fingerprint from a .nii, a .nii.gz, a big-endian file or a .hdr/.img
-    pair. An ndarray is wrapped in a :class:`Volume4D` first.
+    pair. An ndarray is wrapped in a :class:`Volume4D` first. A
+    file-backed volume's file is read once more, on a handle and buffer
+    of this call's own, so the hash may run on another thread while
+    :func:`~chisigma.identify.estimate_volume` reads the same file; it
+    raises :class:`NiftiError` if the file changed since it was checked.
     """
     vol = volume if isinstance(volume, Volume4D) else Volume4D(voxels=volume)
+    digest = hashlib.sha256()
+    for group in vol._groups():
+        digest.update(group)
     return {
         "dims": list(vol.dims),
-        "dtype": vol.stored.dtype.name,
+        "dtype": vol.dtype.name,
         "scale": list(vol.scale),
-        "sha256": hashlib.sha256(vol.stored).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
 
 

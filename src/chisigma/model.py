@@ -93,6 +93,15 @@ class Volume4D:
     builds its volumes from the file's values and scaling, which it
     checks as it reads them.
 
+    A volume that :func:`chisigma.io.read_nifti` leaves *file-backed*
+    holds the header's dims, dtype, scaling and the results of that
+    check, but no voxel data: the estimation pipeline and
+    :func:`chisigma.io.volume_fingerprint` read its file again in
+    passes of a few volumes, and only what they reduce it to stays in
+    memory. Its ``stored`` (and so ``voxels``) reads the whole file into
+    memory when first accessed and keeps it. A pass over a file that
+    changed since the check raises :class:`~chisigma.errors.NiftiError`.
+
     Parameters
     ----------
     voxels : array_like
@@ -119,38 +128,81 @@ class Volume4D:
         self._adopt(stored, spacing, (1.0, 0.0), clamp=False)
 
     @classmethod
-    def _from_checked(cls, stored: np.ndarray, spacing, scale, clamp: bool) -> "Volume4D":
+    def _from_checked(cls, stored, spacing, scale, clamp: bool, sample) -> "Volume4D":
         # A volume over stored values whose scaled values the caller found
-        # finite; ``clamp`` says some of them are negative.
+        # finite; ``clamp`` says some of them are negative. ``stored`` is an
+        # array, or a file source read in passes: an object with the
+        # ``shape`` (V, Z, Y, X) and ``dtype`` of the stored array whose
+        # ``groups()`` yields that array's consecutive blocks of whole
+        # volumes, each valid until the next is taken. ``sample`` is the
+        # sorted sample that brackets the median, taken while checking (see
+        # identify._median_sample).
         vol = cls.__new__(cls)
-        vol._adopt(stored, spacing, (float(scale[0]), float(scale[1])), clamp)
+        vol._adopt(stored, spacing, (float(scale[0]), float(scale[1])), clamp, sample)
         return vol
 
-    def _adopt(self, stored, spacing, scale, clamp):
-        # A view, so that freezing it leaves the caller's array writable.
-        stored = stored.view()
-        stored.flags.writeable = False
-        self.stored = stored
+    def _adopt(self, stored, spacing, scale, clamp, sample=None):
+        if isinstance(stored, np.ndarray):
+            # A view, so that freezing it leaves the caller's array writable.
+            stored = stored.view()
+            stored.flags.writeable = False
+            self._stored, self._source = stored, None
+        else:
+            self._stored, self._source = None, stored
+        self._shape = tuple(stored.shape)
+        self.dtype = stored.dtype
         self.spacing = _spacing(spacing)
         self.scale = scale
         self._clamp = clamp
+        self._sample = sample
+
+    @property
+    def stored(self) -> np.ndarray:
+        """The stored values, shape (V, Z, Y, X), read-only.
+
+        On a file-backed volume the first access reads the whole file.
+        """
+        if self._stored is None:
+            stored = np.empty(self._shape, self.dtype)
+            v = 0
+            for group in self._source.groups():
+                stored[v:v + len(group)] = group
+                v += len(group)
+            stored.flags.writeable = False
+            self._stored = stored
+        return self._stored
 
     @property
     def dims(self) -> tuple:
         """(X, Y, Z, V)."""
-        return self.stored.shape[::-1]
+        return self._shape[::-1]
 
-    def to_signal(self, values: np.ndarray) -> np.ndarray:
+    def _groups(self):
+        # The stored array as consecutive (g, Z, Y, X) blocks of whole
+        # volumes: all of it at once when it is in memory, else a few
+        # volumes at a time from the file, each block valid only until the
+        # next is taken.
+        if self._stored is not None:
+            yield self._stored
+        else:
+            yield from self._source.groups()
+
+    def to_signal(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stored ``values`` as float64 signal: max(values * slope + inter, 0).
 
         Float64 values under identity scaling, none of them negative,
-        come back as they are, without a copy.
+        come back as they are, without a copy. Otherwise the signal is
+        written to ``out`` (a float64 array of the same shape) when it
+        is given, or to a new array.
         """
         slope, inter = self.scale
         identity = (slope, inter) == (1.0, 0.0)
         if values.dtype == np.float64 and identity and not self._clamp:
             return values
-        out = values.astype(np.float64)
+        if out is None:
+            out = values.astype(np.float64)
+        else:
+            np.copyto(out, values)
         if not identity:
             out *= slope
             out += inter
@@ -164,7 +216,8 @@ class Volume4D:
 
         A zero-copy view (``stored.T``) for float64 data with identity
         scaling; otherwise a float64 copy of the whole volume, computed
-        on each access. The estimation pipeline does not use it.
+        on each access. The estimation pipeline does not use it. On a
+        file-backed volume it reads the whole file, as ``stored`` does.
         """
         out = self.to_signal(self.stored)
         out.flags.writeable = False
