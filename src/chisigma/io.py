@@ -48,7 +48,8 @@ _HEADER_SIZE = 348
 _MAX_AXIS = 512
 # A payload of at most this many bytes per voxel is read into memory: it
 # is no larger than the two float64 moment arrays estimate reduces it to.
-# A larger one is read again in passes; see _Payload.
+# A larger uncompressed one is read again in passes; see _Payload. A
+# compressed one is always read into memory, so it is inflated once.
 _RESIDENT_BYTES = 16
 # Largest group of whole volumes read at once.
 _GROUP_BYTES = 8 << 20
@@ -123,17 +124,20 @@ class _Payload:
     """The voxel payload of a file that read_nifti checked, read in passes.
 
     ``shape`` (V, Z, Y, X) and ``dtype`` (little-endian) are those of the
-    stored array. Each pass of :meth:`groups` opens the file on its own
-    handle, so passes may run on several threads at once, and reads the
-    array in groups of whole volumes into one buffer: at most 8 MiB and
-    at most the 16 bytes per voxel of the moments, but at least one
-    volume. A pass that finds the file changed since the check (another
-    device, inode, size or mtime) raises :class:`NiftiError` instead of
-    reading other values than were checked.
+    stored array; ``path`` names the file in messages. Each pass of
+    :meth:`groups` opens the uncompressed file, by its absolute path (so
+    a later change of the working directory does not change the file
+    read), on its own handle, so passes may run on several threads at
+    once. It reads the array in groups of whole volumes into one buffer:
+    at most 8 MiB and at most the 16 bytes per voxel of the moments, but
+    at least one volume. A pass that finds the file changed since the
+    check (another device, inode, size or mtime) raises
+    :class:`NiftiError` instead of reading other values than were checked.
     """
 
     def __init__(self, path, offset: int, dtype, swap: bool, shape: tuple, identity: tuple):
-        self.path, self.offset, self.dtype, self.swap = path, offset, dtype, swap
+        self.path, self._abspath = path, os.path.abspath(path)
+        self.offset, self.dtype, self.swap = offset, dtype, swap
         self.shape, self.identity = shape, identity
         spatial = math.prod(shape[1:])
         budget = min(_GROUP_BYTES, _RESIDENT_BYTES * spatial)
@@ -157,7 +161,7 @@ class _Payload:
     def groups(self):
         """One pass over the payload, checked against the file read_nifti checked."""
         try:
-            f = _open_for_read(self.path)
+            f = open(self._abspath, "rb")
         except OSError as exc:
             raise NiftiError(f"{self.path}: {exc}") from exc
         with f:
@@ -165,6 +169,14 @@ class _Payload:
             f.seek(self.offset)
             yield from self.read(f)
             self._same_file(f)
+
+    def is_at(self, path) -> bool:
+        """Whether ``path`` names the file (device and inode) that was checked."""
+        try:
+            st = os.stat(path)
+        except OSError:
+            return False
+        return (st.st_dev, st.st_ino) == self.identity[:2]
 
     def _same_file(self, f) -> None:
         if _identity(f) != self.identity:
@@ -185,20 +197,22 @@ def read_nifti(path) -> Volume4D:
     magnitude data is nonnegative by definition. 3D files become a
     single-volume 4D dataset.
 
-    A file whose payload holds at most 16 bytes per voxel (V times the
-    dtype's size), no more than the two float64 moment arrays that
-    :func:`~chisigma.identify.estimate_volume` reduces it to, is read
-    straight into the returned :class:`Volume4D`'s ``stored`` array. A
-    larger one is not kept: the volume is *file-backed*, and holds only
-    the header, the scaling and the check's results (among them the
-    strided sample that brackets the median). ``estimate_volume`` and
-    :func:`volume_fingerprint` then read the file again, in groups of
-    whole volumes (at most 8 MiB) into one reused buffer, and only the
-    3D moments stay in memory. The checks are not repeated; instead each
-    such pass raises :class:`NiftiError` if the file changed (device,
-    inode, size or mtime) since it was checked. ``stored`` and
-    ``voxels`` of a file-backed volume read the whole file when first
-    accessed.
+    A gzip file, or a file whose payload holds at most 16 bytes per
+    voxel (V times the dtype's size), no more than the two float64
+    moment arrays that :func:`~chisigma.identify.estimate_volume`
+    reduces it to, is read straight into the returned
+    :class:`Volume4D`'s ``stored`` array. A larger uncompressed one is
+    not kept: the volume is *file-backed*, and holds only the header,
+    the scaling and the check's results (among them the sorted sample
+    that brackets the median). ``estimate_volume``,
+    :func:`volume_fingerprint` and :func:`write_nifti` then read the
+    file again, in groups of whole volumes (at most 8 MiB) into one
+    reused buffer, and only the 3D moments stay in memory. The file
+    must stay in place while the volume is used. The checks are not
+    repeated; instead each such pass raises :class:`NiftiError` if the
+    file changed (device, inode, size or mtime) since it was checked.
+    ``stored`` and ``voxels`` of a file-backed volume read the whole
+    file when first accessed.
 
     Raises
     ------
@@ -281,7 +295,8 @@ def read_nifti(path) -> Volume4D:
                 raise NiftiError(f"{data_path}: truncated file: dims {shape} need {need} "
                                  f"bytes of voxel data, at most {max(room, 0)} fit")
             payload = _Payload(data_path, offset, dt, bo == ">", stored_shape, identity)
-            resident = stored_shape[0] * dt.itemsize <= _RESIDENT_BYTES
+            resident = (isinstance(source, gzip.GzipFile)
+                        or stored_shape[0] * dt.itemsize <= _RESIDENT_BYTES)
             stored = np.empty(stored_shape, dtype=dt) if resident else None
             lo, n_neg = np.inf, 0
 
@@ -432,7 +447,8 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     is written, then the file is written one 3D volume at a time: a
     :class:`VolumeStream`'s volumes are taken one by one as the write
     reaches them, so a stream is never held whole, and a file-backed
-    volume is read from its file as it is written. A ``.gz`` suffix
+    volume is read from its file as it is written; one written onto its
+    own file is read into memory first. A ``.gz`` suffix
     selects gzip compression: each 3D volume is deflated on its own
     (Z_RLE strategy), on a thread per CPU up to 4, into one gzip member
     with no name and mtime 0, so the bytes depend neither on the thread
@@ -445,6 +461,9 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
         (a signal beyond the float32 range), or the file cannot be
         written. A write that fails part way removes the partial file.
     """
+    source = volume._source if isinstance(volume, Volume4D) else None
+    if source is not None and source.is_at(path):
+        volume.stored  # opening the target truncates the file the volume reads
     chunks = _file_chunks(volume, spacing, path)
     try:
         f = open(path, "wb")

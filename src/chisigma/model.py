@@ -99,8 +99,9 @@ class Volume4D:
     :func:`chisigma.io.volume_fingerprint` read its file again in
     passes of a few volumes, and only what they reduce it to stays in
     memory. Its ``stored`` (and so ``voxels``) reads the whole file into
-    memory when first accessed and keeps it. A pass over a file that
-    changed since the check raises :class:`~chisigma.errors.NiftiError`.
+    memory when first accessed and keeps it. Its file must stay in place
+    while the volume is used: a pass over a file that changed since the
+    check raises :class:`~chisigma.errors.NiftiError`.
 
     Parameters
     ----------

@@ -1,8 +1,9 @@
 """File-backed volumes: a large payload stays on disk and is read in passes.
 
 ``read_nifti`` keeps a file's values in memory only when they take at
-most 16 bytes per voxel; ``estimate_volume`` and ``volume_fingerprint``
-read a larger file again, a group of volumes at a time. These tests hold
+most 16 bytes per voxel or the file is gzip-compressed;
+``estimate_volume`` and ``volume_fingerprint`` read a larger
+uncompressed file again, a group of volumes at a time. These tests hold
 that path to the same data held in memory, bit for bit, and bound the
 memory it keeps.
 """
@@ -74,7 +75,10 @@ def test_streamed_matches_in_memory(tmp_path, monkeypatch, dtype, endian, layout
     # A short median sample makes the small volume take the bracketing pass
     # over the file, in many groups, as a large one does.
     monkeypatch.setattr(identify, "_MEDIAN_SAMPLE", 64)
-    shape = (8, 7, 5, 20)  # 20 volumes: at least 20 bytes per voxel, so the file streams
+    # 20 volumes: at least 20 bytes per voxel, so an uncompressed file
+    # streams; a gzip file is read into memory.
+    shape = (8, 7, 5, 20)
+    streams = layout != "nii.gz"
     slope, inter = _SCALINGS[layout]
     # Under the clamping scaling the darkest values map below zero.
     values = stored_values(phantom(shape, 11) - 1.0 * (inter < 0.0), dtype, slope, inter)
@@ -93,7 +97,7 @@ def test_streamed_matches_in_memory(tmp_path, monkeypatch, dtype, endian, layout
         vol = read_nifti(path)
     assert [str(w.message) for w in caught] == (
         [f"{path}: clamped {n_neg} negative voxel values to 0"] if n_neg else [])
-    assert vol._stored is None
+    assert (vol._stored is None) == streams
     ref = Volume4D(voxels=signal)
     for config in _CONFIGS:
         want = estimates(ref, config)
@@ -102,17 +106,19 @@ def test_streamed_matches_in_memory(tmp_path, monkeypatch, dtype, endian, layout
     assert volume_fingerprint(vol) == {
         "dims": list(shape), "dtype": np.dtype(dtype).name, "scale": [slope32, inter32],
         "sha256": hashlib.sha256(values.astype("<" + dtype).tobytes(order="F")).hexdigest()}
-    assert vol._stored is None
+    assert (vol._stored is None) == streams
     np.testing.assert_array_equal(vol.voxels, signal)
     assert not vol.stored.flags.writeable
 
 
-@pytest.mark.parametrize("volumes, resident", [(8, True), (9, False)])
-def test_files_of_at_most_16_bytes_per_voxel_stay_in_memory(tmp_path, volumes, resident):
+@pytest.mark.parametrize("volumes, layout, resident",
+                         [(8, "nii", True), (9, "nii", False), (9, "nii.gz", True)])
+def test_files_of_at_most_16_bytes_per_voxel_stay_in_memory(tmp_path, volumes, layout,
+                                                            resident):
+    # A gzip file of any size is read into memory, so it is inflated once.
     shape = (6, 5, 4, volumes)
     values = np.arange(np.prod(shape), dtype="<i2").reshape(shape, order="F")
-    path = tmp_path / "v.nii"
-    path.write_bytes(craft_nifti(shape, 4, values.tobytes(order="F")))
+    path = write_layout(tmp_path, layout, shape, 4, values.tobytes(order="F"))
     vol = read_nifti(path)
     assert (vol._stored is not None) == resident
     assert vol.dims == shape and vol.dtype == np.dtype("<i2")
@@ -146,6 +152,50 @@ def test_write_streams_a_file_backed_volume(tmp_path):
     assert vol._stored is None
     write_nifti(Volume4D(voxels=signal.astype(np.float64) * 2.0), memory)
     assert streamed.read_bytes() == memory.read_bytes()
+
+
+def own_path(tmp_path, path):
+    return path
+
+
+def hard_link_named_gz(tmp_path, path):
+    link = tmp_path / "alias.nii.gz"
+    os.link(path, link)
+    return link
+
+
+@pytest.mark.parametrize("source_layout, target", [("nii", own_path), ("nii", hard_link_named_gz),
+                                                   ("nii.gz", own_path)])
+def test_write_onto_its_own_file(tmp_path, source_layout, target):
+    # Opening the target truncates it; the volume's values must be read first.
+    shape = (9, 8, 3, 12)
+    signal = phantom(shape, 15).astype("<f4")
+    path = write_layout(tmp_path, source_layout, shape, 16, signal.tobytes(order="F"))
+    vol = read_nifti(path)
+    assert (vol._stored is None) == (source_layout == "nii")
+    out = target(tmp_path, path)
+    write_nifti(vol, out)
+    want = tmp_path / ("want.nii.gz" if str(out).endswith(".gz") else "want.nii")
+    write_nifti(Volume4D(voxels=signal.astype(np.float64)), want)
+    assert out.read_bytes() == want.read_bytes()
+    np.testing.assert_array_equal(read_nifti(out).voxels, signal)
+
+
+def test_relative_path_survives_a_change_of_directory(tmp_path, monkeypatch):
+    # The .hdr/.img pair's image path is derived from the header's relative path.
+    shape = (8, 7, 5, 20)
+    values = phantom(shape, 16).astype("<f4")
+    write_layout(tmp_path, "pair", shape, 16, values.tobytes(order="F"))
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "elsewhere" / "pair.img").write_bytes(bytes(values.nbytes))
+    monkeypatch.chdir(tmp_path)
+    vol = read_nifti("pair.hdr")
+    assert vol._stored is None
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    want = Volume4D(voxels=values.astype(np.float64))
+    assert_same_estimates(estimates(vol, SearchConfig()), estimates(want, SearchConfig()))
+    sha256 = hashlib.sha256(values.tobytes(order="F")).hexdigest()
+    assert volume_fingerprint(vol)["sha256"] == sha256
 
 
 def test_estimate_peaks_under_a_quarter_of_the_stored_bytes(tmp_path):
