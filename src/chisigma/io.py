@@ -11,6 +11,7 @@ crashing.
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import gzip
 import hashlib
 import itertools
@@ -58,8 +59,8 @@ _READ_BYTES = 1 << 20
 _GZIP_MAGIC = b"\x1f\x8b"
 # Deflate, no flags, mtime 0, maximum compression, unknown OS.
 _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
-# Deflate threads of a .gz write. Each keeps two volumes in flight, so a
-# fixed count, not the CPU count, bounds the memory a streamed write holds.
+# Deflate threads of a .gz write. At most one volume more is in flight, so
+# a fixed count, not the CPU count, bounds the memory a streamed write holds.
 _DEFLATE_WORKERS = 4
 
 # The report schema written; read_report also reads v1, whose fingerprint
@@ -376,7 +377,8 @@ def _file_chunks(volume, spacing, path):
     _check_axes(path, shape)
     # Four zero bytes after the header: no extensions.
     header = _pack_header(shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
-    return itertools.chain((header,), (_cast(vol, dtype, path) for vol in vols))
+    # map, unlike a generator expression, holds no volume while it takes the next.
+    return itertools.chain((header,), map(functools.partial(_cast, dtype=dtype, path=path), vols))
 
 
 def _cast(vol, dtype, path) -> memoryview:
@@ -390,8 +392,8 @@ def _cast(vol, dtype, path) -> memoryview:
     return memoryview(out).cast("B")
 
 
-def _deflate(chunk) -> bytes:
-    """``chunk`` as a raw deflate stream of its own.
+def _deflate(chunk) -> tuple:
+    """``chunk`` as a raw deflate stream of its own, in two parts.
 
     Volumes and masks use the Z_RLE strategy, which matches only runs of
     one repeated byte. That is all float32 noise offers: on simulated
@@ -400,22 +402,24 @@ def _deflate(chunk) -> bytes:
     header itself) keeps the default strategy, whose match search costs
     nothing there and finds the header's repeated fields. The stream
     ends on a byte boundary with a non-final block, so that such streams
-    concatenate into one.
+    concatenate into one. The parts are written one after the other, not
+    joined into a copy.
     """
     strategy = zlib.Z_DEFAULT_STRATEGY if len(chunk) <= _HEADER_SIZE + 4 else zlib.Z_RLE
     z = zlib.compressobj(9, zlib.DEFLATED, -15, strategy=strategy)
-    return z.compress(chunk) + z.flush(zlib.Z_SYNC_FLUSH)
+    return z.compress(chunk), z.flush(zlib.Z_SYNC_FLUSH)
 
 
 def _write_gzip(f, chunks, workers: int) -> None:
     """Write ``chunks`` to ``f`` as one gzip member, each deflated on its own.
 
     The chunks are deflated on ``workers`` threads (zlib releases the
-    GIL), at most two per thread in flight, and written in order. While
-    they deflate, this thread takes the next chunk from ``chunks``, so
-    the work that makes a chunk (a cast, or the draws of a simulated
-    volume) overlaps the deflate of earlier ones. Every chunk starts a
-    fresh deflate stream, so the bytes do not depend on ``workers``.
+    GIL), at most ``workers + 1`` in flight, and written in order. While
+    ``workers`` of them deflate, this thread takes the next chunk from
+    ``chunks``, so the work that makes a chunk (a cast, or the draws of
+    a simulated volume) overlaps the deflate of earlier ones. Every
+    chunk starts a fresh deflate stream, so the bytes do not depend on
+    ``workers``.
     """
     f.write(_GZIP_HEADER)
     crc = size = 0
@@ -427,10 +431,11 @@ def _write_gzip(f, chunks, workers: int) -> None:
             crc = zlib.crc32(chunk, crc)
             size += len(chunk)
             pending.append(pool.submit(_deflate, chunk))
-            if len(pending) > 2 * workers:
-                f.write(pending.popleft().result())
+            del chunk  # the pending deflate holds it while it needs it
+            if len(pending) > workers:
+                f.writelines(pending.popleft().result())
         while pending:
-            f.write(pending.popleft().result())
+            f.writelines(pending.popleft().result())
     # An empty final block ends the deflate stream.
     f.write(zlib.compressobj(9, zlib.DEFLATED, -15).flush(zlib.Z_FINISH))
     f.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
@@ -446,13 +451,15 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     (including the 512-voxel guard on the spatial axes) before any byte
     is written, then the file is written one 3D volume at a time: a
     :class:`VolumeStream`'s volumes are taken one by one as the write
-    reaches them, so a stream is never held whole, and a file-backed
+    reaches them, and each is let go once cast to float32, before the
+    next one is made, so a stream is never held whole, and a file-backed
     volume is read from its file as it is written; one written onto its
     own file is read into memory first. A ``.gz`` suffix
     selects gzip compression: each 3D volume is deflated on its own
-    (Z_RLE strategy), on a thread per CPU up to 4, into one gzip member
-    with no name and mtime 0, so the bytes depend neither on the thread
-    count nor on the time, and identical data yields identical bytes.
+    (Z_RLE strategy), on a thread per CPU up to 4 with at most one more
+    volume in flight, into one gzip member with no name and mtime 0, so
+    the bytes depend neither on the thread count nor on the time, and
+    identical data yields identical bytes.
 
     Raises
     ------

@@ -261,6 +261,7 @@ class VolumeStream:
                 raise DomainError(f"stream volume {n} does not fit dims {self.dims}")
             n += 1
             yield vol
+            del vol  # let the volume go before the next one is made
         if n != count:
             raise DomainError(f"stream ended after {n} of {count} volumes")
 

@@ -13,16 +13,18 @@ One private generator draws the noise one 3D volume at a time, in
 volume order, each volume from its own Philox child stream, so that
 ``corrupt``, ``simulate`` and ``simulate_stream`` give the same values.
 ``simulate_stream`` hands the volumes over as a ``VolumeStream``, each
-one made from the reference volume and drawn when the consumer reaches
-it, so ``chisigma simulate`` holds a few 3D volumes, never a 4D array;
-``simulate`` and ``corrupt`` collect the volumes into an in-memory
-``Volume4D``.
+one drawn when the consumer reaches it from one of two noncentrality
+maps (the reference volume's and its attenuated copy's), so the draws
+hold three 3D volumes (the scale, the map and the volume drawn), never
+a 4D array; ``simulate`` and ``corrupt`` collect the volumes into an
+in-memory ``Volume4D``.
 
 ``simulate`` writes a ``chisigma-truth-v1`` ground-truth record naming
 the generator (``ncchisq-philox-v1``), and ``evaluate_report`` reads it
 back, with or without that key, to score an estimation report.
 """
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -122,11 +124,13 @@ class NoiseField:
 
 
 def _radius_grid(dims) -> np.ndarray:
-    # Euclidean distance of each voxel center from the grid center.
+    # Euclidean distance of each voxel center from the grid center. The
+    # axes are broadcast open, so only the sum is a full grid.
     center = [(d - 1) / 2.0 for d in dims]
     axes = [np.arange(d, dtype=np.float64) - c for d, c in zip(dims, center)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.sqrt(gx * gx + gy * gy + gz * gz)
+    gx, gy, gz = np.ix_(*axes)
+    r2 = gx * gx + gy * gy + gz * gz
+    return np.sqrt(r2, out=r2)
 
 
 def _object_radius(dims) -> float:
@@ -223,22 +227,54 @@ def _dof(n_true) -> int:
     return 2 * int(n_true)
 
 
-def _noisy_volumes(noiseless, field: NoiseField, df: int, seed: int, n_volumes: int):
-    # The one draw loop: each noiseless (Z, Y, X) volume with noise, in
-    # volume order, volume v from the v-th Philox child stream of seed.
-    if field.sigma_g == 0.0:
-        yield from noiseless
-        return
-    # Transposed to (Z, Y, X), the volumes' order; the draws still run
-    # over (X, Y, Z) in C order, through transposed views.
-    scale = np.multiply(field.tau.T, field.sigma_g, order="C")
-    del field  # the draws need only scale, so tau can go
+# The x-rows of a volume drawn by one call: the draws then fill the
+# (Z, Y, X) output in runs of 8 values, one cache line of float64.
+_DRAW_ROWS = 8
+
+
+def _draw_volume(rng, df: int, nonc: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # One noisy volume, (Z, Y, X) C-ordered, from the (X, Y, Z) C-ordered
+    # noncentrality map and scale. The draws run over (X, Y, Z) in C
+    # order, a slab of x-rows per call: consecutive calls continue one
+    # stream, so the values are those of a single call over the map, and
+    # no (X, Y, Z) copy of the volume is made.
+    out = np.empty(nonc.shape[::-1])
+    for i in range(0, nonc.shape[0], _DRAW_ROWS):
+        rows = slice(i, i + _DRAW_ROWS)
+        x = rng.noncentral_chisquare(df, nonc[rows])
+        np.sqrt(x, out=x)
+        x *= scale[rows]
+        out[..., rows] = x.T
+    return out
+
+
+def _noisy_volumes(maps, scale: np.ndarray, df: int, seed: int, n_volumes: int):
+    # The one draw loop. ``maps`` yields (noncentrality map, count) runs,
+    # each map drawn for ``count`` consecutive volumes; volume v draws
+    # from the v-th Philox child stream of seed.
+    streams = iter(np.random.SeedSequence(seed).spawn(n_volumes))
+    for nonc, count in maps:
+        for stream in itertools.islice(streams, count):
+            yield _draw_volume(np.random.Generator(np.random.Philox(stream)), df, nonc, scale)
+
+
+def _noncentrality(vol, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The noncentrality map (vol / scale)^2 of a noiseless (X, Y, Z) volume.
+    return np.square(np.divide(vol, scale, out=out), out=out)
+
+
+def _reference_maps(b0: np.ndarray, scale: np.ndarray, n_volumes: int):
+    # The simulated volumes' runs: the map of the reference volume b0 for
+    # volume 0, then that of its attenuated copy for every
+    # diffusion-weighted volume, in one buffer. b0 is this generator's
+    # own: it is attenuated in place and let go once the last map exists.
     nonc = np.empty_like(scale)
-    for stream, block in zip(np.random.SeedSequence(seed).spawn(n_volumes), noiseless):
-        rng = np.random.Generator(np.random.Philox(stream))
-        np.square(np.divide(block, scale, out=nonc), out=nonc)
-        x = rng.noncentral_chisquare(df, nonc.T)
-        yield np.multiply(scale, np.sqrt(x, out=x).T, out=np.empty_like(scale))
+    yield _noncentrality(b0, scale, nonc), 1
+    if n_volumes > 1:
+        b0 *= _DWI_ATTENUATION
+        _noncentrality(b0, scale, nonc)
+        del b0
+        yield nonc, n_volumes - 1
 
 
 def _collect(stream: VolumeStream) -> Volume4D:
@@ -276,19 +312,26 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
             f"tau grid {np.asarray(field.tau).shape} does not match volume {dims[:3]}"
         )
     blocks = (vol.to_signal(block) for block in vol.stored)
-    noisy = _noisy_volumes(blocks, field, df, seed, dims[3])
+    if field.sigma_g == 0.0:
+        return _collect(VolumeStream(dims, blocks, vol.spacing))
+    scale = np.multiply(field.tau, field.sigma_g, order="C")
+    nonc = np.empty_like(scale)
+    maps = ((_noncentrality(block.T, scale, nonc), 1) for block in blocks)
+    noisy = _noisy_volumes(maps, scale, df, seed, dims[3])
     return _collect(VolumeStream(dims, noisy, vol.spacing))
 
 
 def simulate_stream(spec: PhantomSpec):
     """Describe one synthetic dataset and draw it one volume at a time.
 
-    The noiseless volumes are made one at a time from the reference
-    volume and the attenuation, and each is corrupted as :func:`corrupt`
-    does, with the same draws, when the stream reaches it. So
-    ``write_nifti(simulate_stream(spec)[0], path)`` writes the same file
-    as ``write_nifti(simulate(spec)[0], path)`` and holds only a few 3D
-    volumes at a time.
+    The noncentrality map is computed once for the reference volume and
+    once for its attenuated copy, and each volume is corrupted as
+    :func:`corrupt` does, with the same draws, when the stream reaches
+    it. So ``write_nifti(simulate_stream(spec)[0], path)`` writes the
+    same file as ``write_nifti(simulate(spec)[0], path)`` and holds only
+    a few 3D volumes at a time (the scale, the map, the volume drawn
+    and what the writer holds; the reference volume too until the
+    second map exists).
 
     Returns
     -------
@@ -296,12 +339,13 @@ def simulate_stream(spec: PhantomSpec):
         The noisy volumes, to be read once, and the ground-truth record
         that :func:`simulate` returns.
     """
+    df = _dof(spec.n_true)
     b0 = _reference(spec)
     sigma_g = sigma_from_snr(b0, spec.snr)
-    tau = build_tau(spec.dims, spec.profile, spec.tau_max)
-    field = NoiseField(tau=tau, sigma_g=sigma_g)
-    noiseless = _noiseless_volumes(np.ascontiguousarray(b0.T), spec.n_volumes)
-    noisy = _noisy_volumes(noiseless, field, _dof(spec.n_true), spec.seed, spec.n_volumes)
+    scale = build_tau(spec.dims, spec.profile, spec.tau_max)
+    scale *= sigma_g
+    maps = _reference_maps(b0, scale, spec.n_volumes)
+    noisy = _noisy_volumes(maps, scale, df, spec.seed, spec.n_volumes)
     truth = {
         "schema": "chisigma-truth-v1",
         "generator": GENERATOR,

@@ -258,6 +258,12 @@ class TestSimulate:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 61])
+    def test_summary_median_is_numpys(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.lognormal(5.0, 2.0, n), rng.integers(0, 4, n) * 0.1):
+            assert cli._median(list(values)) == float(np.median(values))
+
     def test_end_to_end_outputs(self, sim_paths, tmp_path, capsys):
         out, truth = sim_paths
         report_path = tmp_path / "report.json"

@@ -5,17 +5,21 @@ Exponential(1) cdf for transformed Rician background, closed-form chi
 moments for second-moment checks, and the Rayleigh median identity.
 """
 
+import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from chisigma.errors import ConfigError, DegenerateDataError, DomainError
-from chisigma.io import EstimateReport
+from chisigma.io import EstimateReport, write_nifti
 from chisigma.synth import (
     NoiseField,
     PhantomSpec,
+    _radius_grid,
     _truth_spec,
     build_phantom,
     build_tau,
@@ -145,6 +149,16 @@ class TestBuildTau:
         assert np.all(np.diff(along_axis) > 0)
         assert center == 1.0
         assert np.all(tau >= 1.0)
+
+    @pytest.mark.parametrize("dims", [(9, 9, 9), (8, 8, 8), (7, 12, 5)])
+    def test_radius_grid_equals_the_full_meshgrid(self, dims):
+        # build_tau, object_mask and evaluate_report read this grid.
+        axes = [np.arange(d, dtype=np.float64) - (d - 1) / 2.0 for d in dims]
+        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+        want = np.sqrt(gx * gx + gy * gy + gz * gz)
+        got = _radius_grid(dims)
+        assert got.shape == dims and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -312,6 +326,41 @@ class TestSimulate:
         stream, truth = simulate_stream(spec)
         assert truth["sigma_g"] == sigma_g
         assert np.array_equal(np.stack(list(stream)), want.stored)
+
+    # sha256 of simulate()'s stored bytes and of the .nii.gz written from
+    # simulate_stream, recorded when the draw loop was last rewritten: the
+    # ncchisq-philox-v1 values of a seed must not change.
+    @pytest.mark.parametrize("spec, stored, gz", [
+        (PhantomSpec(dims=(16, 16, 8), n_volumes=5, n_true=4.0, seed=11),
+         "02a1b2b9f220795911a422edc969d26d89162ba050fc7d09b445961add76c3c2",
+         "d592a82362f56c830df89abf652b4feb4e5620424f2bf242c1bb0fc796ac2973"),
+        (PhantomSpec(dims=(15, 18, 9), n_volumes=3, n_true=8.0, seed=3,
+                     geometry="concentric_spheres", profile="sphere_ramp"),
+         "1311b9f4a797ebe1e3b5aa1175ff11149f2106eaa4403f684220436b6d5591bd",
+         "90bd1ff36b98f19f49eebf1f1b6b4c1cf0701113c9e7136b3584a7fd6e9e70df"),
+    ], ids=["uniform_n4", "spheres_ramp_n8"])
+    def test_golden_digests(self, tmp_path, spec, stored, gz):
+        noisy, _ = simulate(spec)
+        assert hashlib.sha256(noisy.stored.tobytes()).hexdigest() == stored
+        path = tmp_path / "sim.nii.gz"
+        write_nifti(simulate_stream(spec)[0], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == gz
+
+    @pytest.mark.parametrize("cpus", [2, 16])
+    def test_streamed_write_holds_a_few_volumes(self, tmp_path, monkeypatch, cpus):
+        # The draws hold the scale, the noncentrality map and the volume
+        # drawn; the writer its float32 cast and at most workers + 1
+        # deflates. So the peak does not grow with the volume count.
+        spec = PhantomSpec(dims=(64, 64, 40), n_volumes=9, profile="sphere_ramp", seed=3)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            write_nifti(simulate_stream(spec)[0], tmp_path / "sim.nii.gz")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        volume = int(np.prod(spec.dims)) * 8
+        assert peak < 8.5 * volume, peak / volume
 
     def test_stream_rejects_fractional_n_up_front(self):
         with pytest.raises(DomainError, match="positive integer N"):
