@@ -39,7 +39,6 @@ from .errors import (
 from .model import (  # noqa: F401
     Volume4D,
     _is_whole,
-    check_magnitudes,
     estimate_n_mle,
     estimate_n_moments,
     estimate_sigma,
@@ -192,32 +191,35 @@ def sigma_upper_bound(data, n_max: float) -> float:
     Computed as median(all voxel values) / sqrt(2 * icdf(n_max, 1/2))
     with icdf the gamma quantile at unit scale: if the data were pure
     noise with n_max degrees of freedom, the median of the transformed
-    values would sit at that quantile. A NaN anywhere in the data makes
-    the median NaN and raises :class:`DomainError`.
+    values would sit at that quantile.
 
-    For a :class:`Volume4D` the two middle order statistics are selected
-    among the *stored* values, then mapped to the signal and averaged in
-    float64. The map to the signal is monotone (for either sign of the
-    slope, and with the clamp at zero), so this is bit-equal to
-    ``np.median`` of the float64 signal, which is never built. The
-    selection takes one pass over the stored values: for a file-backed
-    volume, one read of its file.
+    ``data`` is a :class:`Volume4D`, trusted as checked, or an array of
+    any shape, which is wrapped in one (and so checked) once: a negative,
+    NaN or infinite value in it raises :class:`DomainError`, and an empty
+    one :class:`DegenerateDataError`. The two middle order statistics
+    are selected among the volume's *stored* values, then mapped to the
+    signal and averaged in float64. The map to the signal is monotone
+    (for either sign of the slope, and with the clamp at zero), so this
+    is bit-equal to ``np.median`` of the float64 signal, which is never
+    built. The selection takes one pass over the stored values: for a
+    file-backed volume, one read of its file.
     """
-    if isinstance(data, Volume4D):
-        to_signal, size = data.to_signal, math.prod(data.dims)
-    else:
-        data = np.asarray(data, dtype=np.float64)
-        to_signal, size = None, data.size
-    if size == 0:
-        raise DegenerateDataError("cannot bound sigma on empty data")
+    vol = data if isinstance(data, Volume4D) else _flat_volume(data)
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
-    med = _median(data, to_signal)
-    if np.isnan(med):
-        raise DomainError("sample values must be finite")
+    med = _median(vol)
     if med <= 0.0:
         raise DegenerateDataError("data median is zero; no signal present")
     return med / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
+
+
+def _flat_volume(data) -> Volume4D:
+    # The values of an array of any shape as one checked Volume4D, a single
+    # row of voxels: the median does not depend on the layout.
+    arr = np.asarray(data, dtype=np.float64).reshape(-1, 1, 1)
+    if arr.size == 0:
+        raise DegenerateDataError("cannot bound sigma on empty data")
+    return Volume4D(voxels=arr)
 
 
 _MEDIAN_SAMPLE = 1 << 16
@@ -254,43 +256,32 @@ def _median_sample(groups, n: int) -> np.ndarray:
     return sample
 
 
-def _median(data, to_signal=None) -> float:
-    # np.median(to_signal(values)), bit for bit, for a monotone to_signal
-    # that returns float64: the mean of the one or two middle values,
-    # mapped. The middle ranks of an even size are symmetric, so a
-    # decreasing map only swaps the two, and the sum does not depend on
-    # their order. ``data`` is an array or a Volume4D's stored values.
-    middle = _middle_values(data)
-    return float(np.mean(middle if to_signal is None else to_signal(middle)))
+def _median(vol: Volume4D) -> float:
+    # np.median of vol's float64 signal, bit for bit: the mean of the one
+    # or two middle stored values, mapped by the monotone to_signal. The
+    # middle ranks of an even size are symmetric, so a decreasing map only
+    # swaps the two, and the sum does not depend on their order.
+    return float(np.mean(vol.to_signal(_middle_values(vol))))
 
 
-def _middle_values(data) -> np.ndarray:
-    # The middle order statistic (odd size) or two (even size) of an array
-    # or of a Volume4D's stored values, in their dtype, without copying or
-    # partitioning the whole (Floyd-Rivest selection). Two pivots taken
-    # from the sorted sample of _median_sample (for a volume that
-    # read_nifti built, the one it took while checking) bracket the middle
-    # ranks; one chunked pass over the values (for a file-backed volume,
-    # one read of the file) counts those below the bracket and extracts
-    # those inside it, and only that small set is partitioned. A NaN
-    # compares with neither pivot, so any NaN lands in the bracket and
-    # makes the result NaN, as in np.median. If the bracket misses the
+def _middle_values(vol: Volume4D) -> np.ndarray:
+    # The middle order statistic (odd size) or two (even size) of vol's
+    # stored values, in their dtype, without copying or partitioning the
+    # whole (Floyd-Rivest selection). Two pivots taken from the sorted
+    # sample of _median_sample (for a volume that read_nifti built, the
+    # one it took while checking) bracket the middle ranks; one chunked
+    # pass over the values (for a file-backed volume, one read of the
+    # file) counts those below the bracket and extracts those inside it,
+    # and only that small set is partitioned. If the bracket misses the
     # middle ranks, a copy of the whole is partitioned. A sample of every
-    # value is the whole, sorted, and needs no pass.
-    if isinstance(data, Volume4D):
-        n, groups = math.prod(data.dims), data._groups
-        sample = data._sample
-    else:
-        flat = data.reshape(-1)
-        n, groups = flat.size, lambda: (flat,)
-        sample = None
+    # value is the whole, sorted, and needs no pass. The values are
+    # finite: both ways of building a Volume4D check that.
+    n = math.prod(vol.dims)
+    sample = vol._sample
     if sample is None:
-        sample = _median_sample(groups(), n)
+        sample = _median_sample(vol._groups(), n)
     k = [(n - 1) // 2, n // 2]
     if sample.size == n:
-        # NaNs sort last.
-        if sample.dtype.kind == "f" and np.isnan(sample[-1]):
-            return np.array([np.nan])
         return sample[k[0]:k[1] + 1]
     m = sample.size
     delta = 3.0 * np.sqrt(m) + 1.0
@@ -299,7 +290,7 @@ def _middle_values(data) -> np.ndarray:
     n_below = 0
     inside = []
     below = above = None
-    for group in groups():
+    for group in vol._groups():
         flat = group.reshape(-1)
         if below is None:
             # One pair of mask buffers serves the whole pass.
@@ -312,11 +303,9 @@ def _middle_values(data) -> np.ndarray:
             np.logical_not(np.logical_or(lt, keep, out=keep), out=keep)
             inside.append(chunk[keep])
     mid = np.concatenate(inside)
-    if mid.dtype.kind == "f" and np.isnan(mid).any():
-        return np.array([np.nan])
     j = [k[0] - n_below, k[1] - n_below]
     if j[0] < 0 or j[1] >= mid.size:
-        mid, j = np.concatenate([g.reshape(-1).copy() for g in groups()]), k
+        mid, j = np.concatenate([g.reshape(-1).copy() for g in vol._groups()]), k
     mid.partition(j)
     return mid[j[0]:j[1] + 1]
 
@@ -535,7 +524,8 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     DomainError
         If the slice holds negative or non-finite values.
     DegenerateDataError
-        If ``sigma_max`` is not given and the slice's median is zero.
+        If the slice is empty, or ``sigma_max`` is not given and the
+        slice's median is zero.
     NoNoiseVoxelsError
         If the slice holds no nonzero voxel, or every candidate of the
         current grid identifies zero voxels.
@@ -543,9 +533,9 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    check_magnitudes(arr)
+    vol = _flat_volume(arr)  # the one check of the slice
     if sigma_max is None:
-        sigma_max = sigma_upper_bound(arr, config.effective_n_bracket()[1])
+        sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
     sums = _slice_moments(arr, _log_ref(config, sigma_max))
     return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
 

@@ -47,12 +47,10 @@ _HEADER_SIZE = 348
 # Largest spatial axis read or written; it bounds the per-voxel moments
 # that estimate keeps. The volume axis has no such guard.
 _MAX_AXIS = 512
-# A payload of at most this many bytes per voxel is read into memory: it
-# is no larger than the two float64 moment arrays estimate reduces it to.
-# A larger uncompressed one is read again in passes; see _Payload. A
-# compressed one is always read into memory, so it is inflated once.
-_RESIDENT_BYTES = 16
-# Largest group of whole volumes read at once.
+# Bytes per voxel of the two float64 moment arrays that estimate reduces
+# a volume to; a group of volumes read at once takes no more, nor more
+# than _GROUP_BYTES.
+_MOMENT_BYTES = 16
 _GROUP_BYTES = 8 << 20
 # Largest request of one read call.
 _READ_BYTES = 1 << 20
@@ -133,7 +131,8 @@ class _Payload:
     at most 8 MiB and at most the 16 bytes per voxel of the moments, but
     at least one volume. A pass that finds the file changed since the
     check (another device, inode, size or mtime) raises
-    :class:`NiftiError` instead of reading other values than were checked.
+    :class:`NiftiError` instead of reading other values than were checked;
+    that includes a file that :func:`write_nifti` has since replaced.
     """
 
     def __init__(self, path, offset: int, dtype, swap: bool, shape: tuple, identity: tuple):
@@ -141,7 +140,7 @@ class _Payload:
         self.offset, self.dtype, self.swap = offset, dtype, swap
         self.shape, self.identity = shape, identity
         spatial = math.prod(shape[1:])
-        budget = min(_GROUP_BYTES, _RESIDENT_BYTES * spatial)
+        budget = min(_GROUP_BYTES, _MOMENT_BYTES * spatial)
         self.group_volumes = max(1, budget // (spatial * dtype.itemsize))
 
     def read(self, f, into=None):
@@ -171,14 +170,6 @@ class _Payload:
             yield from self.read(f)
             self._same_file(f)
 
-    def is_at(self, path) -> bool:
-        """Whether ``path`` names the file (device and inode) that was checked."""
-        try:
-            st = os.stat(path)
-        except OSError:
-            return False
-        return (st.st_dev, st.st_ino) == self.identity[:2]
-
     def _same_file(self, f) -> None:
         if _identity(f) != self.identity:
             raise NiftiError(f"{self.path}: file changed while being read")
@@ -198,22 +189,21 @@ def read_nifti(path) -> Volume4D:
     magnitude data is nonnegative by definition. 3D files become a
     single-volume 4D dataset.
 
-    A gzip file, or a file whose payload holds at most 16 bytes per
-    voxel (V times the dtype's size), no more than the two float64
-    moment arrays that :func:`~chisigma.identify.estimate_volume`
-    reduces it to, is read straight into the returned
-    :class:`Volume4D`'s ``stored`` array. A larger uncompressed one is
-    not kept: the volume is *file-backed*, and holds only the header,
+    One rule decides what is kept: a gzip payload is read straight into
+    the returned :class:`Volume4D`'s ``stored`` array, so that it is
+    inflated once, and an uncompressed one (``.nii`` or ``.img``) is
+    not kept. That volume is *file-backed*, and holds only the header,
     the scaling and the check's results (among them the sorted sample
-    that brackets the median). ``estimate_volume``,
+    that brackets the median). :func:`~chisigma.identify.estimate_volume`,
     :func:`volume_fingerprint` and :func:`write_nifti` then read the
-    file again, in groups of whole volumes (at most 8 MiB) into one
-    reused buffer, and only the 3D moments stay in memory. The file
-    must stay in place while the volume is used. The checks are not
-    repeated; instead each such pass raises :class:`NiftiError` if the
-    file changed (device, inode, size or mtime) since it was checked.
-    ``stored`` and ``voxels`` of a file-backed volume read the whole
-    file when first accessed.
+    file again, in groups of whole volumes (at most 8 MiB, and no more
+    than the two float64 moment arrays) into one reused buffer, and
+    only the 3D moments stay in memory. The file must stay in place
+    while the volume is used. The checks are not repeated; instead each
+    such pass raises :class:`NiftiError` if the file changed (device,
+    inode, size or mtime) since it was checked. ``stored`` and
+    ``voxels`` of a file-backed volume read the whole file when first
+    accessed.
 
     Raises
     ------
@@ -296,8 +286,7 @@ def read_nifti(path) -> Volume4D:
                 raise NiftiError(f"{data_path}: truncated file: dims {shape} need {need} "
                                  f"bytes of voxel data, at most {max(room, 0)} fit")
             payload = _Payload(data_path, offset, dt, bo == ">", stored_shape, identity)
-            resident = (isinstance(source, gzip.GzipFile)
-                        or stored_shape[0] * dt.itemsize <= _RESIDENT_BYTES)
+            resident = isinstance(source, gzip.GzipFile)
             stored = np.empty(stored_shape, dtype=dt) if resident else None
             lo, n_neg = np.inf, 0
 
@@ -453,27 +442,37 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     :class:`VolumeStream`'s volumes are taken one by one as the write
     reaches them, and each is let go once cast to float32, before the
     next one is made, so a stream is never held whole, and a file-backed
-    volume is read from its file as it is written; one written onto its
-    own file is read into memory first. A ``.gz`` suffix
+    volume is read from its file as it is written. A ``.gz`` suffix
     selects gzip compression: each 3D volume is deflated on its own
     (Z_RLE strategy), on a thread per CPU up to 4 with at most one more
     volume in flight, into one gzip member with no name and mtime 0, so
     the bytes depend neither on the thread count nor on the time, and
     identical data yields identical bytes.
 
+    The file is written to a new temporary file beside the target (a
+    symlink is resolved first) and renamed over the target only once
+    the write is complete, so a failed write leaves the target as it
+    was. The rename gives the target a new inode: another hard link to
+    the old file keeps the old bytes, and a file-backed volume written
+    onto its own file is stale afterwards (a pass over it raises
+    :class:`NiftiError`). A target that exists and is not a regular
+    file (a device or a FIFO) is written in place and never removed.
+
     Raises
     ------
     NiftiError
         If a spatial axis exceeds the guard, a value is not finite as float32
         (a signal beyond the float32 range), or the file cannot be
-        written. A write that fails part way removes the partial file.
+        written (among others, when the target's directory is read-only).
     """
-    source = volume._source if isinstance(volume, Volume4D) else None
-    if source is not None and source.is_at(path):
-        volume.stored  # opening the target truncates the file the volume reads
     chunks = _file_chunks(volume, spacing, path)
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    head, tail = os.path.split(target)
+    # Random, and created exclusively: no other writer uses the same name.
+    out = target if in_place else os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:
-        f = open(path, "wb")
+        f = open(out, "wb" if in_place else "xb")
     except OSError as exc:
         raise NiftiError(f"{path}: {exc}") from exc
     try:
@@ -483,10 +482,12 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
             else:
                 for chunk in chunks:
                     f.write(chunk)
+        if not in_place:
+            os.replace(out, target)
     except BaseException as exc:
-        # A partial file is no NIfTI file; a streamed write may fail late.
-        with contextlib.suppress(OSError):
-            os.unlink(path)
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(out)
         if isinstance(exc, OSError):
             raise NiftiError(f"{path}: {exc}") from exc
         raise

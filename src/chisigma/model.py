@@ -39,11 +39,10 @@ __all__ = [
 def check_magnitudes(arr: np.ndarray) -> None:
     """Raise :class:`DomainError` unless every value is finite and nonnegative.
 
-    The one home of this rule for in-memory magnitudes; min/max
-    reductions propagate NaN and need no temporary arrays.
+    The one home of this rule for in-memory magnitudes, which its callers
+    have found nonempty; min/max reductions propagate NaN and need no
+    temporary arrays.
     """
-    if arr.size == 0:
-        return
     lo, hi = float(arr.min()), float(arr.max())
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError("sample values must be finite")
@@ -94,14 +93,16 @@ class Volume4D:
     checks as it reads them.
 
     A volume that :func:`chisigma.io.read_nifti` leaves *file-backed*
-    holds the header's dims, dtype, scaling and the results of that
-    check, but no voxel data: the estimation pipeline and
-    :func:`chisigma.io.volume_fingerprint` read its file again in
-    passes of a few volumes, and only what they reduce it to stays in
-    memory. Its ``stored`` (and so ``voxels``) reads the whole file into
-    memory when first accessed and keeps it. Its file must stay in place
-    while the volume is used: a pass over a file that changed since the
-    check raises :class:`~chisigma.errors.NiftiError`.
+    (every uncompressed file) holds the header's dims, dtype, scaling
+    and the results of that check, but no voxel data: the estimation
+    pipeline, :func:`chisigma.io.volume_fingerprint` and
+    :func:`chisigma.io.write_nifti` read its file again in passes of a
+    few volumes, and only what they reduce it to stays in memory. Its
+    ``stored`` (and so ``voxels``) reads the whole file into memory when
+    first accessed and keeps it. Its file must stay in place while the
+    volume is used: a pass over a file that changed since the check,
+    or that ``write_nifti`` replaced, raises
+    :class:`~chisigma.errors.NiftiError`.
 
     Parameters
     ----------

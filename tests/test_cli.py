@@ -145,12 +145,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
     def test_float32_overflow(self, tmp_path, capsys, suffix):
         # A reference intensity beyond the float32 range fails the write of
-        # the first volume, and the partial file is removed.
+        # the first volume, and no file is left, not even the temporary.
         out = tmp_path / f"o.{suffix}"
         assert run(["simulate", "--dims", "12,12,8", "--volumes", "3",
                     "--b0-mean", "1e300", "--out", str(out)]) == EXIT_IO
         assert "float32" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_dims(self, tmp_path, capsys):
         out = tmp_path / "o.nii"

@@ -1,0 +1,53 @@
+"""Hard inputs: artifacts and edge cases run through ``estimate_volume``.
+
+Each case either gives estimates within criterion 2's 12% of the truth
+on every slice, or is marked as a known failure (``xfail``, strict, so
+that a fix shows up) whose cause is recorded in CHANGES.md. The seeds
+are fixed and no case is tuned until it passes.
+"""
+
+import numpy as np
+import pytest
+
+from chisigma.identify import SearchConfig, estimate_volume
+
+SIGMA, N = 10.0, 4
+TOLERANCE = 0.12
+
+
+def phantom(shape, seed, intensity=200.0):
+    """Chi magnitudes (N = 4, sigma = 10) around a bright disc in every z-plane."""
+    rng = np.random.default_rng(seed)
+    x, y = np.ogrid[:shape[0], :shape[1]]
+    disc = (x - shape[0] / 2) ** 2 + (y - shape[1] / 2) ** 2 < (shape[0] / 4) ** 2
+    nc = np.where(disc, (intensity / SIGMA) ** 2, 0.0)[:, :, None, None]
+    return SIGMA * np.sqrt(rng.noncentral_chisquare(2 * N, np.broadcast_to(nc, shape)))
+
+
+def assert_within_tolerance(estimates):
+    for e in estimates:
+        assert e.error is None, e.error
+        assert abs(e.sigma_g / SIGMA - 1.0) <= TOLERANCE, (e.slice_index, e.sigma_g)
+        assert abs(e.n_dof / N - 1.0) <= TOLERANCE, (e.slice_index, e.n_dof)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zero_filled_background_rows(seed):
+    # Scanner padding: whole rows of exact zeros outside the object.
+    data = phantom((48, 48, 6, 9), seed)
+    data[:, :8] = 0.0
+    assert_within_tolerance(estimate_volume(data, SearchConfig()))
+
+
+@pytest.mark.xfail(strict=True, reason="with one volume, sigma_g comes out 20-33% low and "
+                                       "N 1.6-2.2 times too high")
+def test_single_volume():
+    assert_within_tolerance(estimate_volume(phantom((48, 48, 6, 1), 1), SearchConfig()))
+
+
+@pytest.mark.xfail(strict=True, reason="on pure noise the median bound falls below sigma, "
+                                       "and at 1200 volumes a slice finds no candidate")
+def test_noise_only_with_many_volumes():
+    rng = np.random.default_rng(7)
+    noise = (SIGMA * np.sqrt(rng.chisquare(2 * N, (16, 16, 4, 1200)))).astype(np.float32)
+    assert_within_tolerance(estimate_volume(noise, SearchConfig()))

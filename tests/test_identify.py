@@ -142,11 +142,24 @@ class TestSigmaUpperBound:
         from chisigma.errors import DegenerateDataError
         with pytest.raises(DegenerateDataError):
             sigma_upper_bound(np.zeros((4, 4, 4, 2)), 4.0)
+        with pytest.raises(DegenerateDataError, match="empty"):
+            sigma_upper_bound(np.zeros((4, 0, 3)), 4.0)
 
     def test_nan_rejected(self):
         data = np.random.default_rng(31).uniform(0.5, 2.0, (24, 24, 12, 3))
         data[5, 7, 3, 1] = np.nan
         with pytest.raises(DomainError, match="sample values must be finite"):
+            sigma_upper_bound(data, 12.0)
+
+    @pytest.mark.parametrize("bad, message", [(-1.0, "nonnegative"), (math.inf, "finite"),
+                                              (-math.inf, "finite")],
+                             ids=["negative", "inf", "-inf"])
+    def test_array_is_checked_as_a_volume(self, bad, message):
+        # One bad value among 300000 sits far from the median, so only the
+        # check finds it.
+        data = np.random.default_rng(32).uniform(0.5, 2.0, 300000)
+        data[1234] = bad
+        with pytest.raises(DomainError, match=message):
             sigma_upper_bound(data, 12.0)
 
 
@@ -317,12 +330,14 @@ class TestEstimateVolume:
             real(a)
 
         monkeypatch.setattr(model, "check_magnitudes", spy)
-        monkeypatch.setattr(identify, "check_magnitudes", spy)
         base = estimate_volume(vol, SearchConfig(), threads=2)
         assert shapes == []
         wrapped = estimate_volume(arr, SearchConfig())
         assert shapes == [(16, 16, 4, 5)]
         assert [(e.sigma_g, e.n_dof) for e in wrapped] == [(e.sigma_g, e.n_dof) for e in base]
+        # estimate_slice checks its slice once, as the volume its median reads.
+        estimate_slice(arr[:, :, 0], SearchConfig())
+        assert shapes == [(16, 16, 4, 5), (16 * 16 * 5, 1, 1, 1)]
 
     def test_threads_produce_identical_results(self):
         rng = np.random.default_rng(39)
@@ -511,10 +526,10 @@ class TestMleInvariances:
 
 
 def assert_median_matches(arr):
+    # The median of a volume over arr's values; a 1D array is one row of voxels.
     before = arr.copy()
-    got = _median(arr)
-    want = float(np.median(arr))
-    assert got == want or (math.isnan(got) and math.isnan(want))
+    vol = Volume4D(voxels=arr if arr.ndim in (3, 4) else arr.reshape(-1, 1, 1))
+    assert _median(vol) == float(np.median(arr))
     np.testing.assert_array_equal(arr, before)
 
 
@@ -544,11 +559,6 @@ class TestMedian:
         n = 1 << 18
         arr = np.random.default_rng(62).uniform(0.0, 1.0, n)
         arr[:: n >> 16] += 100.0
-        assert_median_matches(arr)
-
-    def test_nan_propagates(self):
-        arr = np.random.default_rng(63).uniform(0.0, 1.0, 300000)
-        arr[1234] = np.nan
         assert_median_matches(arr)
 
     def test_upper_bound_unchanged(self):

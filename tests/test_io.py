@@ -9,7 +9,10 @@ import gzip
 import hashlib
 import io
 import json
+import os
+import stat
 import struct
+import threading
 import tracemalloc
 import warnings
 import zlib
@@ -352,7 +355,66 @@ class TestWriteNifti:
             with pytest.raises(NiftiError, match="big") as info:
                 write_nifti(Volume4D(voxels=arr), path)
         assert "float32" in str(info.value)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
+    def test_failed_write_keeps_the_existing_file(self, tmp_path, suffix):
+        # The write goes to a temporary beside the target, which replaces it
+        # only when the write completes; on failure only the temporary goes.
+        path = tmp_path / f"keep.{suffix}"
+        write_nifti(np.ones((3, 3, 2), dtype=bool), path)
+        before = path.read_bytes()
+        arr = np.full((4, 4, 4, 3), 7.0)
+        arr[1, 2, 3, 2] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NiftiError, match="float32"):
+                write_nifti(Volume4D(voxels=arr), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_new_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain"
+        open(plain, "wb").close()
+        path = tmp_path / "m.nii"
+        write_nifti(np.ones((3, 3, 2), dtype=bool), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+
+    def test_symlink_target_is_resolved(self, tmp_path):
+        real, link = tmp_path / "real.nii", tmp_path / "link.nii"
+        real.write_bytes(b"old")
+        link.symlink_to(real)
+        mask = np.ones((3, 3, 2), dtype=bool)
+        write_nifti(mask, link)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        np.testing.assert_array_equal(read_nifti(real).voxels[..., 0], mask)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.nii", "real.nii"]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["written", "failed"])
+    def test_fifo_target_is_written_in_place(self, tmp_path, fails):
+        fifo = tmp_path / "out.nii"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        arr = np.full((2, 2, 2, 2), 1e39 if fails else 3.0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                if fails:
+                    with pytest.raises(NiftiError, match="float32"):
+                        write_nifti(Volume4D(voxels=arr), fifo)
+                else:
+                    write_nifti(Volume4D(voxels=arr), fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+        if not fails:
+            plain = tmp_path / "plain.nii"
+            write_nifti(Volume4D(voxels=arr), plain)
+            assert got == [plain.read_bytes()]
 
     def test_largest_float32_is_written(self, tmp_path):
         top = float(np.finfo(np.float32).max)
@@ -504,12 +566,14 @@ class TestStoredValues:
         signal = np.maximum(values.astype(np.float64) * slope32 + inter32, 0.0)
         if (slope, inter) == (1.0, 0.0):
             signal = values.astype(np.float64)
-        np.testing.assert_array_equal(vol.voxels, signal)
-        assert vol.stored.dtype == np.dtype("<" + dtype)
+        # Selected while the volume is file-backed: the large shapes read the file.
         med = float(np.median(signal))
-        assert _median(vol.stored, vol.to_signal) == med
+        assert _median(vol) == med
         if med > 0.0:
             assert sigma_upper_bound(vol, 12.0) == med / np.sqrt(2.0 * inv_gamma_p(12.0, 0.5))
+        assert vol._stored is None
+        np.testing.assert_array_equal(vol.voxels, signal)
+        assert vol.stored.dtype == np.dtype("<" + dtype)
 
     def test_scaled_int16_estimates_match_float64_signal(self, tmp_path):
         rng = np.random.default_rng(70)

@@ -1,11 +1,12 @@
-"""File-backed volumes: a large payload stays on disk and is read in passes.
+"""File-backed volumes: an uncompressed payload stays on disk and is read in passes.
 
-``read_nifti`` keeps a file's values in memory only when they take at
-most 16 bytes per voxel or the file is gzip-compressed;
-``estimate_volume`` and ``volume_fingerprint`` read a larger
-uncompressed file again, a group of volumes at a time. These tests hold
-that path to the same data held in memory, bit for bit, and bound the
-memory it keeps.
+``read_nifti`` keeps a file's values in memory exactly when the file is
+gzip-compressed; ``estimate_volume``, ``volume_fingerprint`` and
+``write_nifti`` read an uncompressed file (``.nii`` or ``.hdr``/``.img``)
+again, a group of volumes at a time. These tests hold that path to the
+same data held in memory, bit for bit, and bound the memory it keeps.
+``write_nifti`` replaces its target by a rename, so a volume written
+onto its own file is never read whole, and is stale afterwards.
 """
 
 import hashlib
@@ -75,8 +76,7 @@ def test_streamed_matches_in_memory(tmp_path, monkeypatch, dtype, endian, layout
     # A short median sample makes the small volume take the bracketing pass
     # over the file, in many groups, as a large one does.
     monkeypatch.setattr(identify, "_MEDIAN_SAMPLE", 64)
-    # 20 volumes: at least 20 bytes per voxel, so an uncompressed file
-    # streams; a gzip file is read into memory.
+    # An uncompressed file streams; a gzip file is read into memory.
     shape = (8, 7, 5, 20)
     streams = layout != "nii.gz"
     slope, inter = _SCALINGS[layout]
@@ -111,16 +111,16 @@ def test_streamed_matches_in_memory(tmp_path, monkeypatch, dtype, endian, layout
     assert not vol.stored.flags.writeable
 
 
-@pytest.mark.parametrize("volumes, layout, resident",
-                         [(8, "nii", True), (9, "nii", False), (9, "nii.gz", True)])
-def test_files_of_at_most_16_bytes_per_voxel_stay_in_memory(tmp_path, volumes, layout,
-                                                            resident):
-    # A gzip file of any size is read into memory, so it is inflated once.
+@pytest.mark.parametrize("layout", ["nii", "pair", "nii.gz"])
+@pytest.mark.parametrize("volumes", [1, 8, 9])
+def test_only_gzip_payloads_stay_in_memory(tmp_path, volumes, layout):
+    # A gzip file of any size is read into memory, so it is inflated once;
+    # an uncompressed one of any size is read again in passes.
     shape = (6, 5, 4, volumes)
     values = np.arange(np.prod(shape), dtype="<i2").reshape(shape, order="F")
     path = write_layout(tmp_path, layout, shape, 4, values.tobytes(order="F"))
     vol = read_nifti(path)
-    assert (vol._stored is not None) == resident
+    assert (vol._stored is not None) == (layout == "nii.gz")
     assert vol.dims == shape and vol.dtype == np.dtype("<i2")
     np.testing.assert_array_equal(vol.voxels, values)
 
@@ -167,14 +167,22 @@ def hard_link_named_gz(tmp_path, path):
 @pytest.mark.parametrize("source_layout, target", [("nii", own_path), ("nii", hard_link_named_gz),
                                                    ("nii.gz", own_path)])
 def test_write_onto_its_own_file(tmp_path, source_layout, target):
-    # Opening the target truncates it; the volume's values must be read first.
+    # The write goes to a new file that replaces the target at the end, so
+    # the volume reads its file in passes as for any other target.
     shape = (9, 8, 3, 12)
     signal = phantom(shape, 15).astype("<f4")
     path = write_layout(tmp_path, source_layout, shape, 16, signal.tobytes(order="F"))
+    raw = path.read_bytes()
     vol = read_nifti(path)
     assert (vol._stored is None) == (source_layout == "nii")
     out = target(tmp_path, path)
     write_nifti(vol, out)
+    assert (vol._stored is None) == (source_layout == "nii")
+    if out != path:
+        assert path.read_bytes() == raw  # the other hard link keeps the old bytes
+    elif vol._stored is None:
+        with pytest.raises(NiftiError, match="changed while being read"):
+            volume_fingerprint(vol)
     want = tmp_path / ("want.nii.gz" if str(out).endswith(".gz") else "want.nii")
     write_nifti(Volume4D(voxels=signal.astype(np.float64)), want)
     assert out.read_bytes() == want.read_bytes()
