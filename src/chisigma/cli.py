@@ -11,6 +11,8 @@ import concurrent.futures
 import json
 import os
 import sys
+# Not np.median, which imports numpy.ma on first use.
+from statistics import median
 
 import numpy as np
 
@@ -61,14 +63,6 @@ def _resolve_threads(value: str) -> int:
     return threads
 
 
-def _median(values) -> float:
-    # np.median's value for finite floats (the mean of the middle one or
-    # two), without the numpy.ma import that np.median costs on first use.
-    ranked = sorted(values)
-    mid = len(ranked) // 2
-    return float(ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2)
-
-
 def cmd_estimate(args) -> int:
     """Estimate sigma_g and N per slice of a 4D volume."""
     threads = _resolve_threads(args.threads)
@@ -99,8 +93,8 @@ def cmd_estimate(args) -> int:
         print(f"{e.slice_index:>5} {e.sigma_g:>14.6f} {e.n_dof:>10.4f} "
               f"{e.n_identified:>10} {e.outer_iters:>5} {str(e.converged):>9}")
     if ok:
-        med_sigma = _median([e.sigma_g for e in ok])
-        med_n = _median([e.n_dof for e in ok])
+        med_sigma = median([e.sigma_g for e in ok])
+        med_n = median([e.n_dof for e in ok])
         print(f"volume median sigma_g = {med_sigma:.6f}, median n_dof = {med_n:.4f}")
     if failed:
         print("warning: estimation failed on "

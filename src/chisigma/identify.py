@@ -204,7 +204,7 @@ def sigma_upper_bound(data, n_max: float) -> float:
     built. The selection takes one pass over the stored values: for a
     file-backed volume, one read of its file.
     """
-    vol = data if isinstance(data, Volume4D) else _flat_volume(data)
+    vol = data if isinstance(data, Volume4D) else _row_volume(data)
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
     med = _median(vol)
@@ -213,13 +213,15 @@ def sigma_upper_bound(data, n_max: float) -> float:
     return med / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
 
 
-def _flat_volume(data) -> Volume4D:
-    # The values of an array of any shape as one checked Volume4D, a single
-    # row of voxels: the median does not depend on the layout.
-    arr = np.asarray(data, dtype=np.float64).reshape(-1, 1, 1)
+def _row_volume(data) -> Volume4D:
+    # An array of shape (..., V) as one checked Volume4D of shape (n, 1, 1, V):
+    # its n voxels in one row, in C order, so the volume code reduces a slice
+    # and reshaping its (1, 1, n) moments restores the slice's shape. The
+    # median does not depend on the layout.
+    arr = np.asarray(data, dtype=np.float64)
     if arr.size == 0:
         raise DegenerateDataError("cannot bound sigma on empty data")
-    return Volume4D(voxels=arr)
+    return Volume4D(voxels=arr.reshape(-1, 1, 1, arr.shape[-1] if arr.ndim else 1))
 
 
 _MEDIAN_SAMPLE = 1 << 16
@@ -347,13 +349,6 @@ class _Moments:
     def __init__(self, s2, s4, log=None, zeros=None):
         self.s2, self.s4, self.log, self.zeros = s2, s4, log, zeros
 
-    @classmethod
-    def of_shape(cls, shape, with_log: bool) -> "_Moments":
-        if not with_log:
-            return cls(np.zeros(shape), np.zeros(shape))
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape),
-                   np.zeros(shape, dtype=np.intp))
-
     def map(self, fn) -> "_Moments":
         """The same view ``fn`` of every array."""
         return _Moments(fn(self.s2), fn(self.s4),
@@ -361,14 +356,14 @@ class _Moments:
                         None if self.zeros is None else fn(self.zeros))
 
 
-def _accumulate(into: _Moments, volumes, ref: float | None, scratch=None) -> None:
+def _accumulate(into: _Moments, volumes, ref: float | None, scratch) -> None:
     # Adds each float64 volume of ``volumes`` to the sums of ``into``, one
     # volume at a time and in the order given, so that a voxel's sums do
     # not depend on how the voxels are split into blocks or threads.
     # Zero samples leave log(m^2 / ref) out of the sum. ``scratch`` holds
     # a float64, a float64 and a bool buffer of the sums' shape for the
-    # temporaries; by default each volume allocates its own.
-    m2_buf, t_buf, pos_buf = scratch or (None, None, None)
+    # temporaries.
+    m2_buf, t_buf, pos_buf = scratch
     for m in volumes:
         m2 = np.multiply(m, m, out=m2_buf)
         into.s2 += m2
@@ -412,21 +407,23 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     (int, ndarray)
         The count and the boolean voxel mask. All-zero padding voxels
         are never counted.
+
+    Raises
+    ------
+    DomainError
+        If the slice holds negative or non-finite values: it is checked
+        as :func:`estimate_slice` checks its slice.
+    DegenerateDataError
+        If the slice is empty.
     """
     if not sigma_candidate > 0.0:
         raise DomainError(f"sigma candidate must be positive, got {sigma_candidate}")
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    sums = _slice_moments(arr, None)
-    mask = _mask_from_sums(sums.s2, sums.s2 > 0.0, sigma_candidate, bounds)
+    s2 = _volume_moments(_row_volume(arr), None).s2.reshape(arr.shape[:-1])
+    mask = _mask_from_sums(s2, s2 > 0.0, sigma_candidate, bounds)
     return int(np.count_nonzero(mask)), mask
-
-
-def _slice_moments(arr: np.ndarray, ref: float | None) -> _Moments:
-    sums = _Moments.of_shape(arr.shape[:-1], ref is not None)
-    _accumulate(sums, (arr[..., v] for v in range(arr.shape[-1])), ref)
-    return sums
 
 
 # Most candidates scored at once by _best_candidate.
@@ -496,9 +493,10 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     estimate with ``outer_iters`` equal to the cap: the result of
     running every pass.
 
-    The slice is checked and reduced to per-voxel moments once, one
-    volume at a time, by the accumulator :func:`estimate_volume` uses:
-    sums over the volume axis of m^2 and m^4, and for
+    The slice is checked once, as a :class:`Volume4D` whose voxels form
+    one row, and reduced to per-voxel moments by the pass that reduces a
+    whole volume in :func:`estimate_volume`, one volume at a time: sums
+    over the volume axis of m^2 and m^4, and for
     ``estimator="mle"`` of log(m^2 / (2 sigma_max^2)) over positive
     samples plus a count of zero samples. Each iteration fits from sums
     of those over the identified voxels, with K = count * V samples.
@@ -533,10 +531,11 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    vol = _flat_volume(arr)  # the one check of the slice
+    vol = _row_volume(arr)  # the one check of the slice
     if sigma_max is None:
         sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
-    sums = _slice_moments(arr, _log_ref(config, sigma_max))
+    sums = _volume_moments(vol, _log_ref(config, sigma_max)).map(
+        lambda a: a.reshape(arr.shape[:-1]))
     return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
 
 
@@ -635,8 +634,9 @@ def _volume_moments(vol: Volume4D, ref: float | None) -> _Moments:
     # one volume at a time, so every voxel sees the volumes in file order.
     # The block's temporaries reuse buffers allocated once per call. (Threads
     # do not speed this up: it is bound by memory.)
-    n_z, n_y, n_x = vol.dims[2::-1]
-    sums = _Moments.of_shape((n_z, n_y, n_x), ref is not None)
+    n_z, n_y, n_x = shape = vol.dims[2::-1]
+    sums = _Moments(np.zeros(shape), np.zeros(shape), *(
+        () if ref is None else (np.zeros(shape), np.zeros(shape, dtype=np.intp))))
     step = min(n_z, max(1, _BLOCK_VOXELS // (n_y * n_x)))
     buffers = (np.empty(step * n_y * n_x), np.empty(step * n_y * n_x),
                np.empty(step * n_y * n_x), np.empty(step * n_y * n_x, bool))

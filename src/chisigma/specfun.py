@@ -1,15 +1,19 @@
 """Scalar special functions backing the noise estimators.
 
-Self-contained double-precision implementations of the gamma-family
-functions the estimation pipeline needs: log-gamma, digamma, trigamma,
-the regularized lower incomplete gamma function P(a, x), its inverse in
-the second argument, and the inverse of the digamma function.
+The gamma-family functions the estimation pipeline needs, in double
+precision: log-gamma, digamma, trigamma, the regularized lower
+incomplete gamma function P(a, x), its inverse in the second argument,
+and the inverse of the digamma function. Log-gamma is ``math.lgamma``
+and the inverse's Wilson-Hilferty seed takes its normal quantile from
+``statistics.NormalDist``; the standard library has no equivalent of
+the others, which are implemented here.
 
 All functions are pure, deterministic and hold no global state, so they
 are safe to call from any number of threads.
 """
 
 import math
+from statistics import NormalDist
 
 from .errors import ConvergenceError, DomainError
 
@@ -25,23 +29,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-_LN_SQRT_2PI = 0.9189385332046727418
-
-# Lanczos approximation, g = 7, 9 coefficients. Gives ~15 significant
-# digits for Gamma(x) on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _MAX_NEWTON_ITERS = 100
 
@@ -59,16 +46,10 @@ def ln_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # One step of the recurrence Gamma(x) = Gamma(x + 1) / x keeps the
-        # Lanczos sum in its accurate range.
-        return ln_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # ln Gamma(x) exceeds the float range past x = 2.56e305
+        return math.inf
 
 
 def digamma(x: float) -> float:
@@ -242,32 +223,6 @@ def _gamma_pdf_unit_scale(a: float, x: float) -> float:
     return math.exp((a - 1.0) * math.log(x) - x - ln_gamma(a))
 
 
-def _norm_ppf(p: float) -> float:
-    # Acklam's rational approximation to the standard normal quantile,
-    # relative error below 1.2e-9. Only used to seed Newton iterations.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
 def inv_gamma_p(a: float, p: float) -> float:
     """Inverse of ``gamma_p`` in its second argument: x with P(a, x) = p.
 
@@ -282,7 +237,7 @@ def inv_gamma_p(a: float, p: float) -> float:
 
     # Wilson-Hilferty initial guess; falls back to the small-x power law
     # P(a, x) ~ x^a / Gamma(a + 1) when the cube comes out nonpositive.
-    z = _norm_ppf(p)
+    z = NormalDist().inv_cdf(p)
     wh = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
     if wh > 0.0:
         x = a * wh ** 3

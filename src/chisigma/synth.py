@@ -388,15 +388,17 @@ class EvalReport:
 def _truth_spec(truth: dict) -> PhantomSpec:
     if not isinstance(truth, dict) or "spec" not in truth or "sigma_g" not in truth:
         raise SchemaError("ground-truth record must carry 'spec' and 'sigma_g'")
-    spec = dict(truth["spec"])
+    spec = truth["spec"]
+    if not isinstance(spec, dict):
+        raise SchemaError(f"ground-truth spec must be an object, got {spec!r}")
     known = {f: spec[f] for f in PhantomSpec.__dataclass_fields__ if f in spec}
     missing = [f for f in PhantomSpec.__dataclass_fields__ if f not in known]
     if missing:
         raise SchemaError(f"ground-truth spec missing fields {missing}")
-    known["dims"] = tuple(known["dims"])
+    # A field of the wrong type fails in tuple() or in PhantomSpec's checks.
     try:
-        return PhantomSpec(**known)
-    except ConfigError as exc:
+        return PhantomSpec(**dict(known, dims=tuple(known["dims"])))
+    except (ConfigError, TypeError, ValueError) as exc:
         raise SchemaError(f"ground-truth spec is invalid: {exc}") from exc
 
 
@@ -412,7 +414,13 @@ def evaluate_report(report, truth: dict) -> EvalReport:
     slice index outside the grid.
     """
     spec = _truth_spec(truth)
-    sigma_g = float(truth["sigma_g"])
+    try:
+        sigma_g = float(truth["sigma_g"])
+    except (TypeError, ValueError):
+        sigma_g = math.nan
+    if not 0.0 < sigma_g < math.inf:
+        raise SchemaError(f"ground-truth sigma_g must be positive and finite, "
+                          f"got {truth['sigma_g']!r}")
     dims = list(spec.dims) + [spec.n_volumes]
     rep_dims = list(report.fingerprint.get("dims", []))
     if rep_dims != dims:

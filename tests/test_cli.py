@@ -262,7 +262,7 @@ class TestEstimate:
     def test_summary_median_is_numpys(self, n):
         rng = np.random.default_rng(n)
         for values in (rng.lognormal(5.0, 2.0, n), rng.integers(0, 4, n) * 0.1):
-            assert cli._median(list(values)) == float(np.median(values))
+            assert cli.median(list(values)) == float(np.median(values))
 
     def test_end_to_end_outputs(self, sim_paths, tmp_path, capsys):
         out, truth = sim_paths
@@ -414,6 +414,27 @@ class TestEvaluate:
         bad = tmp_path / "truth.json"
         bad.write_text(json.dumps(doc))
         assert run(["evaluate", "--report", str(sim_report), "--truth", str(bad)]) == EXIT_IO
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["spec"].update(dims=5),
+        lambda doc: doc["spec"].update(snr="x"),
+        lambda doc: doc.update(sigma_g="x"),
+        lambda doc: doc.update(sigma_g="NaN"),
+        lambda doc: doc.update(sigma_g=0.0),
+        lambda doc: doc.update(sigma_g=-5.0),
+    ], ids=["dims_not_a_list", "snr_not_a_number", "sigma_g_not_a_number", "sigma_g_nan",
+            "sigma_g_zero", "sigma_g_negative"])
+    def test_malformed_truth(self, sim_paths, sim_report, tmp_path, capsys, edit):
+        # A field of the wrong type or out of range is a malformed record:
+        # one error line, exit 2.
+        _, truth = sim_paths
+        doc = json.loads(truth.read_text())
+        edit(doc)
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--report", str(sim_report), "--truth", str(bad)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_mismatched_truth(self, sim_paths, tmp_path, capsys):
         out, truth = sim_paths

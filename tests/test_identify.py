@@ -6,6 +6,7 @@ incomplete gamma.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -229,6 +230,21 @@ class TestCountInBounds:
         with pytest.raises(DomainError):
             count_in_bounds(np.ones(5), 1.0, RejectionBounds(0.0, 1.0))
 
+    @pytest.mark.parametrize("bad, message", [(-1.0, "nonnegative"), (math.nan, "finite"),
+                                              (math.inf, "finite"), (-math.inf, "finite")],
+                             ids=["negative", "nan", "inf", "-inf"])
+    def test_slice_is_checked(self, bad, message):
+        # Checked as estimate_slice checks its slice, not counted around.
+        data = np.full((4, 4, 3), 2.0)
+        data[1, 2, 0] = bad
+        with pytest.raises(DomainError, match=message):
+            count_in_bounds(data, 1.0, RejectionBounds(0.5, 20.0))
+
+    def test_rejects_empty_slice(self):
+        from chisigma.errors import DegenerateDataError
+        with pytest.raises(DegenerateDataError, match="empty"):
+            count_in_bounds(np.zeros((4, 0, 3)), 1.0, RejectionBounds(0.5, 20.0))
+
 
 class TestEstimateSlice:
     def test_pure_noise_recovery(self):
@@ -335,9 +351,10 @@ class TestEstimateVolume:
         wrapped = estimate_volume(arr, SearchConfig())
         assert shapes == [(16, 16, 4, 5)]
         assert [(e.sigma_g, e.n_dof) for e in wrapped] == [(e.sigma_g, e.n_dof) for e in base]
-        # estimate_slice checks its slice once, as the volume its median reads.
+        # estimate_slice checks its slice once, as the one-row volume that its
+        # median and its moments read.
         estimate_slice(arr[:, :, 0], SearchConfig())
-        assert shapes == [(16, 16, 4, 5), (16 * 16 * 5, 1, 1, 1)]
+        assert shapes == [(16, 16, 4, 5), (16 * 16, 1, 1, 5)]
 
     def test_threads_produce_identical_results(self):
         rng = np.random.default_rng(39)
@@ -369,6 +386,41 @@ class TestEstimateVolume:
             count, _ = count_in_bounds(data, sigma, bounds)
             counts.append(count)
         assert counts[0] <= counts[1] <= counts[2]
+
+
+@pytest.fixture(scope="module")
+def padded_phantom():
+    # An object phantom whose first two y rows are zero-filled padding.
+    noisy, _ = simulate(PhantomSpec(dims=(14, 12, 10), n_volumes=7, n_true=2, seed=5))
+    arr = np.array(noisy.voxels)
+    arr[:, :2] = 0.0
+    return arr
+
+
+class TestSliceMatchesVolume:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("estimator", ["moments", "mle"])
+    @pytest.mark.parametrize("fixed_n", [None, 2.0], ids=["free_n", "fixed_n"])
+    def test_bit_for_bit(self, padded_phantom, axis, estimator, fixed_n):
+        # A slice cut from the volume and searched on its own under the
+        # volume's bound gives the volume's record for it, bit for bit.
+        arr = padded_phantom
+        config = SearchConfig(estimator=estimator, fixed_n=fixed_n, slice_axis=axis)
+        vol = Volume4D(voxels=arr)
+        sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for want in estimate_volume(vol, config):
+                k = want.slice_index
+                part = np.take(arr, k, axis=identify.AXIS_INDEX[axis])
+                if want.error is not None:
+                    with pytest.raises(ChiSigmaError, match=re.escape(want.error)):
+                        estimate_slice(part, config, sigma_max=sigma_max, slice_index=k)
+                    continue
+                got = estimate_slice(part, config, sigma_max=sigma_max, slice_index=k)
+                assert (got.sigma_g, got.n_dof, got.outer_iters, got.converged) == (
+                    want.sigma_g, want.n_dof, want.outer_iters, want.converged), k
+                assert np.array_equal(got.mask, want.mask), k
 
 
 def loop_best_candidate(grid, sum_m2, nonpadding, bounds):

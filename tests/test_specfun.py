@@ -66,6 +66,11 @@ class TestLnGamma:
             with pytest.raises(DomainError):
                 ln_gamma(bad)
 
+    def test_overflow_is_inf(self):
+        # Past x = 2.56e305 ln Gamma(x) exceeds the float range.
+        assert ln_gamma(1e305) == pytest.approx(float(mp.loggamma(1e305)), rel=1e-14)
+        assert ln_gamma(1e306) == ln_gamma(math.inf) == math.inf
+
 
 class TestDigamma:
     def test_known_values(self):
