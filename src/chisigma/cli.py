@@ -79,7 +79,7 @@ def cmd_estimate(args) -> int:
     want_report = bool(args.out_report or args.out_csv)
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
         # hashlib releases the interpreter lock, so a second thread hashes
-        # the input for the report while the slices are searched.
+        # the input for the report while it is reduced and searched.
         hashing = (helper.submit(volume_fingerprint, volume)
                    if want_report and threads > 1 else None)
         estimates = estimate_volume(volume, config, threads=threads)
@@ -213,7 +213,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--threads", default="auto",
                      help="threads, integer or 'auto' (default auto); with 2 or more, "
                           "a second thread hashes the input for the report while "
-                          "the slices are searched")
+                          "it is reduced to moments and the slices are searched")
 
     sim = sub.add_parser("simulate", help="generate a noisy synthetic dataset")
     sim.add_argument("--dims", default=",".join(map(str, PhantomSpec.dims)),

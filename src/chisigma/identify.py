@@ -201,16 +201,20 @@ def sigma_upper_bound(data, n_max: float) -> float:
     signal and averaged in float64. The map to the signal is monotone
     (for either sign of the slope, and with the clamp at zero), so this
     is bit-equal to ``np.median`` of the float64 signal, which is never
-    built. The selection takes one pass over the stored values: for a
-    file-backed volume, one read of its file.
+    built. Beyond 2^17 values it takes one pass over the stored values
+    (a read of a file-backed volume's file), which :func:`estimate_volume`
+    shares with its moments unless its log sums need the bound.
     """
     vol = data if isinstance(data, Volume4D) else _row_volume(data)
     if not n_max > 0.0:
         raise DomainError(f"n_max must be positive, got {n_max}")
-    med = _median(vol)
-    if med <= 0.0:
+    return _bound(_median(vol), n_max)
+
+
+def _bound(median: float, n_max: float) -> float:
+    if median <= 0.0:
         raise DegenerateDataError("data median is zero; no signal present")
-    return med / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
+    return median / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
 
 
 def _row_volume(data) -> Volume4D:
@@ -225,7 +229,6 @@ def _row_volume(data) -> Volume4D:
 
 
 _MEDIAN_SAMPLE = 1 << 16
-_MEDIAN_CHUNK = 1 << 20
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -259,57 +262,8 @@ def _median_sample(groups, n: int) -> np.ndarray:
 
 
 def _median(vol: Volume4D) -> float:
-    # np.median of vol's float64 signal, bit for bit: the mean of the one
-    # or two middle stored values, mapped by the monotone to_signal. The
-    # middle ranks of an even size are symmetric, so a decreasing map only
-    # swaps the two, and the sum does not depend on their order.
-    return float(np.mean(vol.to_signal(_middle_values(vol))))
-
-
-def _middle_values(vol: Volume4D) -> np.ndarray:
-    # The middle order statistic (odd size) or two (even size) of vol's
-    # stored values, in their dtype, without copying or partitioning the
-    # whole (Floyd-Rivest selection). Two pivots taken from the sorted
-    # sample of _median_sample (for a volume that read_nifti built, the
-    # one it took while checking) bracket the middle ranks; one chunked
-    # pass over the values (for a file-backed volume, one read of the
-    # file) counts those below the bracket and extracts those inside it,
-    # and only that small set is partitioned. If the bracket misses the
-    # middle ranks, a copy of the whole is partitioned. A sample of every
-    # value is the whole, sorted, and needs no pass. The values are
-    # finite: both ways of building a Volume4D check that.
-    n = math.prod(vol.dims)
-    sample = vol._sample
-    if sample is None:
-        sample = _median_sample(vol._groups(), n)
-    k = [(n - 1) // 2, n // 2]
-    if sample.size == n:
-        return sample[k[0]:k[1] + 1]
-    m = sample.size
-    delta = 3.0 * np.sqrt(m) + 1.0
-    lo = sample[max(0, int((m - 1) * k[0] / n - delta))]
-    hi = sample[min(m - 1, int((m - 1) * k[1] / n + delta) + 1)]
-    n_below = 0
-    inside = []
-    below = above = None
-    for group in vol._groups():
-        flat = group.reshape(-1)
-        if below is None:
-            # One pair of mask buffers serves the whole pass.
-            below, above = (np.empty(min(flat.size, _MEDIAN_CHUNK), bool) for _ in "ab")
-        for start in range(0, flat.size, _MEDIAN_CHUNK):
-            chunk = flat[start:start + _MEDIAN_CHUNK]
-            lt = np.less(chunk, lo, out=below[:chunk.size])
-            keep = np.greater(chunk, hi, out=above[:chunk.size])
-            n_below += int(np.count_nonzero(lt))
-            np.logical_not(np.logical_or(lt, keep, out=keep), out=keep)
-            inside.append(chunk[keep])
-    mid = np.concatenate(inside)
-    j = [k[0] - n_below, k[1] - n_below]
-    if j[0] < 0 or j[1] >= mid.size:
-        mid, j = np.concatenate([g.reshape(-1).copy() for g in vol._groups()]), k
-    mid.partition(j)
-    return mid[j[0]:j[1] + 1]
+    # np.median of vol's float64 signal, bit for bit (see _reduce).
+    return _reduce(vol, select=True, moments=False)[0]
 
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
@@ -356,24 +310,89 @@ class _Moments:
                         None if self.zeros is None else fn(self.zeros))
 
 
-def _accumulate(into: _Moments, volumes, ref: float | None, scratch) -> None:
-    # Adds each float64 volume of ``volumes`` to the sums of ``into``, one
-    # volume at a time and in the order given, so that a voxel's sums do
-    # not depend on how the voxels are split into blocks or threads.
-    # Zero samples leave log(m^2 / ref) out of the sum. ``scratch`` holds
-    # a float64, a float64 and a bool buffer of the sums' shape for the
-    # temporaries.
-    m2_buf, t_buf, pos_buf = scratch
-    for m in volumes:
-        m2 = np.multiply(m, m, out=m2_buf)
-        into.s2 += m2
-        if ref is not None:
-            pos = np.greater(m, 0.0, out=pos_buf)
-            t = np.divide(m2, ref, out=t_buf)
-            np.log(t, out=t, where=pos)
-            into.log += t
-            into.zeros += np.logical_not(pos, out=pos)
-        into.s4 += np.multiply(m2, m2, out=m2)
+# Voxels per block of the reduction: the block's sums and temporaries stay
+# in cache while every volume is added to them.
+_BLOCK_VOXELS = 1 << 15
+
+
+def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None):
+    # (median, moments (Z, Y, X), with log sums when ``ref`` is given) of
+    # vol, each None unless asked for, from one pass over its stored values.
+    # The median is np.median of the float64 signal, bit for bit: the mean
+    # of the one or two middle stored values mapped by the monotone
+    # to_signal (two middle ranks are symmetric, so a decreasing map only
+    # swaps them). Floyd-Rivest selection: pivots from the sorted sample of
+    # _median_sample (read_nifti's, for a volume it built) bracket the middle
+    # ranks, the pass counts the values below and keeps those inside, and
+    # only those are partitioned, or a copy of the whole if the bracket
+    # misses. A sample of every value is the whole, sorted: no pass.
+    n = math.prod(vol.dims)
+    median = bracket = sums = None
+    if select:
+        sample = vol._sample if vol._sample is not None else _median_sample(vol._groups(), n)
+        k, m = ((n - 1) // 2, n // 2), sample.size
+        if m == n:
+            median = float(np.mean(vol.to_signal(sample[k[0]:k[1] + 1])))
+        else:
+            delta = 3.0 * np.sqrt(m) + 1.0
+            bracket = (sample[max(0, int((m - 1) * k[0] / n - delta))],
+                       sample[min(m - 1, int((m - 1) * k[1] / n + delta) + 1)])
+    if moments:
+        shape = vol.dims[2::-1]
+        sums = _Moments(np.zeros(shape), np.zeros(shape), *(
+            () if ref is None else (np.zeros(shape), np.zeros(shape, dtype=np.intp))))
+    if bracket is not None or sums is not None:
+        n_low, inside = _reduce_pass(vol, bracket, sums, ref)
+    if bracket is not None:
+        mid = np.concatenate(inside)
+        del inside
+        j = (k[0] - (n - n_low), k[1] - (n - n_low))
+        if j[0] < 0 or j[1] >= mid.size:
+            mid, j = np.concatenate([g.reshape(-1).copy() for g in vol._groups()]), k
+        mid.partition(j)
+        median = float(np.mean(vol.to_signal(mid[j[0]:j[1] + 1])))
+    return median, sums
+
+
+def _reduce_pass(vol: Volume4D, bracket, sums: _Moments | None, ref: float | None):
+    # The pass of _reduce, in a frame of its own so that the read buffer is
+    # freed before the kept values are joined. It takes each group of
+    # vol._groups() by blocks of z-planes, a block one volume at a time, so
+    # every voxel's sums see the volumes in file order, and returns the
+    # count of values at or above the bracket and the list of those inside.
+    # (Threads do not speed this up: it is bound by memory.)
+    n_z, n_y, n_x = vol.dims[2::-1]
+    step = min(n_z, max(1, _BLOCK_VOXELS // (n_y * n_x)))
+    signal, m2_buf, t_buf = (np.empty(step * n_y * n_x) for _ in "smt")
+    ge_buf, le_buf = (np.empty(step * n_y * n_x, bool) for _ in "gl")
+    n_low, inside = 0, []
+    for group in vol._groups():
+        for z0 in range(0, n_z, step):
+            z = slice(z0, z0 + step)
+            size = min(step, n_z - z0) * n_y * n_x
+            part = None if sums is None else sums.map(lambda a: a[z].reshape(-1))
+            for block in group[:, z]:
+                values = block.reshape(-1)
+                if bracket is not None:
+                    ge = np.greater_equal(values, bracket[0], out=ge_buf[:size])
+                    n_low += int(np.count_nonzero(ge))
+                    keep = np.logical_and(
+                        ge, np.less_equal(values, bracket[1], out=le_buf[:size]), out=ge)
+                    inside.append(values[keep])
+                if part is not None:
+                    # Float64 values under identity scaling come back as they
+                    # are, and ``out`` is left untouched.
+                    m = vol.to_signal(values, out=signal[:size])
+                    m2 = np.square(m, out=m2_buf[:size])
+                    np.add(part.s2, m2, out=part.s2)
+                    if ref is not None:
+                        pos = np.greater(m, 0.0, out=le_buf[:size])
+                        t = np.divide(m2, ref, out=t_buf[:size])
+                        np.log(t, out=t, where=pos)
+                        np.add(part.log, t, out=part.log)
+                        np.add(part.zeros, np.logical_not(pos, out=pos), out=part.zeros)
+                    np.add(part.s4, np.square(m2, out=m2), out=part.s4)
+    return n_low, inside
 
 
 def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
@@ -383,6 +402,20 @@ def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
     if config.fixed_n is None and config.estimator == "mle":
         return 2.0 * sigma_max * sigma_max
     return None
+
+
+def _bound_and_moments(vol: Volume4D, config: SearchConfig, sigma_max: float | None):
+    # (sigma_max, moments) of vol, the bound from vol's median unless given.
+    # The sums of m^2 and m^4 do not need the bound, so one pass serves both;
+    # the log sums do, so the median takes a pass of its own first.
+    n_max = config.effective_n_bracket()[1]
+    if sigma_max is None and _log_ref(config, 1.0) is None:
+        median, sums = _reduce(vol, select=True, moments=True)
+        return _bound(median, n_max), sums
+    if sigma_max is None:
+        sigma_max = sigma_upper_bound(vol, n_max)
+    return sigma_max, _reduce(vol, select=False, moments=True,
+                              ref=_log_ref(config, sigma_max))[1]
 
 
 def _mask_from_sums(sum_m2, nonpadding, sigma, bounds):
@@ -421,7 +454,7 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    s2 = _volume_moments(_row_volume(arr), None).s2.reshape(arr.shape[:-1])
+    s2 = _reduce(_row_volume(arr), select=False, moments=True)[1].s2.reshape(arr.shape[:-1])
     mask = _mask_from_sums(s2, s2 > 0.0, sigma_candidate, bounds)
     return int(np.count_nonzero(mask)), mask
 
@@ -532,10 +565,8 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
     vol = _row_volume(arr)  # the one check of the slice
-    if sigma_max is None:
-        sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
-    sums = _volume_moments(vol, _log_ref(config, sigma_max)).map(
-        lambda a: a.reshape(arr.shape[:-1]))
+    sigma_max, sums = _bound_and_moments(vol, config, sigma_max)
+    sums = sums.map(lambda a: a.reshape(arr.shape[:-1]))
     return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
 
 
@@ -622,55 +653,28 @@ def _failed_slice(index: int, shape, message: str) -> SliceEstimate:
     )
 
 
-# Voxels per block of the volume reduction: the block's sums and
-# temporaries stay in cache while every volume is added to them.
-_BLOCK_VOXELS = 1 << 15
-
-
-def _volume_moments(vol: Volume4D, ref: float | None) -> _Moments:
-    # Per-voxel moments of the whole volume, shape (Z, Y, X). Each group of
-    # volumes that vol._groups() yields (all of them for a volume in memory)
-    # is added block by block of z-planes, each block adding the signal of
-    # one volume at a time, so every voxel sees the volumes in file order.
-    # The block's temporaries reuse buffers allocated once per call. (Threads
-    # do not speed this up: it is bound by memory.)
-    n_z, n_y, n_x = shape = vol.dims[2::-1]
-    sums = _Moments(np.zeros(shape), np.zeros(shape), *(
-        () if ref is None else (np.zeros(shape), np.zeros(shape, dtype=np.intp))))
-    step = min(n_z, max(1, _BLOCK_VOXELS // (n_y * n_x)))
-    buffers = (np.empty(step * n_y * n_x), np.empty(step * n_y * n_x),
-               np.empty(step * n_y * n_x), np.empty(step * n_y * n_x, bool))
-    for group in vol._groups():
-        for z0 in range(0, n_z, step):
-            z = slice(z0, z0 + step)
-            shape = (min(step, n_z - z0), n_y, n_x)
-            signal, *scratch = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-            _accumulate(sums.map(lambda a: a[z]),
-                        (vol.to_signal(block[z], out=signal) for block in group), ref, scratch)
-    return sums
-
-
 def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceEstimate]:
     """Estimate every slice of a 4D dataset independently.
 
     The initial-grid upper bound is computed once from the median of
     the whole 4D data (selected among the stored values, without
-    copying them). Then the volume is reduced once to per-voxel moments
+    copying them), and the volume is reduced once to per-voxel moments
     (see :func:`estimate_slice`), adding one volume at a time in a fixed
-    order, and each slice along ``config.slice_axis`` is searched on its
-    own on its 2D view of those moments, one slice after another on the
-    calling thread. Slices that fail (no
+    order. Then each slice along ``config.slice_axis`` is searched on
+    its own on its 2D view of those moments, one slice after another on
+    the calling thread. Slices that fail (no
     identifiable noise voxels, degenerate samples) are reported with
     ``converged=False`` and zero estimates instead of aborting the
     volume.
 
-    The median and the moments each take one pass over the stored
-    values. A file-backed volume (see :func:`chisigma.io.read_nifti`)
-    is read from its file in each pass, a few volumes at a time, so only
-    the 3D moments (two float64 arrays, four for ``estimator="mle"``)
-    and a read buffer stay in memory; the moments pass must follow the
-    median, whose value sets the reference of the likelihood's log
-    sums. The results are those of the same data held in memory, bit
+    One pass over the stored values selects the median and sums m^2 and
+    m^4, which do not depend on it; ``estimator="mle"`` selects it in a
+    pass of its own first, since its log sums are of log(m^2 / (2
+    sigma_max^2)), which keeps N bit-exact under power-of-two scaling.
+    A file-backed volume (see :func:`chisigma.io.read_nifti`) is read
+    from its file in each pass, a few volumes at a time, so only the 3D
+    moments, a read buffer and the values near the median stay in
+    memory. The results are those of the same data held in memory, bit
     for bit.
 
     A :class:`Volume4D` is trusted as checked; an ndarray is checked
@@ -710,22 +714,19 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = data.dims[axis]
     slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)
-    _, n_high = config.effective_n_bracket()
     try:
-        sigma_max = sigma_upper_bound(data, n_high)
+        sigma_max, sums = _bound_and_moments(data, config, None)
     except DegenerateDataError:
         return [
             _failed_slice(k, slice_shape, "volume median is zero")
             for k in range(n_slices)
         ]
 
-    # The moments are (Z, Y, X), and are sliced along their own axes: np.take
-    # would first copy a transposed array whole.
-    sums = _volume_moments(data, _log_ref(config, sigma_max))
-
     def run_one(k: int) -> SliceEstimate:
         # The slice in (X, Y, Z) order, copied C-ordered: the search runs
-        # faster on it than on a strided view.
+        # faster on it than on a strided view. The moments are (Z, Y, X) and
+        # are sliced along their own axes: np.take would first copy a
+        # transposed array whole.
         part = sums.map(lambda a: np.take(a, k, axis=2 - axis).T.copy())
         try:
             return _search_slice(part, data.dims[3], config, sigma_max, k)

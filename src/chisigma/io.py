@@ -47,11 +47,11 @@ _HEADER_SIZE = 348
 # Largest spatial axis read or written; it bounds the per-voxel moments
 # that estimate keeps. The volume axis has no such guard.
 _MAX_AXIS = 512
-# Bytes per voxel of the two float64 moment arrays that estimate reduces
-# a volume to; a group of volumes read at once takes no more, nor more
-# than _GROUP_BYTES.
-_MOMENT_BYTES = 16
-_GROUP_BYTES = 8 << 20
+# Bytes per voxel of a group of volumes read at once (but at least one
+# volume): half the two float64 moment arrays that estimate adds them to,
+# since the values near the median and a second pass's buffer on the
+# --threads helper are held beside it.
+_GROUP_BYTES = 8
 # Largest request of one read call.
 _READ_BYTES = 1 << 20
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -127,9 +127,9 @@ class _Payload:
     :meth:`groups` opens the uncompressed file, by its absolute path (so
     a later change of the working directory does not change the file
     read), on its own handle, so passes may run on several threads at
-    once. It reads the array in groups of whole volumes into one buffer:
-    at most 8 MiB and at most the 16 bytes per voxel of the moments, but
-    at least one volume. A pass that finds the file changed since the
+    once. It reads the array in groups of whole volumes into one buffer
+    of _GROUP_BYTES per voxel: two float32 volumes, four int16 ones.
+    A pass that finds the file changed since the
     check (another device, inode, size or mtime) raises
     :class:`NiftiError` instead of reading other values than were checked;
     that includes a file that :func:`write_nifti` has since replaced.
@@ -139,9 +139,7 @@ class _Payload:
         self.path, self._abspath = path, os.path.abspath(path)
         self.offset, self.dtype, self.swap = offset, dtype, swap
         self.shape, self.identity = shape, identity
-        spatial = math.prod(shape[1:])
-        budget = min(_GROUP_BYTES, _MOMENT_BYTES * spatial)
-        self.group_volumes = max(1, budget // (spatial * dtype.itemsize))
+        self.group_volumes = max(1, _GROUP_BYTES // dtype.itemsize)
 
     def read(self, f, into=None):
         """Yield the groups from ``f``, positioned at the payload's start.
@@ -194,16 +192,16 @@ def read_nifti(path) -> Volume4D:
     inflated once, and an uncompressed one (``.nii`` or ``.img``) is
     not kept. That volume is *file-backed*, and holds only the header,
     the scaling and the check's results (among them the sorted sample
-    that brackets the median). :func:`~chisigma.identify.estimate_volume`,
-    :func:`volume_fingerprint` and :func:`write_nifti` then read the
-    file again, in groups of whole volumes (at most 8 MiB, and no more
-    than the two float64 moment arrays) into one reused buffer, and
-    only the 3D moments stay in memory. The file must stay in place
-    while the volume is used. The checks are not repeated; instead each
-    such pass raises :class:`NiftiError` if the file changed (device,
-    inode, size or mtime) since it was checked. ``stored`` and
-    ``voxels`` of a file-backed volume read the whole file when first
-    accessed.
+    that brackets the median). :func:`~chisigma.identify.estimate_volume`
+    (once; twice for ``estimator="mle"`` beyond 2^17 values),
+    :func:`volume_fingerprint` and :func:`write_nifti` then read the file
+    again, a few volumes at a time into one reused buffer, and only the
+    3D moments and the values near the median stay in memory. The file
+    must stay in place while the volume is used. The checks are not
+    repeated; instead each such pass raises :class:`NiftiError` if the
+    file changed (device, inode, size or mtime) since it was checked.
+    ``stored`` and ``voxels`` of a file-backed volume read the whole
+    file when first accessed.
 
     Raises
     ------

@@ -577,6 +577,17 @@ class TestMleInvariances:
             assert np.array_equal(t.mask, b.mask)
 
 
+def misleading_values(n, seed):
+    """n values in [0, 1), plus 100 at each position the median's sample takes.
+
+    The sample then holds only large values, so the bracket drawn from it
+    lies above the median and misses it.
+    """
+    arr = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    arr[identify._median_sample([np.arange(n)], n)] += 100.0
+    return arr
+
+
 def assert_median_matches(arr):
     # The median of a volume over arr's values; a 1D array is one row of voxels.
     before = arr.copy()
@@ -606,12 +617,14 @@ class TestMedian:
         assert_median_matches(vol[..., 1])
         assert_median_matches(np.asfortranarray(vol))
 
-    def test_misleading_sample_falls_back(self):
-        # The strided sample sees only the large values.
-        n = 1 << 18
-        arr = np.random.default_rng(62).uniform(0.0, 1.0, n)
-        arr[:: n >> 16] += 100.0
+    def test_misleading_sample_falls_back(self, monkeypatch):
+        arr = misleading_values(1 << 18, 62)
+        passes = []
+        real = Volume4D._groups
+        monkeypatch.setattr(Volume4D, "_groups", lambda vol: passes.append(1) or real(vol))
         assert_median_matches(arr)
+        # The sample, the bracket's pass, and the whole copied for the fallback.
+        assert len(passes) == 3
 
     def test_upper_bound_unchanged(self):
         rng = np.random.default_rng(64)
@@ -826,8 +839,7 @@ def cycling_phantom():
 
 def slice_searches(vol, config):
     # The per-slice arguments of _search_slice, as estimate_volume builds them.
-    sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
-    sums = identify._volume_moments(vol, identify._log_ref(config, sigma_max))
+    sigma_max, sums = identify._bound_and_moments(vol, config, None)
     for k in range(vol.dims[2]):
         part = sums.map(lambda a: np.ascontiguousarray(a.T[:, :, k]))
         yield part, vol.dims[3], sigma_max, k

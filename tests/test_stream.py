@@ -16,12 +16,13 @@ import warnings
 
 import numpy as np
 import pytest
+from test_identify import misleading_values
 from test_io import craft_nifti, write_layout
 
-from chisigma import cli, identify
+from chisigma import cli, identify, io
 from chisigma.cli import EXIT_IO, EXIT_OK, main
 from chisigma.errors import NiftiError
-from chisigma.identify import SearchConfig, estimate_volume
+from chisigma.identify import SearchConfig, estimate_volume, sigma_upper_bound
 from chisigma.io import Volume4D, read_nifti, volume_fingerprint, write_nifti
 
 _CODES = {"u1": 2, "i2": 4, "i4": 8, "f4": 16, "f8": 64}
@@ -126,9 +127,9 @@ def test_only_gzip_payloads_stay_in_memory(tmp_path, volumes, layout):
 
 
 def test_gzip_read_holds_no_group_sized_temporary(tmp_path):
-    # 8 int16 volumes are 16 bytes per voxel: read into memory, as one
-    # 8 MiB group. A gzip stream inflates each read request into a
-    # temporary of its size, so the reader asks for a little at a time.
+    # 8 int16 volumes, read into memory in two groups of 4 MiB. A gzip
+    # stream inflates each read request into a temporary of its size, so
+    # the reader asks for a little at a time.
     shape = (128, 128, 32, 8)
     path = write_layout(tmp_path, "nii.gz", shape, 4, bytes(int(np.prod(shape)) * 2))
     tracemalloc.start()
@@ -228,6 +229,94 @@ def test_estimate_peaks_under_a_quarter_of_the_stored_bytes(tmp_path):
     vol.stored
     assert_same_estimates(got, estimates(vol, config))
     assert volume_fingerprint(vol) == fingerprint
+
+
+def count_reads(monkeypatch) -> list:
+    """The passes over file-backed volumes' files, as they start."""
+    reads = []
+    real = io._Payload.groups
+
+    def spy(payload):
+        reads.append(payload.path)
+        return real(payload)
+
+    monkeypatch.setattr(io._Payload, "groups", spy)
+    return reads
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 8, 20), (16, 16, 8, 20)],
+                         ids=["bracket", "whole_sample"])
+@pytest.mark.parametrize("config,reads", [(SearchConfig(), 1), (SearchConfig(fixed_n=4.0), 1),
+                                          (SearchConfig(estimator="mle"), 2)],
+                         ids=["moments", "fixed_n", "mle"])
+def test_estimate_reads_the_file_once_unless_the_log_sums_need_the_bound(
+        tmp_path, monkeypatch, shape, config, reads):
+    # Beyond 2**17 values the median needs a pass over the values inside
+    # its bracket. The sums of m^2 and m^4 are taken in the same pass; the
+    # likelihood's log sums need the bound, and so a pass after it. A
+    # sample of every value needs no pass.
+    path = tmp_path / "vol.nii"
+    data = phantom(shape, 16).astype("<f4")
+    path.write_bytes(craft_nifti(shape, 16, data.tobytes(order="F")))
+    vol = read_nifti(path)
+    got = count_reads(monkeypatch)
+    result = estimates(vol, config)
+    whole = np.prod(shape) <= 1 << 17
+    assert len(got) == (1 if whole else reads), got
+    vol.stored
+    assert_same_estimates(result, estimates(vol, config))
+    del got[:]
+    bound = sigma_upper_bound(read_nifti(path), config.effective_n_bracket()[1])
+    assert len(got) == (0 if whole else 1), got
+    assert bound == sigma_upper_bound(vol, config.effective_n_bracket()[1])
+
+
+def test_misleading_sample_falls_back_file_backed(tmp_path, monkeypatch):
+    # The bracket from read_nifti's sample misses the median, so the whole
+    # is read again and partitioned. The moments of that one pass match a
+    # pass for the moments alone, bit for bit.
+    shape = (64, 64, 8, 8)
+    values = misleading_values(int(np.prod(shape)), 63).astype("<f4")  # in file order
+    path = tmp_path / "m.nii"
+    path.write_bytes(craft_nifti(shape, 16, values.tobytes()))
+    vol = read_nifti(path)
+    reads = count_reads(monkeypatch)
+    median, sums = identify._reduce(vol, select=True, moments=True)
+    assert len(reads) == 2
+    assert median == float(np.median(values.astype(np.float64)))
+    _, want = identify._reduce(vol, select=False, moments=True)
+    assert np.array_equal(sums.s2, want.s2) and np.array_equal(sums.s4, want.s4)
+    assert_same_estimates(estimates(vol, SearchConfig()),
+                          estimates(Volume4D(voxels=vol.voxels), SearchConfig()))
+
+
+@pytest.mark.parametrize("file_backed", [True, False], ids=["file", "memory"])
+def test_float64_identity_sums_are_of_the_values(tmp_path, file_backed):
+    # to_signal hands float64 values under identity scaling back as they
+    # are and leaves its ``out`` buffer untouched: the sums must be of the
+    # values it returns.
+    shape = (24, 20, 6, 50)
+    data = phantom(shape, 17)
+    if file_backed:
+        path = tmp_path / "f8.nii"
+        path.write_bytes(craft_nifti(shape, 64, data.astype("<f8").tobytes(order="F")))
+        vol = read_nifti(path)
+        assert vol._stored is None and vol._sample.size < data.size
+    else:
+        vol = Volume4D(voxels=data)
+    s2, s4, log = (np.zeros(shape[2::-1]) for _ in "s4l")
+    for v in range(shape[3]):
+        m = data[..., v].T
+        m2 = m * m
+        s2 += m2
+        s4 += m2 * m2
+        log += np.log(m2 / 2.0)
+    median, sums = identify._reduce(vol, select=True, moments=True)
+    assert median == float(np.median(data))
+    assert np.array_equal(sums.s2, s2) and np.array_equal(sums.s4, s4)
+    _, sums = identify._reduce(vol, select=False, moments=True, ref=2.0)
+    assert np.array_equal(sums.s2, s2) and np.array_equal(sums.s4, s4)
+    assert np.array_equal(sums.log, log) and not sums.zeros.any()
 
 
 def tall_file(tmp_path, volumes):
