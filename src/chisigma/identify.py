@@ -17,8 +17,9 @@ arrays instead of re-gathering the samples.
 
 Candidates are scored on each slice's sums of m^2, sorted once: for a
 candidate, s never decreases as sum_v m^2 grows, so the voxels it
-identifies are one run of the sorted sums, found by binary search, and
-only the winner's mask is built.
+identifies are one run of the sorted sums, whose two ends one binary
+search finds. Only the winner's mask is built, from the ends of its run,
+and the fit sums the moments at its voxels' indices.
 """
 
 import functools
@@ -348,7 +349,11 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
         del inside
         j = (k[0] - (n - n_low), k[1] - (n - n_low))
         if j[0] < 0 or j[1] >= mid.size:
-            mid, j = np.concatenate([g.reshape(-1).copy() for g in vol._groups()]), k
+            # The bracket missed: partition one copy of the whole, by groups.
+            mid, j, at = np.empty(n, vol.dtype), k, 0
+            for g in vol._groups():
+                mid[at:at + g.size] = g.reshape(-1)
+                at += g.size
         mid.partition(j)
         median = float(np.mean(vol.to_signal(mid[j[0]:j[1] + 1])))
     return median, sums
@@ -460,51 +465,53 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
 
 
 # Most candidates scored at once by _best_candidate.
-_SCORE_BLOCK = 1 << 16
+_SCORE_BLOCK = 1 << 15
 
 
-def _best_candidate(grid, sum_m2, nonpadding, ranked, bounds):
-    # ranked holds sum_m2[nonpadding], ascending. For a divisor d > 0,
+def _best_candidate(grid, sum_m2, ranked, bounds):
+    # ranked holds the sums > 0 of sum_m2, ascending. For a divisor d > 0,
     # v / d never decreases as v grows, so a candidate's mask, s in
     # [lambda-, lambda+], is the run of ranked between the values with
     # s < lambda- and those past s <= lambda+ (a NaN s, inf / inf, fails
-    # both tests and sits at the end): its count is the run's length. The
-    # grid goes in blocks of at most _SCORE_BLOCK candidates; argmax returns
-    # the first of tied maxima, and a later block wins only with a larger
-    # count, so the smallest candidate wins ties. Only the winner's mask is
-    # built.
+    # both tests and sits at the end). s < lambda- is s <= the float below
+    # lambda-, so one call counts both. The grid goes in blocks of at most
+    # _SCORE_BLOCK candidates; argmax returns the first of tied maxima, and
+    # a later block wins only with a larger count, so the smallest candidate
+    # wins ties. The winner's mask is the sums between its run's ends (> 0,
+    # so no padding), with no quotient taken.
     if ranked.size == 0:
         return 0, None, None
-    best_count, best_sigma = 0, None
+    lams = np.array([[bounds.lambda_plus], [np.nextafter(bounds.lambda_minus, -np.inf)]])
+    best_count, best_sigma, best_top = 0, None, 0
     for start in range(0, len(grid), _SCORE_BLOCK):
         block = grid[start:start + _SCORE_BLOCK]
-        d = 2.0 * block * block
-        counts = (_count_leading(ranked, d, np.less_equal, bounds.lambda_plus, "right")
-                  - _count_leading(ranked, d, np.less, bounds.lambda_minus, "left"))
+        tops, bottoms = _count_leading(ranked, 2.0 * block * block, lams)
+        counts = tops - bottoms
         i = int(np.argmax(counts))
         if counts[i] > best_count:
-            best_count, best_sigma = int(counts[i]), float(block[i])
+            best_count, best_sigma, best_top = int(counts[i]), float(block[i]), int(tops[i])
     if best_sigma is None:
         return 0, None, None
-    return best_count, best_sigma, _mask_from_sums(sum_m2, nonpadding, best_sigma, bounds)
+    mask = (sum_m2 >= ranked[best_top - best_count]) & (sum_m2 <= ranked[best_top - 1])
+    return best_count, best_sigma, mask
 
 
-def _count_leading(ranked, d, below, lam, side):
-    # Per divisor in d, how many leading values v of ranked pass
-    # below(v / d, lam), a test that holds on a prefix of ranked. The
-    # rounded lam * d only guesses that count: the guess stands when the
-    # value before it passes and the value at it fails, and a bisection on
-    # the same test settles each candidate where it does not.
+def _count_leading(ranked, d, lam):
+    # Per divisor in d and bound in lam, broadcast together, how many leading
+    # values v of ranked pass v / d <= lam, a test that holds on a prefix of
+    # ranked. The rounded lam * d only guesses that count: the guess stands
+    # when the value before it passes and the value at it fails, and a
+    # bisection on the same test settles each count where it does not.
     n = ranked.size
-    k = np.searchsorted(ranked, lam * d, side)
-    right = ((k == 0) | below(ranked[np.maximum(k - 1, 0)] / d, lam)) & (
-        (k == n) | ~below(ranked[np.minimum(k, n - 1)] / d, lam))
+    k = np.searchsorted(ranked, lam * d, "right")
+    right = ((k == 0) | (ranked[np.maximum(k - 1, 0)] / d <= lam)) & (
+        (k == n) | ~(ranked[np.minimum(k, n - 1)] / d <= lam))
     if right.all():
         return k
     lo, hi = np.where(right, k, 0), np.where(right, k, n)
     while (open_ := lo < hi).any():
         mid = (lo + hi) // 2
-        passes = below(ranked[np.minimum(mid, n - 1)] / d, lam)
+        passes = ranked[np.minimum(mid, n - 1)] / d <= lam
         lo = np.where(open_ & passes, mid + 1, lo)
         hi = np.where(open_ & ~passes, mid, hi)
     return lo
@@ -581,8 +588,8 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     # pass computes its own mask. The states compare as floats, which is
     # bit for bit here: sigma and N of a pass whose grid and bounds were
     # refined from them are positive and finite.
-    nonpadding = sums.s2 > 0.0
-    ranked = np.sort(sums.s2[nonpadding])
+    ranked = np.sort(sums.s2[sums.s2 > 0.0])
+    flat = sums.map(lambda a: a.reshape(-1))
     if ranked.size == 0:
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
 
@@ -598,19 +605,21 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     last_pass = config.max_outer_iters
 
     for iters in range(1, config.max_outer_iters + 1):
-        count, _, mask = _best_candidate(grid, sums.s2, nonpadding, ranked, bounds)
+        count, _, mask = _best_candidate(grid, sums.s2, ranked, bounds)
         if count == 0:
             raise NoNoiseVoxelsError(
                 f"slice {slice_index}: no candidate noise level identified any voxels"
             )
+        # Taken in memory order, as the mask would: the sums keep their bits.
+        idx = np.flatnonzero(mask)
         k = count * n_volumes
-        s2 = float(np.sum(sums.s2[mask]))
-        sigma = sigma_from_moments(s2, float(np.sum(sums.s4[mask])), k)
+        s2 = float(np.sum(flat.s2.take(idx)))
+        sigma = sigma_from_moments(s2, float(np.sum(flat.s4.take(idx))), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
         elif ref is not None:
-            n_dof = n_from_log_moments(float(np.sum(sums.log[mask])), k,
-                                       int(np.sum(sums.zeros[mask])), sigma, ref)
+            n_dof = n_from_log_moments(float(np.sum(flat.log.take(idx))), k,
+                                       int(np.sum(flat.zeros.take(idx))), sigma, ref)
         else:
             n_dof = n_from_moments(s2, k, sigma)
 
@@ -634,7 +643,7 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
         sigma_g=sigma,
         n_dof=n_dof,
         mask=mask,
-        n_identified=int(np.count_nonzero(mask)),
+        n_identified=count,
         outer_iters=iters if converged else config.max_outer_iters,
         converged=converged,
     )

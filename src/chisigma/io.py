@@ -57,6 +57,9 @@ _READ_BYTES = 1 << 20
 _GZIP_MAGIC = b"\x1f\x8b"
 # Deflate, no flags, mtime 0, maximum compression, unknown OS.
 _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
+# Largest input of one deflate call: zlib gathers a call's output in
+# blocks and then copies it whole, so small calls bound that transient.
+_DEFLATE_BYTES = 1 << 16
 # Deflate threads of a .gz write. At most one volume more is in flight, so
 # a fixed count, not the CPU count, bounds the memory a streamed write holds.
 _DEFLATE_WORKERS = 4
@@ -379,8 +382,8 @@ def _cast(vol, dtype, path) -> memoryview:
     return memoryview(out).cast("B")
 
 
-def _deflate(chunk) -> tuple:
-    """``chunk`` as a raw deflate stream of its own, in two parts.
+def _deflate(chunk) -> list:
+    """``chunk`` as a raw deflate stream of its own, in parts.
 
     Volumes and masks use the Z_RLE strategy, which matches only runs of
     one repeated byte. That is all float32 noise offers: on simulated
@@ -389,12 +392,15 @@ def _deflate(chunk) -> tuple:
     header itself) keeps the default strategy, whose match search costs
     nothing there and finds the header's repeated fields. The stream
     ends on a byte boundary with a non-final block, so that such streams
-    concatenate into one. The parts are written one after the other, not
-    joined into a copy.
+    concatenate into one. The chunk is fed _DEFLATE_BYTES at a time,
+    which gives the bytes of one call on the whole chunk, and the parts
+    are written one after the other, not joined into a copy.
     """
     strategy = zlib.Z_DEFAULT_STRATEGY if len(chunk) <= _HEADER_SIZE + 4 else zlib.Z_RLE
     z = zlib.compressobj(9, zlib.DEFLATED, -15, strategy=strategy)
-    return z.compress(chunk), z.flush(zlib.Z_SYNC_FLUSH)
+    parts = [z.compress(chunk[i:i + _DEFLATE_BYTES]) for i in range(0, len(chunk), _DEFLATE_BYTES)]
+    parts.append(z.flush(zlib.Z_SYNC_FLUSH))
+    return parts
 
 
 def _write_gzip(f, chunks, workers: int) -> None:

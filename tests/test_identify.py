@@ -641,15 +641,15 @@ class TestBestCandidate:
         nonpadding = sum_m2 > 0.0
         bounds = RejectionBounds(0.5, 2.0)
         for grid in (np.linspace(0.5, 6.0, 200), np.full(5, 2.0), refine_grid(3.0)):
-            got = _best_candidate(grid, sum_m2, nonpadding, np.sort(sum_m2[nonpadding]), bounds)
+            got = _best_candidate(grid, sum_m2, np.sort(sum_m2[nonpadding]), bounds)
             want = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
             assert got[:2] == want[:2]
             assert np.array_equal(got[2], want[2])
 
     def test_no_voxel_identified(self):
         sum_m2 = np.full((3, 3), 1e6)
-        got = _best_candidate(initial_grid(1.0, 10), sum_m2, sum_m2 > 0.0,
-                              np.sort(sum_m2, axis=None), RejectionBounds(0.5, 2.0))
+        got = _best_candidate(initial_grid(1.0, 10), sum_m2, np.sort(sum_m2, axis=None),
+                              RejectionBounds(0.5, 2.0))
         assert got == (0, None, None)
 
     def test_blocks_match_one_broadcast(self, monkeypatch):
@@ -662,23 +662,22 @@ class TestBestCandidate:
             monkeypatch.setattr(identify, "_SCORE_BLOCK", block)
             for grid in (np.linspace(0.5, 6.0, 200), np.linspace(0.5, 6.0, 5),
                          np.linspace(0.5, 6.0, 6), np.full(5, 2.0), refine_grid(3.0)):
-                got = _best_candidate(grid, sum_m2, nonpadding,
-                                      np.sort(sum_m2[nonpadding]), bounds)
+                got = _best_candidate(grid, sum_m2, np.sort(sum_m2[nonpadding]), bounds)
                 want = broadcast_best_candidate(grid, sum_m2, nonpadding, bounds)
                 assert got[:2] == want[:2]
                 assert np.array_equal(got[2], want[2])
 
     def test_large_grid_memory_is_bounded(self):
-        # 20,000 candidates on a 24x24 slice: blocks of 2**20 // 576 = 1,820
-        # candidates. One broadcast would hold at least its float64
-        # (20000, 24, 24) statistic, 92 MB; the blocks stay under a quarter.
+        # 20,000 candidates on a 24x24 slice. One broadcast would hold at
+        # least its float64 (20000, 24, 24) statistic, 92 MB; scored on the
+        # sorted sums, the search stays under a quarter of that.
         rng = np.random.default_rng(67)
         sum_m2 = np.sum(rng.rayleigh(1.0, (24, 24, 5)) ** 2, axis=-1)
         grid = initial_grid(4.0, 20_000)
         bounds = _bounds_for(1.0, 1.0, 5, 0.05)
         tracemalloc.start()
         try:
-            got = _best_candidate(grid, sum_m2, sum_m2 > 0.0, np.sort(sum_m2, axis=None), bounds)
+            got = _best_candidate(grid, sum_m2, np.sort(sum_m2, axis=None), bounds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -720,12 +719,51 @@ class TestBestCandidate:
         grid = grid * 2.0 ** (scale // 2)
         nonpadding = sum_m2 > 0.0
         with mock.patch.object(identify, "_SCORE_BLOCK", block):
-            got = _best_candidate(grid, sum_m2, nonpadding, np.sort(sum_m2[nonpadding]),
-                                  bounds)
+            got = _best_candidate(grid, sum_m2, np.sort(sum_m2[nonpadding]), bounds)
         for ref in (loop_best_candidate, broadcast_best_candidate):
             want = ref(grid, sum_m2, nonpadding, bounds)
             assert got[:2] == want[:2]
             assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
+
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans(), n_inf=st.integers(0, 3),
+           zero_minus=st.booleans(), huge=st.booleans(), n_grid=st.integers(1, 40),
+           block=st.sampled_from([1, 3, identify._SCORE_BLOCK]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_property_run_ends_and_one_count_call(self, seed, ties, n_inf, zero_minus, huge,
+                                                  n_grid, block):
+        # Tied sums (integers, with zero padding), lambda- = 0, infinite sums
+        # and a candidate whose 2 sigma^2 overflows, so that inf / inf is NaN,
+        # on grids split into blocks. The winner's mask from the ends of its
+        # run is the mask of its quotients, and one count call for both
+        # bounds gives the counts of s <= lambda+ and of s < lambda-.
+        rng = np.random.default_rng(seed)
+        if ties:
+            sum_m2 = rng.integers(0, 30, (8, 9)).astype(np.float64)
+        else:
+            sum_m2 = rng.uniform(0.0, 60.0, (8, 9))
+        sum_m2.reshape(-1)[rng.integers(sum_m2.size, size=n_inf)] = np.inf
+        grid = rng.uniform(0.5, 4.0, n_grid)
+        if huge:
+            grid[rng.integers(n_grid)] = 1e200
+        lam_minus = 0.0 if zero_minus else rng.uniform(0.0, 5.0)
+        bounds = RejectionBounds(lam_minus, lam_minus + rng.uniform(0.25, 20.0))
+        nonpadding = sum_m2 > 0.0
+        ranked = np.sort(sum_m2[nonpadding])
+        lams = np.array([[bounds.lambda_plus], [np.nextafter(bounds.lambda_minus, -np.inf)]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = 2.0 * grid * grid
+            tops, bottoms = identify._count_leading(ranked, d, lams)
+            s = ranked / d[:, None]
+            with mock.patch.object(identify, "_SCORE_BLOCK", block):
+                count, sigma, mask = _best_candidate(grid, sum_m2, ranked, bounds)
+            want = identify._mask_from_sums(sum_m2, nonpadding, sigma, bounds) if count else None
+        assert np.array_equal(tops, np.count_nonzero(s <= bounds.lambda_plus, axis=1))
+        assert np.array_equal(bottoms, np.count_nonzero(s < bounds.lambda_minus, axis=1))
+        assert count == int(np.max(tops - bottoms))
+        if count:
+            assert np.array_equal(mask, want) and np.count_nonzero(mask) == count
+        else:
+            assert mask is None
 
     def test_rounded_threshold_misses_are_settled(self):
         # A sum one ulp below the rounded lambda- * 2 sigma^2 that the
@@ -748,7 +786,7 @@ class TestBestCandidate:
             nonpadding = sum_m2 > 0.0
             ranked = np.sort(sum_m2[nonpadding])
             grid = np.array([cand])
-            got = _best_candidate(grid, sum_m2, nonpadding, ranked, bounds)
+            got = _best_candidate(grid, sum_m2, ranked, bounds)
             want = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
             assert got[:2] == want[:2]
             assert np.array_equal(got[2], want[2])
@@ -806,8 +844,7 @@ def plain_passes(sums, n_volumes, config, sigma_max):
     grid = initial_grid(sigma_max, config.grid_size)
     sigma_prev = n_prev = None
     for _ in range(config.max_outer_iters):
-        count, _, mask = _best_candidate(grid, sums.s2, nonpadding,
-                                         np.sort(sums.s2[nonpadding]), bounds)
+        count, _, mask = _best_candidate(grid, sums.s2, np.sort(sums.s2[nonpadding]), bounds)
         k = count * n_volumes
         s2 = float(np.sum(sums.s2[mask]))
         sigma = model.sigma_from_moments(s2, float(np.sum(sums.s4[mask])), k)

@@ -42,7 +42,7 @@ from chisigma.io import (
     write_report,
     write_slice_csv,
 )
-from chisigma.io import _file_chunks, _write_gzip
+from chisigma.io import _DEFLATE_BYTES, _deflate, _file_chunks, _write_gzip
 from chisigma.model import VolumeStream
 from chisigma.specfun import inv_gamma_p
 
@@ -338,6 +338,24 @@ class TestWriteNifti:
             buf = io.BytesIO()
             _write_gzip(buf, _file_chunks(vol, vol.spacing, path), workers)
             assert buf.getvalue() == path.read_bytes()
+
+    def test_sliced_deflate_matches_one_call(self, tmp_path):
+        # _deflate feeds zlib a slice at a time; the stream must be the one a
+        # single call on the whole chunk gives, for the header, volumes (one
+        # of them an exact number of slices) and a mask.
+        rng = np.random.default_rng(59)
+        vol = Volume4D(voxels=rng.rayleigh(40.0, (64, 64, 13, 3)))
+        mask = np.zeros((128, 96, 9), dtype=bool)
+        mask[20:90, 10:70, 2:7] = rng.random((70, 60, 5)) < 0.9
+        chunks = [*_file_chunks(vol, vol.spacing, tmp_path / "v.nii.gz"),
+                  *list(_file_chunks(mask, (1.0, 1.0, 1.0), tmp_path / "m.nii.gz"))[1:],
+                  memoryview(np.zeros(4 * _DEFLATE_BYTES, np.uint8))]
+        assert len(chunks[0]) == 352 and len(chunks[1]) > 3 * _DEFLATE_BYTES
+        for i, chunk in enumerate(chunks):
+            strategy = zlib.Z_DEFAULT_STRATEGY if i == 0 else zlib.Z_RLE
+            z = zlib.compressobj(9, zlib.DEFLATED, -15, strategy=strategy)
+            whole = z.compress(chunk) + z.flush(zlib.Z_SYNC_FLUSH)
+            assert b"".join(_deflate(chunk)) == whole, i
 
     @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
     @pytest.mark.parametrize("where", ["every_volume", "last_volume"])

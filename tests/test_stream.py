@@ -290,6 +290,25 @@ def test_misleading_sample_falls_back_file_backed(tmp_path, monkeypatch):
                           estimates(Volume4D(voxels=vol.voxels), SearchConfig()))
 
 
+def test_misleading_sample_fallback_holds_one_copy(tmp_path):
+    # When the bracket misses, every stored value is copied for the
+    # partition: one copy and a read group, not a copy per group and
+    # then their concatenation (2x the stored bytes).
+    shape = (64, 64, 32, 16)
+    values = misleading_values(int(np.prod(shape)), 63).astype("<f4")
+    path = tmp_path / "m.nii"
+    path.write_bytes(craft_nifti(shape, 16, values.tobytes()))
+    vol = read_nifti(path)
+    tracemalloc.start()
+    try:
+        median = identify._median(vol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert median == float(np.median(values.astype(np.float64)))
+    assert peak < 1.25 * values.nbytes, peak / values.nbytes
+
+
 @pytest.mark.parametrize("file_backed", [True, False], ids=["file", "memory"])
 def test_float64_identity_sums_are_of_the_values(tmp_path, file_backed):
     # to_signal hands float64 values under identity scaling back as they
