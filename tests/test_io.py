@@ -341,8 +341,8 @@ class TestWriteNifti:
 
     def test_sliced_deflate_matches_one_call(self, tmp_path):
         # _deflate feeds zlib a slice at a time; the stream must be the one a
-        # single call on the whole chunk gives, for the header, volumes (one
-        # of them an exact number of slices) and a mask.
+        # single call on the whole chunk gives, for the header, volumes, a
+        # mask and a chunk of an exact number of slices.
         rng = np.random.default_rng(59)
         vol = Volume4D(voxels=rng.rayleigh(40.0, (64, 64, 13, 3)))
         mask = np.zeros((128, 96, 9), dtype=bool)
