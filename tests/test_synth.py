@@ -6,6 +6,7 @@ moments for second-moment checks, and the Rayleigh median identity.
 """
 
 import hashlib
+import io
 import math
 import os
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from scipy import stats
 
 from chisigma.errors import ConfigError, DegenerateDataError, DomainError
-from chisigma.io import EstimateReport, write_nifti
+from chisigma.io import EstimateReport, _file_chunks, _write_gzip, write_nifti
 from chisigma.synth import (
     NoiseField,
     PhantomSpec,
@@ -345,6 +346,23 @@ class TestSimulate:
         path = tmp_path / "sim.nii.gz"
         write_nifti(simulate_stream(spec)[0], path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == gz
+
+    # sha256 of the .nii.gz of one phantom at 1, 2 and 7 volumes, recorded
+    # when every volume was drawn on the calling thread: neither the worker
+    # count nor a volume count below, at or above it changes a byte.
+    @pytest.mark.parametrize("n_volumes, gz", [
+        (1, "a69d79ed6f405ba4379b24bf3481c114e53e372d9857c1a027a51430786f6e94"),
+        (2, "d703c809210f71251900733c62e352880464c91ee25ade0f2586cc673b140729"),
+        (7, "3e01a34ad4f3d2bc4a45de47d04237a6ddf800a88f0000ce4eff05999fa0d8aa"),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_gzip_bytes_for_any_worker_count(self, tmp_path, n_volumes, gz, workers):
+        spec = PhantomSpec(dims=(16, 12, 8), n_volumes=n_volumes, n_true=2.0,
+                           profile="sphere_ramp", seed=6)
+        buf = io.BytesIO()
+        _write_gzip(buf, _file_chunks(simulate_stream(spec)[0], None, tmp_path / "s.nii.gz"),
+                    workers)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == gz
 
     @pytest.mark.parametrize("cpus", [2, 16])
     def test_streamed_write_holds_a_few_volumes(self, tmp_path, monkeypatch, cpus):
