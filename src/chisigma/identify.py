@@ -39,6 +39,7 @@ from .errors import (
 # from this module because bench/spans.py hooks them by name on it.
 from .model import (  # noqa: F401
     Volume4D,
+    _OVERFLOW,
     _is_whole,
     estimate_n_mle,
     estimate_n_moments,
@@ -359,6 +360,10 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
     return median, sums
 
 
+# m^2 and m^4 of magnitudes beyond the float64 range of those powers are
+# summed as inf (and log(m^2 / ref) as -inf or NaN when ref is inf), which
+# the search reports as a slice's error.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _reduce_pass(vol: Volume4D, bracket, sums: _Moments | None, ref: float | None):
     # The pass of _reduce, in a frame of its own so that the read buffer is
     # freed before the kept values are joined. It takes each group of
@@ -405,6 +410,7 @@ def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
     # runs. It scales with the data, which keeps the sums, and so N,
     # bit-exact under power-of-two scaling.
     if config.fixed_n is None and config.estimator == "mle":
+        sigma_max = float(sigma_max)  # overflows to inf without a warning
         return 2.0 * sigma_max * sigma_max
     return None
 
@@ -577,6 +583,10 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
 
 
+# Huge magnitudes overflow: a candidate's 2 sigma^2 to inf (and inf / inf to
+# NaN), which _best_candidate's counts handle, and a fit's sums to inf, which
+# sigma_from_moments reports. So numpy's warnings are off for the whole search.
+@np.errstate(over="ignore", invalid="ignore")
 def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_max: float,
                   slice_index: int) -> SliceEstimate:
     # The search of estimate_slice, on one slice's per-voxel moments. A
@@ -592,6 +602,8 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     flat = sums.map(lambda a: a.reshape(-1))
     if ranked.size == 0:
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
+    if ranked[0] == np.inf:
+        raise DomainError(_OVERFLOW)
 
     n_low, n_high = config.effective_n_bracket()
     ref = _log_ref(config, sigma_max)

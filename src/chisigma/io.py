@@ -14,7 +14,6 @@ import csv
 import functools
 import gzip
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NiftiError, SchemaError
 from .identify import SearchConfig, _median_sample
-from .model import _STORED_TYPES, Volume4D, VolumeStream
+from .model import _STORED_TYPES, Volume4D, VolumeStream, _lend
 
 __all__ = [
     "Volume4D",
@@ -60,8 +59,9 @@ _GZIP_HEADER = _GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x02\xff"
 # Largest input of one deflate call: zlib gathers a call's output in
 # blocks and then copies it whole, so small calls bound that transient.
 _DEFLATE_BYTES = 1 << 16
-# Deflate threads of a .gz write. At most one volume more is in flight, so
-# a fixed count, not the CPU count, bounds the memory a streamed write holds.
+# Threads of a .gz write, which make (or draw) and deflate its volumes. At
+# most one volume more is in flight, so a fixed count, not the CPU count,
+# bounds the memory a streamed write holds.
 _DEFLATE_WORKERS = 4
 
 # The report schema written; read_report also reads v1, whose fingerprint
@@ -337,22 +337,26 @@ def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
 
 
 def _file_chunks(volume, spacing, path):
-    """The NIfTI-1 file of ``volume``: its header, then a buffer per 3D volume.
+    """The NIfTI-1 file of ``volume``, as ``(header, (shape, dtype), fills)``.
 
-    The input and its dims are checked at once, before any byte is
-    produced. The file runs x fastest, as a volume's ``stored`` array
-    and a stream's volumes do, so each 3D volume is one contiguous run
-    of both, mapped to the signal (or drawn, or read from a file-backed
-    volume's file) and cast only when the iterator reaches it.
+    ``header`` is the header's bytes. ``fills`` yields one callable per 3D
+    volume, in file order: ``fill(out)`` makes the volume into ``out``, an
+    array of that ``shape`` and ``dtype``, and returns ``out``'s bytes, or
+    raises :class:`NiftiError` on a value that is not finite as float32.
+    The fills depend on no other, so they may run on several threads at
+    once. The input and its dims are checked at once, before any byte is
+    produced. The file runs x fastest, as a volume's ``stored`` array and
+    a stream's volumes do, so each 3D volume is one contiguous run of
+    both, mapped to the signal (or read from a file-backed volume's file)
+    when the iterator reaches it, or drawn when its fill runs.
     """
     if isinstance(volume, (Volume4D, VolumeStream)):
         shape = volume.dims
         spacing = volume.spacing
         datatype, bitpix, dtype = 16, 32, "<f4"
-        if isinstance(volume, VolumeStream):
-            vols = volume
-        else:
-            vols = (volume.to_signal(block) for group in volume._groups() for block in group)
+        stream = volume if isinstance(volume, VolumeStream) else VolumeStream(
+            shape, _signals(volume), spacing)
+        makers = stream.makers()
     else:
         arr = np.asarray(volume)
         if arr.dtype != np.bool_:
@@ -363,20 +367,30 @@ def _file_chunks(volume, spacing, path):
             arr = arr[..., np.newaxis]
         shape = arr.shape
         datatype, bitpix, dtype = 2, 8, "u1"
-        vols = (arr.T,)
+        makers = (functools.partial(_lend, arr.T),)
     _check_axes(path, shape)
     # Four zero bytes after the header: no extensions.
     header = _pack_header(shape, spacing, datatype, bitpix) + b"\x00\x00\x00\x00"
-    # map, unlike a generator expression, holds no volume while it takes the next.
-    return itertools.chain((header,), map(functools.partial(_cast, dtype=dtype, path=path), vols))
+    fills = (functools.partial(_fill, make, path=path) for make in makers)
+    return header, (shape[2::-1], np.dtype(dtype)), fills
 
 
-def _cast(vol, dtype, path) -> memoryview:
-    # Signal values beyond the float32 range would be cast to inf, which
+def _signals(volume: Volume4D):
+    # Each volume's float64 signal, as an array that the next read of a
+    # file-backed volume does not overwrite: fills run after later volumes
+    # are read.
+    for group in volume._groups():
+        for block in group:
+            signal = volume.to_signal(block)
+            yield signal.copy() if signal is block and volume._stored is None else signal
+
+
+def _fill(make, out, path) -> memoryview:
+    # Signal values beyond the float32 range are cast to inf, which
     # read_nifti rejects. Magnitudes are nonnegative, so the maximum of
     # the cast shows any such value.
     with np.errstate(over="ignore"):
-        out = np.ascontiguousarray(vol, dtype=dtype)
+        make(out=out)
     if out.dtype.kind == "f" and not math.isfinite(out.max()):
         raise NiftiError(f"{path}: voxel values are not finite in float32")
     return memoryview(out).cast("B")
@@ -403,32 +417,51 @@ def _deflate(chunk) -> list:
     return parts
 
 
-def _write_gzip(f, chunks, workers: int) -> None:
-    """Write ``chunks`` to ``f`` as one gzip member, each deflated on its own.
+def _fill_and_deflate(fill: list, out) -> tuple:
+    # ``fill`` is a one-item list, emptied here: the volume's maker, and the
+    # noncentrality map it may hold alone, go before the deflate runs.
+    chunk = fill.pop()(out)
+    return chunk, _deflate(chunk)
 
-    The chunks are deflated on ``workers`` threads (zlib releases the
-    GIL), at most ``workers + 1`` in flight, and written in order. While
-    ``workers`` of them deflate, this thread takes the next chunk from
-    ``chunks``, so the work that makes a chunk (a cast, or the draws of
-    a simulated volume) overlaps the deflate of earlier ones. Every
-    chunk starts a fresh deflate stream, so the bytes do not depend on
-    ``workers``.
+
+def _write_gzip(f, chunks, workers: int) -> None:
+    """Write the file ``chunks`` of :func:`_file_chunks` to ``f`` as one gzip member.
+
+    Each 3D volume is one task on ``workers`` threads: its fill makes it
+    (draws it, for a simulated volume) into a buffer that this thread
+    lends, checks it, and deflates it (numpy's draws and zlib release the
+    interpreter lock). At most ``workers + 1`` volumes are in flight, in
+    as many buffers, allocated here and reused; one more than the
+    workers, so that a worker is never idle while this thread waits for
+    the oldest volume. This thread adds each volume to the CRC and size
+    and writes its deflated parts in volume order, then lends its buffer
+    to the next fill. Every volume starts a fresh deflate stream, so the
+    bytes do not depend on ``workers``.
     """
+    header, (shape, dtype), fills = chunks
     f.write(_GZIP_HEADER)
-    crc = size = 0
-    # Only the deflate futures wait here: each chunk is summed as it is
-    # submitted, so the raw chunk is freed as soon as its deflate is done.
-    pending = deque()
+    f.writelines(_deflate(header))
+    crc, size = zlib.crc32(header), len(header)
+    pending, free = deque(), []
+
+    def write_oldest():
+        nonlocal crc, size
+        done, out = pending.popleft()
+        chunk, parts = done.result()
+        crc = zlib.crc32(chunk, crc)
+        size += len(chunk)
+        f.writelines(parts)
+        free.append(out)
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in chunks:
-            crc = zlib.crc32(chunk, crc)
-            size += len(chunk)
-            pending.append(pool.submit(_deflate, chunk))
-            del chunk  # the pending deflate holds it while it needs it
+        for fill in fills:
             if len(pending) > workers:
-                f.writelines(pending.popleft().result())
+                write_oldest()
+            out = free.pop() if free else np.empty(shape, dtype)
+            pending.append((pool.submit(_fill_and_deflate, [fill], out), out))
+            del fill  # the task holds the maker while it needs it
         while pending:
-            f.writelines(pending.popleft().result())
+            write_oldest()
     # An empty final block ends the deflate stream.
     f.write(zlib.compressobj(9, zlib.DEFLATED, -15).flush(zlib.Z_FINISH))
     f.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
@@ -442,16 +475,17 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
     {0, 1} and the voxel edge lengths ``spacing`` (pass the source
     volume's, so the mask lies on its grid). The header is checked
     (including the 512-voxel guard on the spatial axes) before any byte
-    is written, then the file is written one 3D volume at a time: a
-    :class:`VolumeStream`'s volumes are taken one by one as the write
-    reaches them, and each is let go once cast to float32, before the
-    next one is made, so a stream is never held whole, and a file-backed
-    volume is read from its file as it is written. A ``.gz`` suffix
-    selects gzip compression: each 3D volume is deflated on its own
-    (Z_RLE strategy), on a thread per CPU up to 4 with at most one more
-    volume in flight, into one gzip member with no name and mtime 0, so
-    the bytes depend neither on the thread count nor on the time, and
-    identical data yields identical bytes.
+    is written, then the file is written one 3D volume at a time: each
+    of a :class:`VolumeStream`'s makers draws its volume straight into a
+    float32 buffer, so a stream is never held whole, and a file-backed
+    volume is read from its file as it is written. Uncompressed, the
+    volumes are made one after another into one buffer. A ``.gz``
+    suffix selects gzip compression: each 3D volume is made, checked
+    and deflated on its own (Z_RLE strategy) by one task on a thread
+    per CPU up to 4, with at most one volume more than threads in
+    flight, each in a buffer of its own, into one gzip member with no
+    name and mtime 0, so the bytes depend neither on the thread count
+    nor on the time, and identical data yields identical bytes.
 
     The file is written to a new temporary file beside the target (a
     symlink is resolved first) and renamed over the target only once
@@ -484,8 +518,11 @@ def write_nifti(volume, path, spacing=(1.0, 1.0, 1.0)) -> None:
             if str(path).endswith(".gz"):
                 _write_gzip(f, chunks, min(os.cpu_count() or 1, _DEFLATE_WORKERS))
             else:
-                for chunk in chunks:
-                    f.write(chunk)
+                header, (shape, dtype), fills = chunks
+                f.write(header)
+                buf = np.empty(shape, dtype)
+                for fill in fills:
+                    f.write(fill(buf))
         if not in_place:
             os.replace(out, target)
     except BaseException as exc:

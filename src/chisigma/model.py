@@ -15,6 +15,7 @@ so results are deterministic for a fixed sample ordering and accurate
 for sample counts well past 10^6.
 """
 
+import functools
 import math
 import numbers
 import warnings
@@ -229,20 +230,25 @@ class Volume4D:
 class VolumeStream:
     """4D magnitude data handed over one 3D volume at a time.
 
-    ``volumes`` yields the V volumes in order, each a float64 signal
+    ``volumes`` yields the V volumes in order. Each is a float64 signal
     array of shape (Z, Y, X), the block a :class:`Volume4D`'s ``stored``
-    holds for that volume. The values are trusted to be magnitudes, that
-    is finite and nonnegative. A stream is read once:
-    :func:`chisigma.io.write_nifti` writes each volume as it arrives, so
-    no 4D array is ever built. Iterating checks each volume's shape and
-    the volume count against ``dims``.
+    holds for that volume, or a *maker* of one: a callable ``make(out=None)``
+    that returns the volume in a new float64 array, or, given ``out`` (an
+    array of that shape, of any real dtype), writes it into ``out`` with
+    numpy's assignment cast and returns ``out``. A maker depends on no
+    other, so makers may run on several threads at once and in any order.
+    The values are trusted to be magnitudes, that is finite and
+    nonnegative. A stream is read once, through :meth:`makers` or by
+    iterating it: :func:`chisigma.io.write_nifti` draws each volume
+    straight into a float32 buffer of its own, on its deflate threads for
+    a ``.gz`` file, and writes it, so no 4D array is ever built.
 
     Parameters
     ----------
     dims : tuple of int
         (X, Y, Z, V).
-    volumes : iterable of ndarray
-        The V volumes, each of shape (Z, Y, X).
+    volumes : iterable of ndarray or callable
+        The V volumes, each of shape (Z, Y, X), or their makers.
     spacing : tuple of float
         Voxel edge lengths (dx, dy, dz) in mm.
     """
@@ -254,17 +260,34 @@ class VolumeStream:
         self.spacing = _spacing(spacing)
         self._volumes = volumes
 
-    def __iter__(self):
+    def makers(self):
+        """Yield one maker per volume, in order; an array is lent as one.
+
+        Taking the makers checks the volume count, and each array's shape,
+        against ``dims``; a maker's volume has the shape of ``dims``.
+        """
         shape, count = self.dims[2::-1], self.dims[3]
         n = 0
         for vol in self._volumes:
-            if n == count or vol.shape != shape:
+            if n == count or not (callable(vol) or vol.shape == shape):
                 raise DomainError(f"stream volume {n} does not fit dims {self.dims}")
             n += 1
-            yield vol
+            yield vol if callable(vol) else functools.partial(_lend, vol)
             del vol  # let the volume go before the next one is made
         if n != count:
             raise DomainError(f"stream ended after {n} of {count} volumes")
+
+    def __iter__(self):
+        for make in self.makers():
+            yield make()
+
+
+def _lend(vol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # The maker of a volume that already exists.
+    if out is None:
+        return vol
+    out[...] = vol
+    return out
 
 
 def _as_sample_array(samples) -> np.ndarray:
@@ -275,16 +298,25 @@ def _as_sample_array(samples) -> np.ndarray:
     return arr
 
 
+_OVERFLOW = ("the sums of m^2 and m^4 overflow float64: magnitudes must stay well below "
+             "1.2e77, whose m^4 overflows alone (rescale the data)")
+
+
 def sigma_from_moments(s2: float, s4: float, k: int) -> float:
     """Noise standard deviation from the sums of m^2 and m^4 over K samples.
 
         sigma = sqrt( s4/s2 - s2/K ) / sqrt(2)
 
     Raises :class:`DegenerateDataError` for fewer than two samples, an
-    all-zero sample set, or moments that leave no spread.
+    all-zero sample set, or moments that leave no spread, and
+    :class:`DomainError` when a sum is not finite: m^4 overflows float64
+    for magnitudes above about 1.2e77, and a sum of K of them for
+    magnitudes above about 1.2e77 / K^(1/4).
     """
     if k < 2:
         raise DegenerateDataError("sigma estimation needs at least 2 samples")
+    if not (math.isfinite(s2) and math.isfinite(s4)):
+        raise DomainError(_OVERFLOW)
     if s2 <= 0.0:
         raise DegenerateDataError("all samples are zero")
     term = s4 / s2 - s2 / k

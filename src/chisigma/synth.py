@@ -9,21 +9,24 @@ s = tau * sigma_g. Its squared magnitude over s^2 is noncentral
 chi-square with 2N degrees of freedom and noncentrality (I/s)^2, so it
 is drawn once per voxel-volume from that law.
 
-One private generator draws the noise one 3D volume at a time, in
-volume order, each volume from its own Philox child stream, so that
+One private generator hands out the noise as one maker per 3D volume,
+in volume order: volume v draws from its own Philox child stream v, so
+its values do not depend on which thread draws it or when, and
 ``corrupt``, ``simulate`` and ``simulate_stream`` give the same values.
-``simulate_stream`` hands the volumes over as a ``VolumeStream``, each
-one drawn when the consumer reaches it from one of two noncentrality
-maps (the reference volume's and its attenuated copy's), so the draws
-hold three 3D volumes (the scale, the map and the volume drawn), never
-a 4D array; ``simulate`` and ``corrupt`` collect the volumes into an
-in-memory ``Volume4D``.
+``simulate_stream`` hands the makers over as a ``VolumeStream``, each
+drawing its volume from one of two noncentrality maps (the reference
+volume's and its attenuated copy's) into the buffer its consumer
+lends, so the draws hold the scale and the maps, never a 4D array;
+``write_nifti`` runs them on its deflate threads. ``simulate`` and
+``corrupt`` run them in order, each straight into its volume's block
+of an in-memory ``Volume4D``.
 
 ``simulate`` writes a ``chisigma-truth-v1`` ground-truth record naming
 the generator (``ncchisq-philox-v1``), and ``evaluate_report`` reads it
 back, with or without that key, to score an estimation report.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -232,16 +235,38 @@ def _dof(n_true) -> int:
 _DRAW_ROWS = 8
 
 
-def _draw_volume(rng, df: int, nonc: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    # One noisy volume, (Z, Y, X) C-ordered, from the (X, Y, Z) C-ordered
-    # noncentrality map and scale. The draws run over (X, Y, Z) in C
-    # order, a slab of x-rows per call: consecutive calls continue one
-    # stream, so the values are those of a single call over the map, and
-    # no (X, Y, Z) copy of the volume is made.
-    out = np.empty(nonc.shape[::-1])
-    for i in range(0, nonc.shape[0], _DRAW_ROWS):
-        rows = slice(i, i + _DRAW_ROWS)
-        x = rng.noncentral_chisquare(df, nonc[rows])
+class _Map:
+    # A noncentrality map (X, Y, Z), C-ordered, in ``values``, with its draw
+    # slabs as (rows, background) pairs: runs of at most _DRAW_ROWS x-rows,
+    # each all background (noncentrality 0 everywhere) or not.
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        background = ~values.any(axis=(1, 2))
+        self.slabs, start = [], 0
+        for i in range(1, len(values) + 1):
+            if i == len(values) or i - start == _DRAW_ROWS or background[i] != background[start]:
+                self.slabs.append((slice(start, i), bool(background[start])))
+                start = i
+
+
+def _draw_volume(stream, df: int, nonc: _Map, scale: np.ndarray, out=None) -> np.ndarray:
+    # One noisy volume, (Z, Y, X) C-ordered, drawn from the SeedSequence
+    # ``stream`` into ``out`` (of any real dtype: the float64 draws are cast
+    # on assignment) or a new float64 array, from the (X, Y, Z) C-ordered
+    # noncentrality map and scale. The draws run over (X, Y, Z) in C order,
+    # a slab of x-rows per call: consecutive calls continue one stream, so
+    # the values are those of a single call over the map, and no (X, Y, Z)
+    # copy of the volume is made. numpy draws noncentrality 0 as a central
+    # chi-square, so an all-background slab takes the scalar-df call, which
+    # consumes the stream alike and gives the same values, faster.
+    rng = np.random.Generator(np.random.Philox(stream))
+    if out is None:
+        out = np.empty(nonc.values.shape[::-1])
+    for rows, background in nonc.slabs:
+        if background:
+            x = rng.chisquare(df, nonc.values[rows].shape)
+        else:
+            x = rng.noncentral_chisquare(df, nonc.values[rows])
         np.sqrt(x, out=x)
         x *= scale[rows]
         out[..., rows] = x.T
@@ -249,40 +274,39 @@ def _draw_volume(rng, df: int, nonc: np.ndarray, scale: np.ndarray) -> np.ndarra
 
 
 def _noisy_volumes(maps, scale: np.ndarray, df: int, seed: int, n_volumes: int):
-    # The one draw loop. ``maps`` yields (noncentrality map, count) runs,
-    # each map drawn for ``count`` consecutive volumes; volume v draws
-    # from the v-th Philox child stream of seed.
+    # The one draw loop, as makers (see VolumeStream): ``maps`` yields
+    # (noncentrality map, count) runs, each map drawn for ``count``
+    # consecutive volumes; volume v draws from the v-th Philox child stream
+    # of seed, whichever thread runs its maker and whenever.
     streams = iter(np.random.SeedSequence(seed).spawn(n_volumes))
     for nonc, count in maps:
         for stream in itertools.islice(streams, count):
-            yield _draw_volume(np.random.Generator(np.random.Philox(stream)), df, nonc, scale)
+            yield functools.partial(_draw_volume, stream, df, nonc, scale)
 
 
-def _noncentrality(vol, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _noncentrality(vol, scale: np.ndarray, out: np.ndarray) -> _Map:
     # The noncentrality map (vol / scale)^2 of a noiseless (X, Y, Z) volume.
-    return np.square(np.divide(vol, scale, out=out), out=out)
+    return _Map(np.square(np.divide(vol, scale, out=out), out=out))
 
 
 def _reference_maps(b0: np.ndarray, scale: np.ndarray, n_volumes: int):
     # The simulated volumes' runs: the map of the reference volume b0 for
     # volume 0, then that of its attenuated copy for every
-    # diffusion-weighted volume, in one buffer. b0 is this generator's
-    # own: it is attenuated in place and let go once the last map exists.
-    nonc = np.empty_like(scale)
-    yield _noncentrality(b0, scale, nonc), 1
+    # diffusion-weighted volume. b0 is this generator's own: it is
+    # attenuated in place and becomes the second map, since volume 0 may
+    # still be drawn from the first.
+    yield _noncentrality(b0, scale, np.empty_like(scale)), 1
     if n_volumes > 1:
         b0 *= _DWI_ATTENUATION
-        _noncentrality(b0, scale, nonc)
-        del b0
-        yield nonc, n_volumes - 1
+        yield _noncentrality(b0, scale, b0), n_volumes - 1
 
 
 def _collect(stream: VolumeStream) -> Volume4D:
-    # The in-memory volume of a stream, each volume one block of a
-    # volume-major array.
+    # The in-memory volume of a stream, each volume made straight into its
+    # block of a volume-major array.
     out = np.empty(stream.dims[::-1])
-    for v, vol in enumerate(stream):
-        out[v] = vol
+    for v, make in enumerate(stream.makers()):
+        make(out=out[v])
     return Volume4D(voxels=out.T, spacing=stream.spacing)
 
 
@@ -315,8 +339,7 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
     if field.sigma_g == 0.0:
         return _collect(VolumeStream(dims, blocks, vol.spacing))
     scale = np.multiply(field.tau, field.sigma_g, order="C")
-    nonc = np.empty_like(scale)
-    maps = ((_noncentrality(block.T, scale, nonc), 1) for block in blocks)
+    maps = ((_noncentrality(block.T, scale, np.empty_like(scale)), 1) for block in blocks)
     noisy = _noisy_volumes(maps, scale, df, seed, dims[3])
     return _collect(VolumeStream(dims, noisy, vol.spacing))
 
@@ -326,12 +349,13 @@ def simulate_stream(spec: PhantomSpec):
 
     The noncentrality map is computed once for the reference volume and
     once for its attenuated copy, and each volume is corrupted as
-    :func:`corrupt` does, with the same draws, when the stream reaches
-    it. So ``write_nifti(simulate_stream(spec)[0], path)`` writes the
-    same file as ``write_nifti(simulate(spec)[0], path)`` and holds only
-    a few 3D volumes at a time (the scale, the map, the volume drawn
-    and what the writer holds; the reference volume too until the
-    second map exists).
+    :func:`corrupt` does, with the same draws, when its maker runs (see
+    :class:`~chisigma.model.VolumeStream`); the makers are independent,
+    so ``write_nifti`` draws several volumes at once on its deflate
+    threads. So ``write_nifti(simulate_stream(spec)[0], path)`` writes
+    the same file as ``write_nifti(simulate(spec)[0], path)`` and holds
+    only a few 3D volumes at a time: the scale, the two maps (the first
+    until volume 0 is drawn) and the writer's buffers.
 
     Returns
     -------

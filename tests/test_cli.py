@@ -7,11 +7,12 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from chisigma import cli, identify, io, model
+from chisigma import cli, identify, io, model, synth
 from chisigma.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from chisigma.identify import SearchConfig, SliceEstimate
 from chisigma.io import Volume4D, build_report, read_nifti, read_report, write_nifti
@@ -79,6 +80,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field} ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("estimator", ["moments", "mle"])
+    def test_huge_magnitudes_fail_every_slice_by_name(self, tmp_path, capsys, estimator):
+        # float64 magnitudes of 1e78, whose m^4 overflow: exit 3 with each
+        # slice's overflow named, and neither a traceback nor a numpy warning.
+        data = 1e78 * np.sqrt(np.random.default_rng(4).chisquare(8, (6, 4, 16, 16)))
+        path = tmp_path / "huge.nii"
+        path.write_bytes(io._pack_header((16, 16, 4, 6), (1.0, 1.0, 1.0), 64, 64)
+                         + bytes(4) + data.astype("<f8").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["estimate", str(path), "--estimator", estimator])
+        err = capsys.readouterr().err
+        assert code == EXIT_ALL_FAILED, err
+        assert err.count("overflow float64") == 4 and err.endswith("failed on every slice\n")
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["estimate", str(tmp_path / "nope.nii")]) == EXIT_IO
@@ -151,6 +168,29 @@ class TestExitCodes:
                     "--b0-mean", "1e300", "--out", str(out)]) == EXIT_IO
         assert "float32" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_float32_overflow_stops_the_draws(self, tmp_path, capsys, monkeypatch, cpus):
+        # Every volume overflows float32, each on a deflate thread: the check
+        # of the first fails the write after at most workers + 1 volumes were
+        # drawn, with no numpy warning from the threads and no file left.
+        drawn = []
+        draw = synth._draw_volume
+
+        def spy(*args, **kw):
+            drawn.append(1)
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(synth, "_draw_volume", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", "--dims", "24,24,8", "--volumes", "17", "--seed", "1",
+                        "--snr", "1e-300", "--out", str(tmp_path / "o.nii.gz")])
+        assert code == EXIT_IO
+        assert "not finite in float32" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert 1 <= len(drawn) <= cpus + 1
 
     def test_bad_dims(self, tmp_path, capsys):
         out = tmp_path / "o.nii"

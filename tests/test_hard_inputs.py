@@ -1,15 +1,19 @@
 """Hard inputs: artifacts and edge cases run through ``estimate_volume``.
 
 Each case either gives estimates within criterion 2's 12% of the truth
-on every slice, or is marked as a known failure (``xfail``, strict, so
-that a fix shows up) whose cause is recorded in CHANGES.md. The seeds
-are fixed and no case is tuned until it passes.
+on every slice, fails every slice with a record that names the cause,
+or is marked as a known failure (``xfail``, strict, so that a fix shows
+up) whose cause is recorded in CHANGES.md. The seeds are fixed and no
+case is tuned until it passes.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from chisigma.identify import SearchConfig, estimate_volume
+from chisigma.errors import DomainError
+from chisigma.identify import SearchConfig, estimate_slice, estimate_volume
 
 SIGMA, N = 10.0, 4
 TOLERANCE = 0.12
@@ -51,3 +55,21 @@ def test_noise_only_with_many_volumes():
     rng = np.random.default_rng(7)
     noise = (SIGMA * np.sqrt(rng.chisquare(2 * N, (16, 16, 4, 1200)))).astype(np.float32)
     assert_within_tolerance(estimate_volume(noise, SearchConfig()))
+
+
+@pytest.mark.parametrize("scale", [1e76, 1e78, 1e153, 1e160])
+@pytest.mark.parametrize("config", [SearchConfig(), SearchConfig(estimator="mle"),
+                                    SearchConfig(fixed_n=N)], ids=["moments", "mle", "fixed_n"])
+def test_huge_magnitudes_name_the_overflow(scale, config):
+    # Beyond about 1.2e77 a voxel's m^4, and beyond 1.3e154 its m^2, overflow
+    # float64, and a slice's sum of them does so about tenfold sooner: every
+    # slice fails with a record that says so, and numpy warns of nothing.
+    data = scale * np.sqrt(np.random.default_rng(4).chisquare(2 * N, (16, 16, 4, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = estimate_volume(data, config)
+        with pytest.raises(DomainError, match="overflow float64"):
+            estimate_slice(data[:, :, 0], config)
+    assert [e.error for e in estimates] == [estimates[0].error] * 4
+    assert "overflow float64" in estimates[0].error
+    assert all(e.n_identified == 0 and not e.converged for e in estimates)

@@ -347,8 +347,13 @@ class TestWriteNifti:
         vol = Volume4D(voxels=rng.rayleigh(40.0, (64, 64, 13, 3)))
         mask = np.zeros((128, 96, 9), dtype=bool)
         mask[20:90, 10:70, 2:7] = rng.random((70, 60, 5)) < 0.9
-        chunks = [*_file_chunks(vol, vol.spacing, tmp_path / "v.nii.gz"),
-                  *list(_file_chunks(mask, (1.0, 1.0, 1.0), tmp_path / "m.nii.gz"))[1:],
+
+        def file_chunks(volume, spacing, name):
+            header, (shape, dtype), fills = _file_chunks(volume, spacing, tmp_path / name)
+            return [header, *(fill(np.empty(shape, dtype)) for fill in fills)]
+
+        chunks = [*file_chunks(vol, vol.spacing, "v.nii.gz"),
+                  *file_chunks(mask, (1.0, 1.0, 1.0), "m.nii.gz")[1:],
                   memoryview(np.zeros(4 * _DEFLATE_BYTES, np.uint8))]
         assert len(chunks[0]) == 352 and len(chunks[1]) > 3 * _DEFLATE_BYTES
         for i, chunk in enumerate(chunks):
