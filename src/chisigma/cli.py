@@ -146,7 +146,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         b0_intensity=args.b0_mean,
     )
-    # Each volume is drawn as the write reaches it, so no 4D array is held.
+    # Each volume is drawn by the write, on its threads, so no 4D array is held.
     noisy, truth = simulate_stream(spec)
     write_nifti(noisy, args.out)
     if args.truth:

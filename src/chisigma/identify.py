@@ -580,13 +580,19 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     vol = _row_volume(arr)  # the one check of the slice
     sigma_max, sums = _bound_and_moments(vol, config, sigma_max)
     sums = sums.map(lambda a: a.reshape(arr.shape[:-1]))
-    return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
+    with _search_errstate():
+        return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
 
 
-# Huge magnitudes overflow: a candidate's 2 sigma^2 to inf (and inf / inf to
-# NaN), which _best_candidate's counts handle, and a fit's sums to inf, which
-# sigma_from_moments reports. So numpy's warnings are off for the whole search.
-@np.errstate(over="ignore", invalid="ignore")
+def _search_errstate() -> np.errstate:
+    # Huge magnitudes overflow in the search: a candidate's 2 sigma^2 to inf
+    # (and inf / inf to NaN), which _best_candidate's counts handle, and a
+    # fit's sums to inf, which sigma_from_moments reports. So numpy's warnings
+    # are off around the searches, in their callers: a decorator's frame
+    # would be the one that n_from_log_moments's warning names.
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_max: float,
                   slice_index: int) -> SliceEstimate:
     # The search of estimate_slice, on one slice's per-voxel moments. A
@@ -754,4 +760,5 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         except ChiSigmaError as exc:
             return _failed_slice(k, slice_shape, str(exc))
 
-    return [run_one(k) for k in range(n_slices)]
+    with _search_errstate():
+        return [run_one(k) for k in range(n_slices)]

@@ -397,6 +397,21 @@ def padded_phantom():
     return arr
 
 
+class TestSearchWarnings:
+    def test_dropped_zeros_warning_names_the_caller(self):
+        # The search runs with numpy's overflow warnings off; the likelihood
+        # fit's own warning about zero samples still points at this package's
+        # call of the search, not at numpy's.
+        rng = np.random.default_rng(70)
+        data = 10.0 * np.sqrt(rng.chisquare(2, (32, 32, 2, 5)))
+        data[3:6, 4, :, 1] = 0.0
+        config = SearchConfig(estimator="mle")
+        with pytest.warns(RuntimeWarning, match="dropped") as record:
+            estimate_volume(data, config)
+            estimate_slice(data[:, :, 0], config)
+        assert {w.filename for w in record} == {identify.__file__}
+
+
 class TestSliceMatchesVolume:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     @pytest.mark.parametrize("estimator", ["moments", "mle"])

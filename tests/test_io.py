@@ -445,6 +445,22 @@ class TestWriteNifti:
         write_nifti(Volume4D(voxels=np.full((2, 2, 2, 2), top)), path)
         assert read_nifti(path).voxels.max() == top
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_file_backed_float64_writes_every_volume(self, tmp_path, monkeypatch, cpus):
+        # A float64 file is read one volume at a time into one reused buffer
+        # while the write threads still make earlier volumes, so each volume
+        # handed to them must be a copy of its own.
+        rng = np.random.default_rng(60)
+        vol = Volume4D(voxels=rng.uniform(0.0, 9.0, (7, 5, 3, 9)))
+        src = tmp_path / "v.nii"
+        src.write_bytes(craft_nifti(vol.dims, 64, vol.stored.tobytes()))
+        backed = read_nifti(src)
+        assert backed._stored is None
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        write_nifti(backed, tmp_path / "got.nii.gz")
+        write_nifti(vol, tmp_path / "want.nii.gz")
+        assert (tmp_path / "got.nii.gz").read_bytes() == (tmp_path / "want.nii.gz").read_bytes()
+
     @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
     def test_stream_writes_the_volume_file(self, tmp_path, suffix):
         rng = np.random.default_rng(59)
