@@ -22,7 +22,6 @@ search finds. Only the winner's mask is built, from the ends of its run,
 and the fit sums the moments at its voxels' indices.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,9 +87,9 @@ class SearchConfig:
         When set, N is never estimated and all bounds use this value.
     max_outer_iters : int
         Cap on outer iterations; hitting it returns converged=False.
-        A search that repeats an earlier pass's (sigma, N) exactly is
-        cycling, and returns the capped pass's result without running
-        every pass up to the cap.
+        A search stops earlier, also with converged=False, at the first
+        pass that repeats an earlier pass's (sigma, N) exactly: it is
+        cycling, and its result does not depend on the cap.
     rel_tol : float
         Convergence threshold on the relative change of sigma and N.
     slice_axis : str
@@ -178,9 +177,6 @@ class SliceEstimate:
     error: str | None = field(default=None)
 
 
-# Pure, and called with the same first-pass arguments by every slice and
-# with repeated N by cycling searches.
-@functools.lru_cache(maxsize=1 << 12)
 def _bounds_for(n_low: float, n_high: float, n_volumes: int, p: float) -> RejectionBounds:
     lam_minus = inv_gamma_p(n_volumes * n_low, p / 2.0)
     lam_plus = inv_gamma_p(n_volumes * n_high, 1.0 - p / 2.0)
@@ -533,11 +529,11 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     grid around the new sigma and recompute the bounds from the new N.
     Iterations stop when the relative change of both falls below
     ``config.rel_tol`` or the iteration cap is hit (``converged=False``).
-    A pass's (sigma, N) fixes the next pass, so once a pass repeats an
-    earlier pass's (sigma, N) bit for bit, the search runs only the
-    passes up to the one in phase with the cap and returns that pass's
-    estimate with ``outer_iters`` equal to the cap: the result of
-    running every pass.
+    A pass's (sigma, N) fixes the next pass, so a pass that repeats an
+    earlier pass's (sigma, N) bit for bit starts a cycle that would run
+    to the cap: the search stops there and returns that pass's estimate
+    and mask, with ``converged=False``. ``outer_iters`` is always the
+    number of passes run.
 
     The slice is checked once, as a :class:`Volume4D` whose voxels form
     one row, and reduced to per-voxel moments by the pass that reduces a
@@ -578,10 +574,11 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
     vol = _row_volume(arr)  # the one check of the slice
+    bounds = _bounds_for(*config.effective_n_bracket(), arr.shape[-1], config.p)
     sigma_max, sums = _bound_and_moments(vol, config, sigma_max)
     sums = sums.map(lambda a: a.reshape(arr.shape[:-1]))
     with _search_errstate():
-        return _search_slice(sums, arr.shape[-1], config, sigma_max, slice_index)
+        return _search_slice(sums, arr.shape[-1], config, sigma_max, bounds, slice_index)
 
 
 def _search_errstate() -> np.errstate:
@@ -594,16 +591,13 @@ def _search_errstate() -> np.errstate:
 
 
 def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_max: float,
-                  slice_index: int) -> SliceEstimate:
-    # The search of estimate_slice, on one slice's per-voxel moments. A
-    # pass's output (sigma, N) sets the next pass's grid and bounds on the
-    # fixed moments, so when pass i repeats the state of pass j < i, the
-    # passes after i repeat those after j with period i - j, failed
-    # convergence checks included. The capped pass then has the state of
-    # pass i + (cap - i) mod (i - j): the search stops there, and that
-    # pass computes its own mask. The states compare as floats, which is
-    # bit for bit here: sigma and N of a pass whose grid and bounds were
-    # refined from them are positive and finite.
+                  bounds: RejectionBounds, slice_index: int) -> SliceEstimate:
+    # The search of estimate_slice, on one slice's per-voxel moments, from
+    # the first-pass bounds. A pass's output (sigma, N) sets the next pass's
+    # grid and bounds on the fixed moments, so a pass that repeats an earlier
+    # pass's state starts a cycle: the search stops at it. The states compare
+    # as floats, which is bit for bit here: sigma and N of a pass whose grid
+    # and bounds were refined from them are positive and finite.
     ranked = np.sort(sums.s2[sums.s2 > 0.0])
     flat = sums.map(lambda a: a.reshape(-1))
     if ranked.size == 0:
@@ -611,16 +605,13 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     if ranked[0] == np.inf:
         raise DomainError(_OVERFLOW)
 
-    n_low, n_high = config.effective_n_bracket()
     ref = _log_ref(config, sigma_max)
-    bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
     grid = _InitialGrid(sigma_max, config.grid_size)
 
     sigma_prev = None
     n_prev = None
     converged = False
-    first_pass = {}  # the first pass that returned each (sigma, N)
-    last_pass = config.max_outer_iters
+    seen = set()  # the (sigma, N) of every pass so far
 
     for iters in range(1, config.max_outer_iters + 1):
         count, _, mask = _best_candidate(grid, sums.s2, ranked, bounds)
@@ -647,14 +638,13 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
             if d_sigma < config.rel_tol and d_n < config.rel_tol:
                 converged = True
                 break
-        first = first_pass.setdefault((sigma, n_dof), iters)
-        if first < iters:
-            last_pass = iters + (config.max_outer_iters - iters) % (iters - first)
-        if iters == last_pass:
+        if (sigma, n_dof) in seen or iters == config.max_outer_iters:
             break
+        seen.add((sigma, n_dof))
         sigma_prev, n_prev = sigma, n_dof
         grid = refine_grid(sigma)
-        bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
+        if config.fixed_n is None:
+            bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
 
     return SliceEstimate(
         slice_index=slice_index,
@@ -662,7 +652,7 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
         n_dof=n_dof,
         mask=mask,
         n_identified=count,
-        outer_iters=iters if converged else config.max_outer_iters,
+        outer_iters=iters,
         converged=converged,
     )
 
@@ -741,6 +731,8 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = data.dims[axis]
     slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)
+    # The first pass's bounds, over the whole N bracket, are every slice's.
+    bounds = _bounds_for(*config.effective_n_bracket(), data.dims[3], config.p)
     try:
         sigma_max, sums = _bound_and_moments(data, config, None)
     except DegenerateDataError:
@@ -756,7 +748,7 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         # transposed array whole.
         part = sums.map(lambda a: np.take(a, k, axis=2 - axis).T.copy())
         try:
-            return _search_slice(part, data.dims[3], config, sigma_max, k)
+            return _search_slice(part, data.dims[3], config, sigma_max, bounds, k)
         except ChiSigmaError as exc:
             return _failed_slice(k, slice_shape, str(exc))
 

@@ -453,7 +453,9 @@ def loop_best_candidate(grid, sum_m2, nonpadding, bounds):
 
 def sample_path_slice(arr, config, sigma_max):
     # Reference search that re-gathers the identified samples on every pass
-    # and fits them with the sample-array estimators.
+    # and fits them with the sample-array estimators. It stops at the cap,
+    # on convergence, or at the first pass that repeats an earlier pass's
+    # (sigma, N).
     n_volumes = arr.shape[-1]
     sum_m2 = np.sum(arr ** 2, axis=-1)
     nonpadding = sum_m2 > 0.0
@@ -463,6 +465,7 @@ def sample_path_slice(arr, config, sigma_max):
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
     grid = initial_grid(sigma_max, config.grid_size)
     sigma_prev = n_prev = None
+    seen = set()
     for iters in range(1, config.max_outer_iters + 1):
         count, _, mask = loop_best_candidate(grid, sum_m2, nonpadding, bounds)
         if count == 0:
@@ -479,6 +482,9 @@ def sample_path_slice(arr, config, sigma_max):
             if (abs(sigma - sigma_prev) / sigma_prev < config.rel_tol
                     and abs(n_dof - n_prev) / n_prev < config.rel_tol):
                 return sigma, n_dof, mask, iters, True
+        if (sigma, n_dof) in seen:
+            break
+        seen.add((sigma, n_dof))
         sigma_prev, n_prev = sigma, n_dof
         grid = refine_grid(sigma)
         bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
@@ -849,15 +855,17 @@ def broadcast_best_candidate(grid, sum_m2, nonpadding, bounds):
 
 
 def plain_passes(sums, n_volumes, config, sigma_max):
-    # Reference for _search_slice: the search loop with no cycle detection,
-    # yielding (sigma, N, mask, converged) after every pass up to the cap.
-    # Its first c passes are the whole run at a cap of c.
+    # Reference for _search_slice: the search loop, yielding (sigma, N, mask,
+    # converged) after every pass up to the cap, the converged pass or the
+    # first pass that repeats an earlier pass's (sigma, N), whichever comes
+    # first. Its first c passes are the whole run at a cap of c.
     nonpadding = sums.s2 > 0.0
     n_low, n_high = config.effective_n_bracket()
     ref = identify._log_ref(config, sigma_max)
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
     grid = initial_grid(sigma_max, config.grid_size)
     sigma_prev = n_prev = None
+    seen = set()
     for _ in range(config.max_outer_iters):
         count, _, mask = _best_candidate(grid, sums.s2, np.sort(sums.s2[nonpadding]), bounds)
         k = count * n_volumes
@@ -876,6 +884,9 @@ def plain_passes(sums, n_volumes, config, sigma_max):
                 yield sigma, n_dof, mask, True
                 return
         yield sigma, n_dof, mask, False
+        if (sigma, n_dof) in seen:
+            return
+        seen.add((sigma, n_dof))
         sigma_prev, n_prev = sigma, n_dof
         grid = refine_grid(sigma)
         bounds = _bounds_for(n_dof, n_dof, n_volumes, config.p)
@@ -890,11 +901,13 @@ def cycling_phantom():
 
 
 def slice_searches(vol, config):
-    # The per-slice arguments of _search_slice, as estimate_volume builds them.
+    # The per-slice arguments of _search_slice but the config, as
+    # estimate_volume builds them.
+    bounds = _bounds_for(*config.effective_n_bracket(), vol.dims[3], config.p)
     sigma_max, sums = identify._bound_and_moments(vol, config, None)
     for k in range(vol.dims[2]):
         part = sums.map(lambda a: np.ascontiguousarray(a.T[:, :, k]))
-        yield part, vol.dims[3], sigma_max, k
+        yield part, vol.dims[3], sigma_max, bounds, k
 
 
 class TestCycleSkip:
@@ -904,13 +917,13 @@ class TestCycleSkip:
         capped = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for part, n_vol, sigma_max, k in slice_searches(cycling_phantom,
-                                                            SearchConfig(**kwargs)):
+            for part, n_vol, sigma_max, bounds, k in slice_searches(cycling_phantom,
+                                                                    SearchConfig(**kwargs)):
                 passes = list(plain_passes(part, n_vol, SearchConfig(max_outer_iters=40,
                                                                      **kwargs), sigma_max))
                 for cap in range(1, 41):
                     config = SearchConfig(max_outer_iters=cap, **kwargs)
-                    got = identify._search_slice(part, n_vol, config, sigma_max, k)
+                    got = identify._search_slice(part, n_vol, config, sigma_max, bounds, k)
                     iters = min(cap, len(passes))
                     sigma, n_dof, mask, converged = passes[iters - 1]
                     assert (got.sigma_g, got.n_dof, got.outer_iters, got.converged) == (
@@ -919,6 +932,29 @@ class TestCycleSkip:
                     assert got.n_identified == np.count_nonzero(mask)
                 capped += not converged
         assert capped >= 3
+
+    @pytest.mark.parametrize("kwargs", [{"estimator": "moments"}, {"estimator": "mle"},
+                                        {"fixed_n": 1.0}], ids=["moments", "mle", "fixed_n"])
+    def test_record_does_not_depend_on_the_cap(self, cycling_phantom, kwargs):
+        # A slice that stops by pass 40, converged or cycling, reports the
+        # same record under any larger cap.
+        def records(cap):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return estimate_volume(cycling_phantom,
+                                       SearchConfig(max_outer_iters=cap, **kwargs))
+
+        short = records(40)
+        stopped = [e for e in short if e.error is None and e.outer_iters < 40]
+        assert sum(not e.converged for e in stopped) >= 3
+        for cap in (100, 103):
+            long = records(cap)
+            for e in stopped:
+                got = long[e.slice_index]
+                assert (got.sigma_g, got.n_dof, got.outer_iters, got.converged,
+                        got.n_identified) == (e.sigma_g, e.n_dof, e.outer_iters, e.converged,
+                                              e.n_identified), (e.slice_index, cap)
+                assert np.array_equal(got.mask, e.mask), (e.slice_index, cap)
 
     def test_cycling_slice_runs_fewer_passes(self, cycling_phantom, monkeypatch):
         config = SearchConfig(fixed_n=1.0)
@@ -931,23 +967,24 @@ class TestCycleSkip:
 
         monkeypatch.setattr(identify, "_best_candidate", spy)
         results = []
-        for part, n_vol, sigma_max, k in slice_searches(cycling_phantom, config):
+        for part, n_vol, sigma_max, bounds, k in slice_searches(cycling_phantom, config):
             passes.append(0)
-            results.append(identify._search_slice(part, n_vol, config, sigma_max, k))
+            results.append(identify._search_slice(part, n_vol, config, sigma_max, bounds, k))
         capped = [(r, n) for r, n in zip(results, passes) if not r.converged]
         assert len(capped) >= 3
         for r, n in capped:
-            assert r.outer_iters == config.max_outer_iters
             assert n < config.max_outer_iters // 4
         for r, n in zip(results, passes):
-            if r.converged:
-                assert n == r.outer_iters
+            assert n == r.outer_iters
 
 
-class TestBoundsCache:
-    def test_each_distinct_bounds_computed_once(self, cycling_phantom, monkeypatch):
-        # The first-pass bounds are the same for every slice, and a cycling
-        # search repeats its N; each distinct call is computed once.
+class TestBoundsCalls:
+    @pytest.mark.parametrize("kwargs", [{"estimator": "moments"}, {"estimator": "mle"},
+                                        {"fixed_n": 1.0}], ids=["moments", "mle", "fixed_n"])
+    def test_each_pass_computes_its_own_bounds_once(self, cycling_phantom, monkeypatch, kwargs):
+        # One quantile for sigma_max and two for the first-pass bounds, shared
+        # by every slice; then two per later pass when N is estimated, and none
+        # under fixed_n, whose first-pass bounds are every pass's.
         calls = []
         real = identify.inv_gamma_p
 
@@ -956,22 +993,12 @@ class TestBoundsCache:
             return real(a, p)
 
         monkeypatch.setattr(identify, "inv_gamma_p", spy)
-        config = SearchConfig(estimator="mle")
-        identify._bounds_for.cache_clear()
-        cached = estimate_volume(cycling_phantom, config)
-        info = identify._bounds_for.cache_info()
-        assert len(calls) == 1 + 2 * info.misses
-        assert info.hits >= cycling_phantom.dims[2] - 1
-        n_cached = len(calls)
-
-        calls.clear()
-        monkeypatch.setattr(identify, "_bounds_for", identify._bounds_for.__wrapped__)
-        plain = estimate_volume(cycling_phantom, config)
-        assert len(calls) == n_cached + 2 * info.hits
-        for c, p in zip(cached, plain):
-            assert (c.sigma_g, c.n_dof, c.outer_iters, c.converged) == (
-                p.sigma_g, p.n_dof, p.outer_iters, p.converged)
-            assert np.array_equal(c.mask, p.mask)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            estimates = estimate_volume(cycling_phantom, SearchConfig(**kwargs))
+        assert all(e.error is None for e in estimates)
+        later = 0 if "fixed_n" in kwargs else sum(e.outer_iters - 1 for e in estimates)
+        assert len(calls) == 3 + 2 * later
 
 
 class TestPostCapWork:
@@ -979,35 +1006,35 @@ class TestPostCapWork:
         # The pass a search returns builds no grid or bounds for a pass
         # that never runs.
         config = SearchConfig(max_outer_iters=1)
-        part, n_vol, sigma_max, k = next(slice_searches(cycling_phantom, config))
+        part, n_vol, sigma_max, bounds, k = next(slice_searches(cycling_phantom, config))
         bounds_calls, grid_calls = [], []
         real_bounds, real_grid = identify._bounds_for, identify.refine_grid
         monkeypatch.setattr(identify, "_bounds_for",
                             lambda *a: bounds_calls.append(a) or real_bounds(*a))
         monkeypatch.setattr(identify, "refine_grid",
                             lambda s: grid_calls.append(s) or real_grid(s))
-        got = identify._search_slice(part, n_vol, config, sigma_max, k)
+        got = identify._search_slice(part, n_vol, config, sigma_max, bounds, k)
         assert (got.outer_iters, got.converged) == (1, False)
-        assert len(bounds_calls) == 1 and grid_calls == []
+        assert bounds_calls == [] and grid_calls == []
 
     def test_capped_pass_is_reported_when_next_bounds_would_fail(self, cycling_phantom,
                                                                  monkeypatch):
         # Bounds for a pass past the cap are never computed, so they cannot
         # fail the slice: it reports its last pass.
         config = SearchConfig(max_outer_iters=3)
-        part, n_vol, sigma_max, k = next(slice_searches(cycling_phantom, config))
+        part, n_vol, sigma_max, bounds, k = next(slice_searches(cycling_phantom, config))
         expected = list(plain_passes(part, n_vol, config, sigma_max))
         assert len(expected) == 3 and not expected[-1][3]
         real_bounds, calls = identify._bounds_for, []
 
         def bounds_failing_after_cap(*args):
             calls.append(args)
-            if len(calls) > 3:
+            if len(calls) > 2:
                 raise DomainError("no usable bounds")
             return real_bounds(*args)
 
         monkeypatch.setattr(identify, "_bounds_for", bounds_failing_after_cap)
-        got = identify._search_slice(part, n_vol, config, sigma_max, k)
+        got = identify._search_slice(part, n_vol, config, sigma_max, bounds, k)
         sigma, n_dof, mask, _ = expected[-1]
         assert (got.sigma_g, got.n_dof, got.outer_iters) == (sigma, n_dof, 3)
         assert np.array_equal(got.mask, mask)
