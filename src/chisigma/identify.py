@@ -183,13 +183,17 @@ def _bounds_for(n_low: float, n_high: float, n_volumes: int, p: float) -> Reject
     return RejectionBounds(lambda_minus=lam_minus, lambda_plus=lam_plus)
 
 
-def sigma_upper_bound(data, n_max: float) -> float:
+def sigma_upper_bound(data, n_dof: float) -> float:
     """Largest noise level worth searching.
 
-    Computed as median(all voxel values) / sqrt(2 * icdf(n_max, 1/2))
+    Computed as median(all voxel values) / sqrt(2 * icdf(n_dof, 1/2))
     with icdf the gamma quantile at unit scale: if the data were pure
-    noise with n_max degrees of freedom, the median of the transformed
-    values would sit at that quantile.
+    noise with n_dof degrees of freedom, the median of the transformed
+    values would sit at that quantile. The search takes it at ``n_min``
+    (``fixed_n`` when set), the smallest N it admits: the quantile grows
+    with N, so if the median voxel is noise with N >= ``n_min``, or is
+    object, the bound is at least the noise level, and the first grid
+    brackets it even on data that is mostly background.
 
     ``data`` is a :class:`Volume4D`, trusted as checked, or an array of
     any shape, which is wrapped in one (and so checked) once: a negative,
@@ -204,15 +208,15 @@ def sigma_upper_bound(data, n_max: float) -> float:
     shares with its moments unless its log sums need the bound.
     """
     vol = data if isinstance(data, Volume4D) else _row_volume(data)
-    if not n_max > 0.0:
-        raise DomainError(f"n_max must be positive, got {n_max}")
-    return _bound(_median(vol), n_max)
+    if not n_dof > 0.0:
+        raise DomainError(f"n_dof must be positive, got {n_dof}")
+    return _bound(_median(vol), n_dof)
 
 
-def _bound(median: float, n_max: float) -> float:
+def _bound(median: float, n_dof: float) -> float:
     if median <= 0.0:
         raise DegenerateDataError("data median is zero; no signal present")
-    return median / np.sqrt(2.0 * inv_gamma_p(n_max, 0.5))
+    return median / np.sqrt(2.0 * inv_gamma_p(n_dof, 0.5))
 
 
 def _row_volume(data) -> Volume4D:
@@ -415,12 +419,12 @@ def _bound_and_moments(vol: Volume4D, config: SearchConfig, sigma_max: float | N
     # (sigma_max, moments) of vol, the bound from vol's median unless given.
     # The sums of m^2 and m^4 do not need the bound, so one pass serves both;
     # the log sums do, so the median takes a pass of its own first.
-    n_max = config.effective_n_bracket()[1]
+    n_min = config.effective_n_bracket()[0]
     if sigma_max is None and _log_ref(config, 1.0) is None:
         median, sums = _reduce(vol, select=True, moments=True)
-        return _bound(median, n_max), sums
+        return _bound(median, n_min), sums
     if sigma_max is None:
-        sigma_max = sigma_upper_bound(vol, n_max)
+        sigma_max = sigma_upper_bound(vol, n_min)
     return sigma_max, _reduce(vol, select=False, moments=True,
                               ref=_log_ref(config, sigma_max))[1]
 

@@ -49,9 +49,9 @@ def test_single_volume():
     assert_within_tolerance(estimate_volume(phantom((48, 48, 6, 1), 1), SearchConfig()))
 
 
-@pytest.mark.xfail(strict=True, reason="on pure noise the median bound falls below sigma, "
-                                       "and at 1200 volumes a slice finds no candidate")
 def test_noise_only_with_many_volumes():
+    # Pure noise: the median voxel is noise, so only a bound taken at n_min
+    # reaches sigma, and at 1200 volumes the first-pass bounds are narrow.
     rng = np.random.default_rng(7)
     noise = (SIGMA * np.sqrt(rng.chisquare(2 * N, (16, 16, 4, 1200)))).astype(np.float32)
     assert_within_tolerance(estimate_volume(noise, SearchConfig()))

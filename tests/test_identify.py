@@ -422,7 +422,7 @@ class TestSliceMatchesVolume:
         arr = padded_phantom
         config = SearchConfig(estimator=estimator, fixed_n=fixed_n, slice_axis=axis)
         vol = Volume4D(voxels=arr)
-        sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[1])
+        sigma_max = sigma_upper_bound(vol, config.effective_n_bracket()[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for want in estimate_volume(vol, config):

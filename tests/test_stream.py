@@ -266,9 +266,9 @@ def test_estimate_reads_the_file_once_unless_the_log_sums_need_the_bound(
     vol.stored
     assert_same_estimates(result, estimates(vol, config))
     del got[:]
-    bound = sigma_upper_bound(read_nifti(path), config.effective_n_bracket()[1])
+    bound = sigma_upper_bound(read_nifti(path), config.effective_n_bracket()[0])
     assert len(got) == (0 if whole else 1), got
-    assert bound == sigma_upper_bound(vol, config.effective_n_bracket()[1])
+    assert bound == sigma_upper_bound(vol, config.effective_n_bracket()[0])
 
 
 def test_misleading_sample_falls_back_file_backed(tmp_path, monkeypatch):
