@@ -328,9 +328,15 @@ def sigma_from_moments(s2: float, s4: float, k: int) -> float:
 
 
 def n_from_moments(s2: float, k: int, sigma: float) -> float:
-    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2)."""
+    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2).
+
+    Raises :class:`DomainError` when ``s2`` is not finite (m^2 overflows
+    float64 for magnitudes above about 1.3e154).
+    """
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(s2):
+        raise DomainError(_OVERFLOW)
     return s2 / (2.0 * k * sigma * sigma)
 
 
@@ -383,8 +389,10 @@ def estimate_sigma(samples) -> float:
         The estimated standard deviation, strictly positive.
     """
     arr = _as_sample_array(samples)
-    m2 = arr * arr
-    return sigma_from_moments(float(np.sum(m2)), float(np.sum(m2 * m2)), arr.size)
+    with np.errstate(over="ignore"):  # an overflow raises DomainError below
+        m2 = arr * arr
+        s4 = float(np.sum(m2 * m2))
+    return sigma_from_moments(float(np.sum(m2)), s4, arr.size)
 
 
 def estimate_n_moments(samples, sigma: float) -> float:
@@ -394,7 +402,9 @@ def estimate_n_moments(samples, sigma: float) -> float:
     transformed values t_k = m_k^2 / (2 sigma^2).
     """
     arr = _as_sample_array(samples)
-    return n_from_moments(float(np.sum(arr * arr)), arr.size, sigma)
+    with np.errstate(over="ignore"):  # an overflow raises DomainError below
+        s2 = float(np.sum(arr * arr))
+    return n_from_moments(s2, arr.size, sigma)
 
 
 def estimate_n_mle(samples, sigma: float) -> float:
@@ -408,5 +418,8 @@ def estimate_n_mle(samples, sigma: float) -> float:
     arr = _as_sample_array(samples)
     pos = arr[arr > 0.0]
     ref = 2.0 * sigma * sigma
-    sum_log = float(np.sum(np.log(pos * pos / ref)))
+    # m^2 and ref overflow to inf beyond about 1.3e154, and so the log sum
+    # to inf or NaN, which inv_digamma rejects with DomainError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_log = float(np.sum(np.log(pos * pos / ref)))
     return n_from_log_moments(sum_log, arr.size, arr.size - pos.size, sigma, ref)

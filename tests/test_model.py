@@ -6,6 +6,7 @@ the estimators can be scored against the generating parameters.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,3 +231,41 @@ class TestMomentForms:
             n_from_log_moments(sum_log, 100, 11, 1.0, 4.0)
         with pytest.raises(DomainError):
             n_from_log_moments(sum_log, 100, 0, 0.0, 4.0)
+
+
+class TestHugeSamples:
+    """Overflowing squares raise DomainError, and numpy warns of nothing.
+
+    From about 1.2e77 m^4 overflows float64, which only sigma's formula
+    uses; from about 1.3e154 m^2 does too, and so does 2 sigma^2.
+    """
+
+    ESTIMATORS = {
+        "sigma": lambda m, s: estimate_sigma(m),
+        "n_moments": estimate_n_moments,
+        "n_mle": estimate_n_mle,
+    }
+
+    @staticmethod
+    def huge(scale):
+        return scale * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=1000)
+
+    @pytest.mark.parametrize("name,scale", [("sigma", 1e78), ("sigma", 1e160),
+                                            ("n_moments", 1e160), ("n_mle", 1e160)])
+    @pytest.mark.parametrize("sigma", ["true", "one"])
+    def test_overflow_raises_without_a_warning(self, name, scale, sigma):
+        m = self.huge(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                self.ESTIMATORS[name](m, scale if sigma == "true" else 1.0)
+
+    @pytest.mark.parametrize("name", ["n_moments", "n_mle"])
+    def test_n_below_the_m2_overflow(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.ESTIMATORS[name](self.huge(1e78), 1e78) == pytest.approx(4.0, rel=0.05)
+
+    def test_n_moments_names_the_overflow(self):
+        with pytest.raises(DomainError, match="overflow float64"):
+            n_from_moments(math.inf, 10, 1.0)
