@@ -89,52 +89,52 @@ def digests(path, extra, out, capsys):
 # sha256 of each output, recorded with the two-pass estimate.
 GOLDEN = {
     ("f32", "moments"): {
-        "stdout": "e99a4b2013a9ab7f902b5a4aba85fa8c313f46e9f06b34c683362ab2d152b6c9",
-        "report": "441dc9576e4b8c5595838f046a50f94b4216eef8f3749e144fe189dda0cbda45",
-        "csv": "716c26a49683e05e60e98019e20561e40f8c96ba25861f67a93c547eee5e3559",
-        "mask": "9beda7c53528608f6dfb3bde5e22cc10dfa2e1296a1e9727085be37133e9acf4",
+        "stdout": "dfbbec45cb9fb9262a44613f05d0a67256e90efdb866b578f71a15ed0c1030b9",
+        "report": "645cfd4ce4a5ccd975b15fea21f2468bbc01993d381d7865c82cda9eb1e46a27",
+        "csv": "ba0819e63dc4c236c3f1202c6a2f6f394697b69aba19fe796034b8d44b7bc1be",
+        "mask": "e9e3615ace6789cfcc2218cc3683722de749b128c8f592651d5af1959aed76f7",
     },
     ("f32", "mle"): {
-        "stdout": "dd37169cc9126c5d6b5b937504b8a33751750ecf07736afba250a170faed8546",
-        "report": "4019b9d458f95b0504565ed02b1286cce6415628817b214cb92f0f8d6c2c7817",
-        "csv": "14de59a549c0f92a3f5f643af99cb979580b0579111194c23f409f3c7ad014b0",
-        "mask": "2873890159b24a70e76dae9b78d70c8ada8ed4e953c7b9b8c8d660aab7b5203e",
+        "stdout": "c96de13e1c1215ee7d24decefa815b8834af1fb5d0d14745220d80043974296c",
+        "report": "46e40b6bb8699bc75391bd919a21f0d315053d88ba8d97d65f0527f24df30a61",
+        "csv": "e731b5f29eb95db4168f1aae9c9d9e81187f8f729e9c72afae88493d5ca53a42",
+        "mask": "59b1fa21f008831c85eec00a0be22ad7299a302737cd09bd71219ff7ba31a505",
     },
     ("f32", "fixed_n"): {
-        "stdout": "fcaa26bae622a20686bdc55b9b5d0470ec718d5690d61862e0cac8570959f9ac",
-        "report": "8b9d06338b6a98bdce6af81cf29796c2626aaed01d492c3c796a52b61ae5781f",
-        "csv": "4bc0fe20862aea621ff2d24ac81ccf09b6f5690f75d8b3220d9378108e54b116",
-        "mask": "3a265b5144d8721305840dfec60c27c1a9ce41d190abb0c302089162129af0bd",
+        "stdout": "b888a898705a3b7a7d796429b7a6b5b9d1860a97b298415b80d29f772391efcc",
+        "report": "ba140db00f3e662dfe8293083c7b2153a4b8b788886bef0a5eb5f06571d445d4",
+        "csv": "d13588d8d91f1107fa17a6f748692c95ab7cfb7520f3431a6045e4a4c4ae49d2",
+        "mask": "8b7efd26a797126e17b34f5d497de3bdf9f7847927051a9dc441f943d8b96135",
     },
     ("f32", "axis_x"): {
-        "stdout": "388de83a661f66e7712cce37b82b96c243e44fbf8f5c73620da23088de195e65",
-        "report": "549e21725f3d5ee49cefef94c9c3fbadf77be2f1b743fa6b48c6d5603026a1cd",
-        "csv": "81d78a2772cf354162c51166edef53bc02ee6086a9000e8f40fea318acfba711",
-        "mask": "23a2a3677675f6a41591daa96b8a3c80518924a167128d1f9be06efea9b3edd7",
+        "stdout": "c7cf9c7aff794071d633cd87114053ac62469bc3db326811dcffad33c1a46a93",
+        "report": "1e034c9e9376f5be5c661c36d41d5192046b30a1ae8a1a505fd236c8355b83b6",
+        "csv": "b038e792d2f236eed5de14d552d52e2357ce610edefb440f2cd9a756d1346ba7",
+        "mask": "51990f7a80b0657defd6a24446028f24432de5d0be8e714ff187c374780e1891",
     },
     ("i16", "moments"): {
-        "stdout": "e99a4b2013a9ab7f902b5a4aba85fa8c313f46e9f06b34c683362ab2d152b6c9",
-        "report": "e3e94ed726243e31bedda6e0b731b07df64fe4e39ce7b60a40d03cca557c0530",
-        "csv": "716c26a49683e05e60e98019e20561e40f8c96ba25861f67a93c547eee5e3559",
-        "mask": "9beda7c53528608f6dfb3bde5e22cc10dfa2e1296a1e9727085be37133e9acf4",
+        "stdout": "dfbbec45cb9fb9262a44613f05d0a67256e90efdb866b578f71a15ed0c1030b9",
+        "report": "950c4ce7ea75be38388573f30e892c048b12c3b2f9a34b91d0f6677c170b73fa",
+        "csv": "ba0819e63dc4c236c3f1202c6a2f6f394697b69aba19fe796034b8d44b7bc1be",
+        "mask": "e9e3615ace6789cfcc2218cc3683722de749b128c8f592651d5af1959aed76f7",
     },
     ("i16", "mle"): {
-        "stdout": "dd37169cc9126c5d6b5b937504b8a33751750ecf07736afba250a170faed8546",
-        "report": "0c57114183b420503b1457811a50a244f2f98c4d2c6290e1963e5987ccb7de23",
-        "csv": "14de59a549c0f92a3f5f643af99cb979580b0579111194c23f409f3c7ad014b0",
-        "mask": "2873890159b24a70e76dae9b78d70c8ada8ed4e953c7b9b8c8d660aab7b5203e",
+        "stdout": "c96de13e1c1215ee7d24decefa815b8834af1fb5d0d14745220d80043974296c",
+        "report": "0cdc3d298945d49bacc19846069c45b8603a0a721e3be16628f5b9a9ba434d0d",
+        "csv": "e731b5f29eb95db4168f1aae9c9d9e81187f8f729e9c72afae88493d5ca53a42",
+        "mask": "59b1fa21f008831c85eec00a0be22ad7299a302737cd09bd71219ff7ba31a505",
     },
     ("i16", "fixed_n"): {
-        "stdout": "fcaa26bae622a20686bdc55b9b5d0470ec718d5690d61862e0cac8570959f9ac",
-        "report": "ff04de9d3c3d9195289a706c6655bfb52348acf66e5844c2fc31d48e494883bc",
-        "csv": "4bc0fe20862aea621ff2d24ac81ccf09b6f5690f75d8b3220d9378108e54b116",
-        "mask": "3a265b5144d8721305840dfec60c27c1a9ce41d190abb0c302089162129af0bd",
+        "stdout": "b888a898705a3b7a7d796429b7a6b5b9d1860a97b298415b80d29f772391efcc",
+        "report": "d82320fa441eac37f293d87121a1381c70761d07e544e0f3849d6baa4500a95b",
+        "csv": "d13588d8d91f1107fa17a6f748692c95ab7cfb7520f3431a6045e4a4c4ae49d2",
+        "mask": "8b7efd26a797126e17b34f5d497de3bdf9f7847927051a9dc441f943d8b96135",
     },
     ("i16", "axis_x"): {
-        "stdout": "388de83a661f66e7712cce37b82b96c243e44fbf8f5c73620da23088de195e65",
-        "report": "d4bf7132fdd335a0afbb3418b8d48586bd5d9cf3d09892917574d2a84c6f10f8",
-        "csv": "81d78a2772cf354162c51166edef53bc02ee6086a9000e8f40fea318acfba711",
-        "mask": "23a2a3677675f6a41591daa96b8a3c80518924a167128d1f9be06efea9b3edd7",
+        "stdout": "c7cf9c7aff794071d633cd87114053ac62469bc3db326811dcffad33c1a46a93",
+        "report": "55f733cdd2e00caa8bcd3dc428280d6dab30ffc1acce83cedb8d8bf9d5d39725",
+        "csv": "b038e792d2f236eed5de14d552d52e2357ce610edefb440f2cd9a756d1346ba7",
+        "mask": "51990f7a80b0657defd6a24446028f24432de5d0be8e714ff187c374780e1891",
     },
 }
 
