@@ -79,8 +79,8 @@ class SearchConfig:
         Number of candidates in the initial search grid, at least 2.
         This and ``max_outer_iters`` take whole floats, stored as int.
     n_min, n_max : float
-        Degrees-of-freedom bracket used for the first-iteration bounds;
-        positive and finite, as is ``fixed_n``.
+        Degrees-of-freedom bracket of the first pass's bounds; ``n_min``
+        also sets its grid's top. Positive and finite, as is ``fixed_n``.
     estimator : str
         "moments" or "mle"; how N is re-estimated each iteration.
     fixed_n : float or None
@@ -190,10 +190,8 @@ def sigma_upper_bound(data, n_dof: float) -> float:
     with icdf the gamma quantile at unit scale: if the data were pure
     noise with n_dof degrees of freedom, the median of the transformed
     values would sit at that quantile. The search takes it at ``n_min``
-    (``fixed_n`` when set), the smallest N it admits: the quantile grows
-    with N, so if the median voxel is noise with N >= ``n_min``, or is
-    object, the bound is at least the noise level, and the first grid
-    brackets it even on data that is mostly background.
+    (or ``fixed_n``): the quantile grows with N, so the bound is at least
+    the noise level if the median voxel is object or noise with N >= n_min.
 
     ``data`` is a :class:`Volume4D`, trusted as checked, or an array of
     any shape, which is wrapped in one (and so checked) once: a negative,
@@ -735,7 +733,6 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = data.dims[axis]
     slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)
-    # The first pass's bounds, over the whole N bracket, are every slice's.
     bounds = _bounds_for(*config.effective_n_bracket(), data.dims[3], config.p)
     try:
         sigma_max, sums = _bound_and_moments(data, config, None)

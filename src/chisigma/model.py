@@ -328,11 +328,7 @@ def sigma_from_moments(s2: float, s4: float, k: int) -> float:
 
 
 def n_from_moments(s2: float, k: int, sigma: float) -> float:
-    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2).
-
-    Raises :class:`DomainError` when ``s2`` is not finite (m^2 overflows
-    float64 for magnitudes above about 1.3e154).
-    """
+    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2)."""
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not math.isfinite(s2):
@@ -371,6 +367,7 @@ def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
     return inv_digamma(mean_log_t)
 
 
+@np.errstate(over="ignore")  # an overflow raises DomainError from the moment form
 def estimate_sigma(samples) -> float:
     """Estimate the Gaussian noise standard deviation from noise samples.
 
@@ -389,12 +386,11 @@ def estimate_sigma(samples) -> float:
         The estimated standard deviation, strictly positive.
     """
     arr = _as_sample_array(samples)
-    with np.errstate(over="ignore"):  # an overflow raises DomainError below
-        m2 = arr * arr
-        s4 = float(np.sum(m2 * m2))
-    return sigma_from_moments(float(np.sum(m2)), s4, arr.size)
+    m2 = arr * arr
+    return sigma_from_moments(float(np.sum(m2)), float(np.sum(m2 * m2)), arr.size)
 
 
+@np.errstate(over="ignore")  # an overflow raises DomainError from the moment form
 def estimate_n_moments(samples, sigma: float) -> float:
     """Estimate the effective degrees of freedom from the second moment.
 
@@ -402,9 +398,7 @@ def estimate_n_moments(samples, sigma: float) -> float:
     transformed values t_k = m_k^2 / (2 sigma^2).
     """
     arr = _as_sample_array(samples)
-    with np.errstate(over="ignore"):  # an overflow raises DomainError below
-        s2 = float(np.sum(arr * arr))
-    return n_from_moments(s2, arr.size, sigma)
+    return n_from_moments(float(np.sum(arr * arr)), arr.size, sigma)
 
 
 def estimate_n_mle(samples, sigma: float) -> float:
@@ -418,8 +412,7 @@ def estimate_n_mle(samples, sigma: float) -> float:
     arr = _as_sample_array(samples)
     pos = arr[arr > 0.0]
     ref = 2.0 * sigma * sigma
-    # m^2 and ref overflow to inf beyond about 1.3e154, and so the log sum
-    # to inf or NaN, which inv_digamma rejects with DomainError.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Not a decorator: the zeros warning names this function's caller.
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: DomainError below
         sum_log = float(np.sum(np.log(pos * pos / ref)))
     return n_from_log_moments(sum_log, arr.size, arr.size - pos.size, sigma, ref)

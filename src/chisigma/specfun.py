@@ -216,13 +216,6 @@ def gamma_p(a: float, x: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _gamma_pdf_unit_scale(a: float, x: float) -> float:
-    # d/dx P(a, x) = x^(a-1) e^-x / Gamma(a)
-    if x <= 0.0:
-        return 0.0
-    return math.exp((a - 1.0) * math.log(x) - x - ln_gamma(a))
-
-
 def inv_gamma_p(a: float, p: float) -> float:
     """Inverse of ``gamma_p`` in its second argument: x with P(a, x) = p.
 
@@ -270,7 +263,10 @@ def inv_gamma_p(a: float, p: float) -> float:
             hi = x
         else:
             lo = x
-        deriv = _gamma_pdf_unit_scale(a, x)
+        # d/dx P(a, x) = x^(a-1) e^-x / Gamma(a), with x > lo >= 0. Beyond about
+        # a = 1e16 roundoff alone can take its exponent past exp's range: bisect.
+        log_deriv = (a - 1.0) * math.log(x) - x - ln_gamma(a)
+        deriv = math.exp(log_deriv) if log_deriv < 709.0 else 0.0
         if deriv > 0.0:
             x_new = x - f / deriv
         else:

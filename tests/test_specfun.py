@@ -213,11 +213,14 @@ class TestInvGammaP:
                 assert len(points) == len(set(points)), (a, p, points)
                 assert abs(gamma_p(a, x) - p) <= 1e-10
 
-    @pytest.mark.parametrize("a", [1e16, 1e20, 1e300])
+    @pytest.mark.parametrize("a", [1e16, 1.7e17, 1e20, 1e300])
     def test_huge_shape_is_a_typed_error(self, a):
-        # x + 1 == x at this size, so the continued fraction starts at b = 0.
-        with pytest.raises(ChiSigmaError):
-            inv_gamma_p(a, 0.5)
+        # x + 1 == x at this size, so the continued fraction starts at b = 0;
+        # and at a = 1.7e17, p = 0.975 the roundoff of the density's exponent
+        # passed exp's range in a Newton step.
+        for p in (0.025, 0.5, 0.975):
+            with pytest.raises(ChiSigmaError):
+                inv_gamma_p(a, p)
 
 
 class TestInvDigamma:
