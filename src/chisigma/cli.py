@@ -17,7 +17,7 @@ from statistics import median
 import numpy as np
 
 from .errors import ChiSigmaError, ConfigError, NiftiError, SchemaError
-from .identify import AXIS_INDEX, ESTIMATORS, SearchConfig, estimate_volume
+from .identify import AXIS_INDEX, ESTIMATORS, MAX_GRID_SIZE, SearchConfig, estimate_volume
 from .io import (
     build_report,
     read_nifti,
@@ -193,7 +193,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--p", type=float, default=SearchConfig.p,
                      help="rejection probability level (default %(default)s)")
     est.add_argument("--grid", type=int, default=SearchConfig.grid_size,
-                     help="initial search grid size (default %(default)s)")
+                     help=f"initial search grid size, 2 to {MAX_GRID_SIZE} (default %(default)s)")
     est.add_argument("--nmin", type=float, default=SearchConfig.n_min,
                      help="lower bound on N (default %(default)s)")
     est.add_argument("--nmax", type=float, default=SearchConfig.n_max,

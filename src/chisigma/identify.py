@@ -65,6 +65,10 @@ __all__ = [
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 # How N is re-estimated each pass: method of moments or maximum likelihood.
 ESTIMATORS = ("moments", "mle")
+# Largest initial grid: each pass scores its whole grid in one call.
+MAX_GRID_SIZE = 1 << 15
+_ONE_VOLUME = ("a single volume cannot be estimated: each voxel's statistic is one draw, "
+               "which cannot tell noise from faint object (needs at least 2 volumes)")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,9 @@ class SearchConfig:
     p : float
         Two-sided rejection probability level, strictly in (0, 1).
     grid_size : int
-        Number of candidates in the initial search grid, at least 2.
-        This and ``max_outer_iters`` take whole floats, stored as int.
+        Number of candidates in the initial search grid, from 2 to
+        ``MAX_GRID_SIZE`` (2^15 = 32768). This and ``max_outer_iters``
+        take whole floats, stored as int.
     n_min, n_max : float
         Degrees-of-freedom bracket of the first pass's bounds; ``n_min``
         also sets its grid's top. Positive and finite, as is ``fixed_n``.
@@ -109,8 +114,9 @@ class SearchConfig:
 
     def __post_init__(self):
         check_prob_level(self.p)
-        if not _is_whole(self.grid_size) or self.grid_size < 2:
-            raise ConfigError(f"grid_size must be an integer >= 2, got {self.grid_size}")
+        if not _is_whole(self.grid_size) or not 2 <= self.grid_size <= MAX_GRID_SIZE:
+            raise ConfigError(f"grid_size must be an integer from 2 to {MAX_GRID_SIZE}, "
+                              f"got {self.grid_size}")
         for name in ("n_min", "n_max", "fixed_n"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -268,25 +274,11 @@ def _median(vol: Volume4D) -> float:
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
     """Evenly spaced candidates sigma_max * i/a for i = 1..a."""
-    return _InitialGrid(sigma_max, a)[:]
-
-
-class _InitialGrid:
-    # initial_grid(sigma_max, a) without building it: a slice holds the same
-    # candidates, bit for bit, so a huge grid is made a block at a time.
-    def __init__(self, sigma_max: float, a: int):
-        if not sigma_max > 0.0:
-            raise DomainError(f"sigma_max must be positive, got {sigma_max}")
-        if not _is_whole(a) or a < 1:
-            raise DomainError(f"grid size must be a positive integer, got {a}")
-        self.sigma_max, self.size = sigma_max, int(a)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        start, stop, _ = part.indices(self.size)
-        return self.sigma_max * (np.arange(start + 1, stop + 1, dtype=np.float64) / self.size)
+    if not sigma_max > 0.0:
+        raise DomainError(f"sigma_max must be positive, got {sigma_max}")
+    if not _is_whole(a) or a < 1:
+        raise DomainError(f"grid size must be a positive integer, got {a}")
+    return sigma_max * (np.arange(1, a + 1, dtype=np.float64) / a)
 
 
 def refine_grid(sigma: float) -> np.ndarray:
@@ -427,11 +419,6 @@ def _bound_and_moments(vol: Volume4D, config: SearchConfig, sigma_max: float | N
                               ref=_log_ref(config, sigma_max))[1]
 
 
-def _mask_from_sums(sum_m2, nonpadding, sigma, bounds):
-    s = sum_m2 / (2.0 * sigma * sigma)
-    return (s >= bounds.lambda_minus) & (s <= bounds.lambda_plus) & nonpadding
-
-
 def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds):
     """Count voxels whose summed transformed value falls inside the bounds.
 
@@ -447,8 +434,9 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     Returns
     -------
     (int, ndarray)
-        The count and the boolean voxel mask. All-zero padding voxels
-        are never counted.
+        The count and the boolean voxel mask, found as the search scores
+        a candidate, on the slice's sorted sums of m^2. All-zero padding
+        voxels are never counted.
 
     Raises
     ------
@@ -464,12 +452,10 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
     s2 = _reduce(_row_volume(arr), select=False, moments=True)[1].s2.reshape(arr.shape[:-1])
-    mask = _mask_from_sums(s2, s2 > 0.0, sigma_candidate, bounds)
-    return int(np.count_nonzero(mask)), mask
-
-
-# Most candidates scored at once by _best_candidate.
-_SCORE_BLOCK = 1 << 15
+    with _search_errstate():
+        count, _, mask = _best_candidate(np.array([float(sigma_candidate)]), s2,
+                                         np.sort(s2[s2 > 0.0]), bounds)
+    return count, np.zeros(s2.shape, dtype=bool) if mask is None else mask
 
 
 def _best_candidate(grid, sum_m2, ranked, bounds):
@@ -478,26 +464,22 @@ def _best_candidate(grid, sum_m2, ranked, bounds):
     # [lambda-, lambda+], is the run of ranked between the values with
     # s < lambda- and those past s <= lambda+ (a NaN s, inf / inf, fails
     # both tests and sits at the end). s < lambda- is s <= the float below
-    # lambda-, so one call counts both. The grid goes in blocks of at most
-    # _SCORE_BLOCK candidates; argmax returns the first of tied maxima, and
-    # a later block wins only with a larger count, so the smallest candidate
-    # wins ties. The winner's mask is the sums between its run's ends (> 0,
-    # so no padding), with no quotient taken.
+    # lambda-, so one call counts both, for the whole grid at once (a grid
+    # holds at most MAX_GRID_SIZE candidates). argmax returns the first of
+    # tied maxima, so the first candidate wins ties. The winner's mask is
+    # the sums between its run's ends (> 0, so no padding), with no
+    # quotient taken.
     if ranked.size == 0:
         return 0, None, None
     lams = np.array([[bounds.lambda_plus], [np.nextafter(bounds.lambda_minus, -np.inf)]])
-    best_count, best_sigma, best_top = 0, None, 0
-    for start in range(0, len(grid), _SCORE_BLOCK):
-        block = grid[start:start + _SCORE_BLOCK]
-        tops, bottoms = _count_leading(ranked, 2.0 * block * block, lams)
-        counts = tops - bottoms
-        i = int(np.argmax(counts))
-        if counts[i] > best_count:
-            best_count, best_sigma, best_top = int(counts[i]), float(block[i]), int(tops[i])
-    if best_sigma is None:
+    tops, bottoms = _count_leading(ranked, 2.0 * grid * grid, lams)
+    counts = tops - bottoms
+    i = int(np.argmax(counts))
+    count, top = int(counts[i]), int(tops[i])
+    if count == 0:
         return 0, None, None
-    mask = (sum_m2 >= ranked[best_top - best_count]) & (sum_m2 <= ranked[best_top - 1])
-    return best_count, best_sigma, mask
+    mask = (sum_m2 >= ranked[top - count]) & (sum_m2 <= ranked[top - 1])
+    return count, float(grid[i]), mask
 
 
 def _count_leading(ranked, d, lam):
@@ -566,7 +548,8 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     DomainError
         If the slice holds negative or non-finite values.
     DegenerateDataError
-        If the slice is empty, or ``sigma_max`` is not given and the
+        If the slice is empty or holds a single volume (see
+        :func:`estimate_volume`), or ``sigma_max`` is not given and the
         slice's median is zero.
     NoNoiseVoxelsError
         If the slice holds no nonzero voxel, or every candidate of the
@@ -576,6 +559,8 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
     vol = _row_volume(arr)  # the one check of the slice
+    if arr.shape[-1] == 1:
+        raise DegenerateDataError(_ONE_VOLUME)
     bounds = _bounds_for(*config.effective_n_bracket(), arr.shape[-1], config.p)
     sigma_max, sums = _bound_and_moments(vol, config, sigma_max)
     sums = sums.map(lambda a: a.reshape(arr.shape[:-1]))
@@ -608,7 +593,7 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
         raise DomainError(_OVERFLOW)
 
     ref = _log_ref(config, sigma_max)
-    grid = _InitialGrid(sigma_max, config.grid_size)
+    grid = initial_grid(sigma_max, config.grid_size)
 
     sigma_prev = None
     n_prev = None
@@ -684,7 +669,9 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     the calling thread. Slices that fail (no
     identifiable noise voxels, degenerate samples) are reported with
     ``converged=False`` and zero estimates instead of aborting the
-    volume.
+    volume. A single volume (V = 1) fails every slice with a record that
+    says so, with or without ``fixed_n``: each voxel's statistic is then
+    one draw, which cannot tell noise from faint object.
 
     One pass over the stored values selects the median and sums m^2 and
     m^4, which do not depend on it; ``estimator="mle"`` selects it in a
@@ -733,6 +720,8 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = data.dims[axis]
     slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)
+    if data.dims[3] == 1:
+        return [_failed_slice(k, slice_shape, _ONE_VOLUME) for k in range(n_slices)]
     bounds = _bounds_for(*config.effective_n_bracket(), data.dims[3], config.p)
     try:
         sigma_max, sums = _bound_and_moments(data, config, None)

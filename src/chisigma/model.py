@@ -329,8 +329,8 @@ def sigma_from_moments(s2: float, s4: float, k: int) -> float:
 
 def n_from_moments(s2: float, k: int, sigma: float) -> float:
     """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2)."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
+        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
     if not math.isfinite(s2):
         raise DomainError(_OVERFLOW)
     return s2 / (2.0 * k * sigma * sigma)
@@ -348,10 +348,13 @@ def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
 
     Exact-zero samples are scanner padding rather than noise draws; they
     are dropped with a warning as long as at least 90% of the samples are
-    positive, and rejected as a domain error otherwise.
+    positive, and rejected as a domain error otherwise. An inf or NaN
+    ``sum_log`` (squares that overflow float64) raises the overflow error.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
+        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
+    if not sum_log < math.inf:
+        raise DomainError(_OVERFLOW)
     if n_zero > 0:
         if n_zero > 0.1 * k:
             raise DomainError(
@@ -407,8 +410,8 @@ def estimate_n_mle(samples, sigma: float) -> float:
     Computes N = inv_digamma( mean(log(m^2 / (2 sigma^2))) ), dropping or
     rejecting exact-zero samples as :func:`n_from_log_moments` describes.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
+        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
     arr = _as_sample_array(samples)
     pos = arr[arr > 0.0]
     ref = 2.0 * sigma * sigma

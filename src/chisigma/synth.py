@@ -26,6 +26,7 @@ the generator (``ncchisq-philox-v1``), and ``evaluate_report`` reads it
 back, with or without that key, to score an estimation report.
 """
 
+import copy
 import functools
 import itertools
 import math
@@ -236,11 +237,11 @@ _DRAW_ROWS = 8
 
 
 class _Map:
-    # A noncentrality map (X, Y, Z), C-ordered, in ``values``, with its draw
-    # slabs as (rows, background) pairs: runs of at most _DRAW_ROWS x-rows,
-    # each all background (noncentrality 0 everywhere) or not.
+    # A noncentrality map (X, Y, Z): ``factor`` times the C-ordered ``values``,
+    # with its draw slabs as (rows, background) pairs: runs of at most
+    # _DRAW_ROWS x-rows, each all background (noncentrality 0 everywhere) or not.
     def __init__(self, values: np.ndarray):
-        self.values = values
+        self.values, self.factor = values, 1.0
         background = ~values.any(axis=(1, 2))
         self.slabs, start = [], 0
         for i in range(1, len(values) + 1):
@@ -266,7 +267,8 @@ def _draw_volume(stream, df: int, nonc: _Map, scale: np.ndarray, out=None) -> np
         if background:
             x = rng.chisquare(df, nonc.values[rows].shape)
         else:
-            x = rng.noncentral_chisquare(df, nonc.values[rows])
+            nc = nonc.values[rows]
+            x = rng.noncentral_chisquare(df, nc if nonc.factor == 1.0 else nc * nonc.factor)
         np.sqrt(x, out=x)
         x *= scale[rows]
         out[..., rows] = x.T
@@ -291,14 +293,16 @@ def _noncentrality(vol, scale: np.ndarray, out: np.ndarray) -> _Map:
 
 def _reference_maps(b0: np.ndarray, scale: np.ndarray, n_volumes: int):
     # The simulated volumes' runs: the map of the reference volume b0 for
-    # volume 0, then that of its attenuated copy for every
-    # diffusion-weighted volume. b0 is this generator's own: it is
-    # attenuated in place and becomes the second map, since volume 0 may
-    # still be drawn from the first.
-    yield _noncentrality(b0, scale, np.empty_like(scale)), 1
+    # volume 0, then the same map, sharing its values and slabs, times
+    # _DWI_ATTENUATION^2 for every diffusion-weighted volume. The attenuation
+    # is a power of two, so (a b0 / s)^2 = a^2 (b0 / s)^2 exactly unless a
+    # value is subnormal. b0 is this generator's own: the map takes its place.
+    nonc = _noncentrality(b0, scale, b0)
+    yield nonc, 1
     if n_volumes > 1:
-        b0 *= _DWI_ATTENUATION
-        yield _noncentrality(b0, scale, b0), n_volumes - 1
+        dwi = copy.copy(nonc)
+        dwi.factor = _DWI_ATTENUATION ** 2
+        yield dwi, n_volumes - 1
 
 
 def _collect(stream: VolumeStream) -> Volume4D:
@@ -347,15 +351,15 @@ def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
 def simulate_stream(spec: PhantomSpec):
     """Describe one synthetic dataset and draw it one volume at a time.
 
-    The noncentrality map is computed once for the reference volume and
-    once for its attenuated copy, and each volume is corrupted as
-    :func:`corrupt` does, with the same draws, when its maker runs (see
-    :class:`~chisigma.model.VolumeStream`); the makers are independent,
-    so ``write_nifti`` draws several volumes at once on its deflate
-    threads. So ``write_nifti(simulate_stream(spec)[0], path)`` writes
-    the same file as ``write_nifti(simulate(spec)[0], path)`` and holds
-    only a few 3D volumes at a time: the scale, the two maps (the first
-    until volume 0 is drawn) and the writer's buffers.
+    The noncentrality map is computed once, for the reference volume; the
+    attenuated volumes draw from it times the attenuation squared. Each
+    volume is corrupted as :func:`corrupt` does, with the same draws, when
+    its maker runs (see :class:`~chisigma.model.VolumeStream`); the makers
+    are independent, so ``write_nifti`` draws several volumes at once on
+    its deflate threads. So ``write_nifti(simulate_stream(spec)[0], path)``
+    writes the same file as ``write_nifti(simulate(spec)[0], path)`` and
+    holds only a few 3D volumes at a time: the scale, the one map and the
+    writer's buffers.
 
     Returns
     -------

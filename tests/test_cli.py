@@ -81,6 +81,12 @@ class TestExitCodes:
         assert err.startswith(f"configuration error: {field} ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_grid_above_the_limit_names_the_option(self, sim_paths, capsys):
+        assert run(["estimate", str(sim_paths[0]), "--grid", "40000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: grid_size ") and err.count("\n") == 1
+        assert "32768" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("estimator", ["moments", "mle"])
     def test_huge_magnitudes_fail_every_slice_by_name(self, tmp_path, capsys, estimator):
         # float64 magnitudes of 1e78, whose m^4 overflow: exit 3 with each

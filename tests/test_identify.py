@@ -9,7 +9,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chisigma import identify, model
-from chisigma.errors import ChiSigmaError, ConfigError, DomainError, NoNoiseVoxelsError
+from chisigma.errors import (
+    ChiSigmaError,
+    ConfigError,
+    DegenerateDataError,
+    DomainError,
+    NoNoiseVoxelsError,
+)
 from chisigma.identify import (
     RejectionBounds,
     SearchConfig,
@@ -97,6 +102,16 @@ class TestSearchConfig:
         with pytest.raises(ConfigError, match=field):
             SearchConfig(**{field: value})
 
+    def test_grid_size_limit(self):
+        # Checked once here: a pass scores its whole grid in one call.
+        assert identify.MAX_GRID_SIZE == 2**15
+        assert SearchConfig(grid_size=2**15).grid_size == 2**15
+        with pytest.raises(ConfigError, match=r"grid_size must be an integer from 2 to 32768, "
+                                              r"got 32769"):
+            SearchConfig(grid_size=2**15 + 1)
+        with pytest.raises(ConfigError, match="grid_size"):
+            SearchConfig(grid_size=10**7)
+
     def test_whole_float_counts_are_stored_as_int(self):
         cfg = SearchConfig(grid_size=20.0, max_outer_iters=3.0)
         assert type(cfg.grid_size) is int and type(cfg.max_outer_iters) is int
@@ -140,7 +155,6 @@ class TestSigmaUpperBound:
         assert sigma_upper_bound(7.5 * data, 4.0) == pytest.approx(7.5 * base, rel=1e-12)
 
     def test_degenerate(self):
-        from chisigma.errors import DegenerateDataError
         with pytest.raises(DegenerateDataError):
             sigma_upper_bound(np.zeros((4, 4, 4, 2)), 4.0)
         with pytest.raises(DegenerateDataError, match="empty"):
@@ -241,7 +255,6 @@ class TestCountInBounds:
             count_in_bounds(data, 1.0, RejectionBounds(0.5, 20.0))
 
     def test_rejects_empty_slice(self):
-        from chisigma.errors import DegenerateDataError
         with pytest.raises(DegenerateDataError, match="empty"):
             count_in_bounds(np.zeros((4, 0, 3)), 1.0, RejectionBounds(0.5, 20.0))
 
@@ -438,13 +451,18 @@ class TestSliceMatchesVolume:
                 assert np.array_equal(got.mask, want.mask), k
 
 
+def quotient_mask(sum_m2, nonpadding, sigma, bounds):
+    # The window on the quotients s = sum_m2 / (2 sigma^2), taken voxel by voxel.
+    s = sum_m2 / (2.0 * sigma * sigma)
+    return (s >= bounds.lambda_minus) & (s <= bounds.lambda_plus) & nonpadding
+
+
 def loop_best_candidate(grid, sum_m2, nonpadding, bounds):
     # One candidate at a time, ascending, strict comparison: the smallest
     # candidate wins ties.
     best_count, best_sigma, best_mask = 0, None, None
     for cand in grid:
-        s = sum_m2 / (2.0 * cand * cand)
-        mask = (s >= bounds.lambda_minus) & (s <= bounds.lambda_plus) & nonpadding
+        mask = quotient_mask(sum_m2, nonpadding, cand, bounds)
         count = int(np.count_nonzero(mask))
         if count > best_count:
             best_count, best_sigma, best_mask = count, float(cand), mask
@@ -524,8 +542,13 @@ class TestMomentsPathMatchesSamplePath:
         config = SearchConfig(estimator=estimator, fixed_n=float(n_true) if fixed else None,
                               max_outer_iters=30)
         sigma_max = 2.0 * sigma
-        ref, ref_warn = run_recording(lambda: sample_path_slice(arr, config, sigma_max))
         got, got_warn = run_recording(lambda: estimate_slice(arr, config, sigma_max=sigma_max))
+        if volumes == 1:
+            # Refused before any search, with no warning.
+            assert type(got) is DegenerateDataError and "single volume" in str(got)
+            assert got_warn == []
+            return
+        ref, ref_warn = run_recording(lambda: sample_path_slice(arr, config, sigma_max))
         assert got_warn == ref_warn
         if isinstance(ref, ChiSigmaError):
             assert type(got) is type(ref)
@@ -673,21 +696,6 @@ class TestBestCandidate:
                               RejectionBounds(0.5, 2.0))
         assert got == (0, None, None)
 
-    def test_blocks_match_one_broadcast(self, monkeypatch):
-        # Ties and grids that end inside, at and just past a block edge.
-        rng = np.random.default_rng(66)
-        sum_m2 = rng.integers(0, 40, (9, 7)).astype(np.float64)
-        nonpadding = sum_m2 > 0.0
-        bounds = RejectionBounds(0.5, 2.0)
-        for block in (7, 63, 64, 63 * 5):
-            monkeypatch.setattr(identify, "_SCORE_BLOCK", block)
-            for grid in (np.linspace(0.5, 6.0, 200), np.linspace(0.5, 6.0, 5),
-                         np.linspace(0.5, 6.0, 6), np.full(5, 2.0), refine_grid(3.0)):
-                got = _best_candidate(grid, sum_m2, np.sort(sum_m2[nonpadding]), bounds)
-                want = broadcast_best_candidate(grid, sum_m2, nonpadding, bounds)
-                assert got[:2] == want[:2]
-                assert np.array_equal(got[2], want[2])
-
     def test_large_grid_memory_is_bounded(self):
         # 20,000 candidates on a 24x24 slice. One broadcast would hold at
         # least its float64 (20000, 24, 24) statistic, 92 MB; scored on the
@@ -709,16 +717,14 @@ class TestBestCandidate:
     @given(seed=st.integers(0, 2**32 - 1), integer=st.booleans(),
            scale=st.sampled_from([-300, 0, 300]), padding=st.sampled_from([0.0, 0.3, 1.0]),
            lam_minus=st.floats(0.0, 8.0), width=st.floats(0.01, 20.0),
-           n_grid=st.integers(1, 40), edges=st.integers(0, 12),
-           block=st.sampled_from([1, 3, identify._SCORE_BLOCK]))
+           n_grid=st.integers(1, 40), edges=st.integers(0, 12))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_property_matches_references(self, seed, integer, scale, padding, lam_minus,
-                                         width, n_grid, edges, block):
+                                         width, n_grid, edges):
         # Sums on lambda * 2 sigma^2 of some candidate and one ulp either
         # side, heavy ties (integer sums, with quarter-step bounds and
         # half-step candidates that put the edges on integers), zero
-        # padding, a power-of-two scale that changes no quotient, and
-        # blocks that split tied candidates.
+        # padding and a power-of-two scale that changes no quotient.
         rng = np.random.default_rng(seed)
         if integer:
             sum_m2 = rng.integers(0, 60, (9, 8)).astype(np.float64)
@@ -739,24 +745,22 @@ class TestBestCandidate:
         sum_m2 *= 2.0 ** scale
         grid = grid * 2.0 ** (scale // 2)
         nonpadding = sum_m2 > 0.0
-        with mock.patch.object(identify, "_SCORE_BLOCK", block):
-            got = _best_candidate(grid, sum_m2, np.sort(sum_m2[nonpadding]), bounds)
+        got = _best_candidate(grid, sum_m2, np.sort(sum_m2[nonpadding]), bounds)
         for ref in (loop_best_candidate, broadcast_best_candidate):
             want = ref(grid, sum_m2, nonpadding, bounds)
             assert got[:2] == want[:2]
             assert (got[2] is None and want[2] is None) or np.array_equal(got[2], want[2])
 
     @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans(), n_inf=st.integers(0, 3),
-           zero_minus=st.booleans(), huge=st.booleans(), n_grid=st.integers(1, 40),
-           block=st.sampled_from([1, 3, identify._SCORE_BLOCK]))
+           zero_minus=st.booleans(), huge=st.booleans(), n_grid=st.integers(1, 40))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_property_run_ends_and_one_count_call(self, seed, ties, n_inf, zero_minus, huge,
-                                                  n_grid, block):
+                                                  n_grid):
         # Tied sums (integers, with zero padding), lambda- = 0, infinite sums
-        # and a candidate whose 2 sigma^2 overflows, so that inf / inf is NaN,
-        # on grids split into blocks. The winner's mask from the ends of its
-        # run is the mask of its quotients, and one count call for both
-        # bounds gives the counts of s <= lambda+ and of s < lambda-.
+        # and a candidate whose 2 sigma^2 overflows, so that inf / inf is NaN.
+        # The winner's mask from the ends of its run is the mask of its
+        # quotients, and one count call for both bounds gives the counts of
+        # s <= lambda+ and of s < lambda-.
         rng = np.random.default_rng(seed)
         if ties:
             sum_m2 = rng.integers(0, 30, (8, 9)).astype(np.float64)
@@ -775,9 +779,8 @@ class TestBestCandidate:
             d = 2.0 * grid * grid
             tops, bottoms = identify._count_leading(ranked, d, lams)
             s = ranked / d[:, None]
-            with mock.patch.object(identify, "_SCORE_BLOCK", block):
-                count, sigma, mask = _best_candidate(grid, sum_m2, ranked, bounds)
-            want = identify._mask_from_sums(sum_m2, nonpadding, sigma, bounds) if count else None
+            count, sigma, mask = _best_candidate(grid, sum_m2, ranked, bounds)
+            want = quotient_mask(sum_m2, nonpadding, sigma, bounds) if count else None
         assert np.array_equal(tops, np.count_nonzero(s <= bounds.lambda_plus, axis=1))
         assert np.array_equal(bottoms, np.count_nonzero(s < bounds.lambda_minus, axis=1))
         assert count == int(np.max(tops - bottoms))
@@ -816,37 +819,11 @@ class TestBestCandidate:
                        - np.searchsorted(ranked, bounds.lambda_minus * d, "left"))
             assert abs(rounded - got[0]) >= 24
 
-    def test_initial_grid_slices_are_bit_equal(self):
-        for a in (1, 7, 1000, 65537):
-            whole = initial_grid(3.7, a)
-            lazy = identify._InitialGrid(3.7, a)
-            assert len(lazy) == a
-            parts = np.concatenate([lazy[i:i + 9] for i in range(0, a, 9)])
-            assert parts.tobytes() == whole.tobytes()
-
-    def test_huge_grid_memory_is_bounded(self):
-        # 10**7 candidates on a 24x24 slice: the grid alone would take 80 MB,
-        # and as many again to build; made and scored a block at a time, the
-        # search stays under a tenth of that.
-        rng = np.random.default_rng(70)
-        data = chi_slice(rng, 2.0, 1, (24, 24), 5)
-        config = SearchConfig(grid_size=10**7, max_outer_iters=2)
-        tracemalloc.start()
-        try:
-            est = estimate_slice(data, config, sigma_max=8.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**7 * 8 / 10
-        assert est.n_identified > 0.8 * 24 * 24
-        assert est.sigma_g == pytest.approx(2.0, rel=0.2)
-
 
 def broadcast_best_candidate(grid, sum_m2, nonpadding, bounds):
     # Every candidate in one broadcast along a new leading axis.
     g = grid.reshape((-1,) + (1,) * sum_m2.ndim)
-    s = sum_m2 / (2.0 * g * g)
-    masks = (s >= bounds.lambda_minus) & (s <= bounds.lambda_plus) & nonpadding
+    masks = quotient_mask(sum_m2, nonpadding, g, bounds)
     counts = np.count_nonzero(masks.reshape(grid.size, -1), axis=1)
     best = int(np.argmax(counts))
     if counts[best] == 0:

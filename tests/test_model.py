@@ -257,7 +257,7 @@ class TestHugeSamples:
         m = self.huge(scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="overflow float64"):
                 self.ESTIMATORS[name](m, scale if sigma == "true" else 1.0)
 
     @pytest.mark.parametrize("name", ["n_moments", "n_mle"])
@@ -269,3 +269,20 @@ class TestHugeSamples:
     def test_n_moments_names_the_overflow(self):
         with pytest.raises(DomainError, match="overflow float64"):
             n_from_moments(math.inf, 10, 1.0)
+
+    @pytest.mark.parametrize("name", ["n_moments", "n_mle"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    def test_sigma_whose_square_underflows(self, name, scale):
+        # 2 sigma^2 is 0 in float64: a typed error, not a ZeroDivisionError,
+        # and not the overflow's.
+        m = scale * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="2 sigma\\^2 > 0, got 1e-170"):
+                self.ESTIMATORS[name](m, 1e-170)
+
+    @pytest.mark.parametrize("sum_log", [math.inf, math.nan])
+    def test_n_mle_names_the_overflow(self, sum_log):
+        # m^2 = inf gives a log of inf, and inf / inf (2 sigma^2 = inf) a NaN.
+        with pytest.raises(DomainError, match="overflow float64"):
+            n_from_log_moments(sum_log, 10, 0, 1.0, 2.0)
