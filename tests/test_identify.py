@@ -240,6 +240,18 @@ class TestCountInBounds:
         count, _ = count_in_bounds(data, sigma, bounds)
         assert count / 10000.0 == pytest.approx(0.95, abs=0.02)
 
+    def test_matches_the_quotient_window(self):
+        # Integer magnitudes put many sums on the bounds' edges, and zeros
+        # make padding: the count and mask are those of the quotients.
+        data = np.random.default_rng(34).integers(0, 9, (12, 10, 2)).astype(np.float64)
+        s2 = np.square(data[..., 0]) + np.square(data[..., 1])
+        for sigma in (1.0, 0.75, 3.1):
+            for bounds in (RejectionBounds(2.5, 8.0), RejectionBounds(0.0, 4.0),
+                           RejectionBounds(1.0 / 3.0, 7.1), RejectionBounds(500.0, 600.0)):
+                count, mask = count_in_bounds(data, sigma, bounds)
+                want = quotient_mask(s2, s2 > 0.0, sigma, bounds)
+                assert count == np.count_nonzero(want) and np.array_equal(mask, want)
+
     def test_rejects_flat_input(self):
         with pytest.raises(DomainError):
             count_in_bounds(np.ones(5), 1.0, RejectionBounds(0.0, 1.0))
