@@ -3,11 +3,12 @@
 The CLI is a thin shell over the library. Exit codes: 0 on success, 1
 for usage or configuration errors, 2 for I/O or format errors, 3 when
 estimation fails on every slice. ``--threads`` is the only thread
-setting.
+setting. The process entry point is :func:`run`; :func:`main` serves
+in-process callers and changes nothing process-wide.
 """
 
 import argparse
-import concurrent.futures
+import gc
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .model import _is_whole
 # because bench/spans.py hooks it by name on it.
 from .synth import PhantomSpec, evaluate_report, simulate, simulate_stream  # noqa: F401
 
-__all__ = ["cmd_estimate", "cmd_simulate", "cmd_evaluate", "main"]
+__all__ = ["cmd_estimate", "cmd_simulate", "cmd_evaluate", "main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,13 +78,18 @@ def cmd_estimate(args) -> int:
     )
     volume = read_nifti(args.input)
     want_report = bool(args.out_report or args.out_csv)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-        # hashlib releases the interpreter lock, so a second thread hashes
-        # the input for the report while it is reduced and searched.
-        hashing = (helper.submit(volume_fingerprint, volume)
-                   if want_report and threads > 1 else None)
+    if want_report and threads > 1:
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+            # hashlib releases the interpreter lock, so a second thread hashes
+            # the input for the report while it is reduced and searched.
+            hashing = helper.submit(volume_fingerprint, volume)
+            estimates = estimate_volume(volume, config, threads=threads)
+            fingerprint = hashing.result()
+    else:
         estimates = estimate_volume(volume, config, threads=threads)
-        fingerprint = None if hashing is None else hashing.result()
+        fingerprint = None
 
     ok = [e for e in estimates if e.error is None]
     failed = [e for e in estimates if e.error is not None]
@@ -277,5 +283,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
 
+def run() -> int:
+    """Process entry point: :func:`main` on ``sys.argv``, with the imports' heap frozen.
+
+    ``gc.freeze()`` moves every object made so far, nearly all of them by
+    the imports, to a generation that the collector skips, both during
+    the run and in the final collection at exit, which would otherwise
+    walk them all. Exit is otherwise the normal one: atexit handlers,
+    thread joins and stream flushes still run.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

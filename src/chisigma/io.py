@@ -8,12 +8,9 @@ checks so malformed files fail with :class:`NiftiError` rather than
 crashing.
 """
 
-import concurrent.futures
 import contextlib
-import csv
 import functools
 import gzip
-import hashlib
 import json
 import math
 import os
@@ -438,6 +435,8 @@ def _write_gzip(f, chunks, workers: int) -> None:
     to the next fill. Every volume starts a fresh deflate stream, so the
     bytes do not depend on ``workers``.
     """
+    import concurrent.futures
+
     header, (shape, dtype), fills = chunks
     f.write(_GZIP_HEADER)
     f.writelines(_deflate(header))
@@ -549,6 +548,8 @@ def volume_fingerprint(volume) -> dict:
     :func:`~chisigma.identify.estimate_volume` reads the same file; it
     raises :class:`NiftiError` if the file changed since it was checked.
     """
+    import hashlib
+
     vol = volume if isinstance(volume, Volume4D) else Volume4D(voxels=volume)
     digest = hashlib.sha256()
     for group in vol._groups():
@@ -658,6 +659,8 @@ def read_report(path) -> EstimateReport:
 
 def write_slice_csv(report: EstimateReport, path) -> None:
     """Export per-slice (slice_index, sigma_g, n_dof) rows as CSV."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["slice_index", "sigma_g", "n_dof"])

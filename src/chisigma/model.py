@@ -300,6 +300,8 @@ def _as_sample_array(samples) -> np.ndarray:
 
 _OVERFLOW = ("the sums of m^2 and m^4 overflow float64: magnitudes must stay well below "
              "1.2e77, whose m^4 overflows alone (rescale the data)")
+_UNDERFLOW = ("the sum of log(m^2 / (2 sigma^2)) is -inf: m^2 underflows float64 to 0 for "
+              "positive magnitudes below about 1.6e-162 (rescale the data)")
 
 
 def sigma_from_moments(s2: float, s4: float, k: int) -> float:
@@ -328,12 +330,21 @@ def sigma_from_moments(s2: float, s4: float, k: int) -> float:
 
 
 def n_from_moments(s2: float, k: int, sigma: float) -> float:
-    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2)."""
+    """Degrees of freedom N = s2 / (2 K sigma^2), the mean of t = m^2/(2 sigma^2).
+
+    Raises :class:`DomainError` when N overflows float64, as it does for
+    ordinary magnitudes once 2 sigma^2 is subnormal.
+    """
     if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
         raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
     if not math.isfinite(s2):
         raise DomainError(_OVERFLOW)
-    return s2 / (2.0 * k * sigma * sigma)
+    n = s2 / (2.0 * k * sigma * sigma)
+    if not math.isfinite(n):
+        raise DomainError(f"N = sum(m^2) / (2 K sigma^2) overflows float64 at sigma = {sigma!r}: "
+                          "sigma is too small for the magnitudes (2 sigma^2 is subnormal for "
+                          "sigma below about 1.05e-154; rescale the data)")
+    return n
 
 
 def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
@@ -349,12 +360,16 @@ def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
     Exact-zero samples are scanner padding rather than noise draws; they
     are dropped with a warning as long as at least 90% of the samples are
     positive, and rejected as a domain error otherwise. An inf or NaN
-    ``sum_log`` (squares that overflow float64) raises the overflow error.
+    ``sum_log`` (squares that overflow float64) raises the overflow error,
+    and -inf (a positive sample whose square underflows to 0) the
+    underflow error.
     """
     if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
         raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
     if not sum_log < math.inf:
         raise DomainError(_OVERFLOW)
+    if sum_log == -math.inf:
+        raise DomainError(_UNDERFLOW)
     if n_zero > 0:
         if n_zero > 0.1 * k:
             raise DomainError(
@@ -416,6 +431,6 @@ def estimate_n_mle(samples, sigma: float) -> float:
     pos = arr[arr > 0.0]
     ref = 2.0 * sigma * sigma
     # Not a decorator: the zeros warning names this function's caller.
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: DomainError below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DomainError below
         sum_log = float(np.sum(np.log(pos * pos / ref)))
     return n_from_log_moments(sum_log, arr.size, arr.size - pos.size, sigma, ref)

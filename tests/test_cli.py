@@ -1,17 +1,22 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
+import gc
 import gzip
 import io as pyio
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chisigma
 from chisigma import cli, identify, io, model, synth
 from chisigma.cli import EXIT_ALL_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from chisigma.identify import SearchConfig, SliceEstimate
@@ -414,6 +419,50 @@ class TestEstimate:
             else:
                 assert len(hashed_on) == 1
                 assert (hashed_on[0] != threading.get_ident()) == helper
+
+
+def _child_env():
+    # A child interpreter imports this chisigma, installed or not.
+    paths = [str(Path(chisigma.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+class TestEntryPoint:
+    # Imported by a command only where it is used.
+    ON_USE = ("hashlib", "csv", "concurrent.futures")
+
+    def test_main_freezes_nothing(self, sim_paths, tmp_path, capsys):
+        # Only the process entry point, run(), freezes the heap.
+        out, _ = sim_paths
+        frozen = gc.get_freeze_count()
+        assert run(["estimate", str(out), "--out-csv", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert run(["simulate", "--dims", "12,12,8", "--volumes", "3",
+                    "--out", str(tmp_path / "sim.nii.gz")]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def loaded_in_child(self, code):
+        # The ON_USE modules loaded when a fresh interpreter has run ``code``.
+        probe = f"import sys; print(*[m for m in {self.ON_USE!r} if m in sys.modules])"
+        child = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"],
+                               capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
+        return set(child.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("outputs,loaded", [
+        ([], set()),
+        (["--out-mask", "{d}/mask.nii"], set()),
+        (["--out-csv", "{d}/slices.csv", "--threads", "1"], {"hashlib", "csv"}),
+        (["--out-report", "{d}/report.json", "--threads", "2"],
+         {"hashlib", "concurrent.futures"}),
+    ])
+    def test_estimate_imports_helpers_only_for_their_outputs(self, sim_paths, tmp_path,
+                                                             outputs, loaded):
+        # Site hooks differ between machines, so a bare interpreter's modules
+        # are the baseline.
+        bare = self.loaded_in_child("pass")
+        argv = ["estimate", str(sim_paths[0])] + [a.format(d=tmp_path) for a in outputs]
+        code = f"from chisigma.cli import main\nassert main({argv!r}) == 0"
+        assert self.loaded_in_child(code) - bare == loaded - bare
 
 
 class TestEvaluate:

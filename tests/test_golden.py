@@ -12,10 +12,14 @@ scl_inter, which stays in memory and is clamped at zero.
 
 import gzip
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from test_cli import _child_env
 from test_io import craft_nifti
 
 from chisigma.cli import EXIT_OK, main
@@ -143,3 +147,18 @@ GOLDEN = {
 @pytest.mark.parametrize("layout", ["f32", "i16"])
 def test_outputs_match_the_recorded_digests(inputs, tmp_path, capsys, layout, run):
     assert digests(inputs[layout], RUNS[run], tmp_path, capsys) == GOLDEN[layout, run]
+
+
+def test_process_entry_point_matches_the_recorded_digests(inputs, tmp_path):
+    # python -m chisigma.cli runs cli.run, which freezes the imports' heap
+    # before the command: the bytes are those of an in-process main.
+    outputs = [tmp_path / name for name in ("report.json", "slices.csv", "mask.nii")]
+    child = subprocess.run(
+        [sys.executable, "-m", "chisigma.cli", "estimate", str(inputs["f32"]),
+         "--out-report", str(outputs[0]), "--out-csv", str(outputs[1]),
+         "--out-mask", str(outputs[2])],
+        capture_output=True, env=_child_env(), cwd=os.fspath(tmp_path), timeout=120)
+    assert child.returncode == EXIT_OK, child.stderr
+    files = [child.stdout] + [path.read_bytes() for path in outputs]
+    assert ({k: hashlib.sha256(b).hexdigest() for k, b in zip(OUTPUTS, files)}
+            == GOLDEN["f32", "moments"])

@@ -56,6 +56,28 @@ def test_attenuated_ghost(seed):
                                             SearchConfig()))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_int16_rounding(seed):
+    # Magnitudes stored as rounded int16, as most scanners write them.
+    data = np.rint(phantom((48, 48, 6, 9), seed)).astype(np.int16)
+    assert_within_tolerance(estimate_volume(data, SearchConfig()))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a baseline subtracted before the clamp shifts the noise off the "
+                          "chi law: N comes out near 1.85 on every slice, with no record")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_int16_baseline_clamped_at_zero(seed):
+    # A scanner baseline of 10 (one sigma) subtracted and clamped at zero.
+    data = np.maximum(np.rint(phantom((48, 48, 6, 9), seed)) - 10, 0).astype(np.int16)
+    assert_within_tolerance(estimate_volume(data, SearchConfig()))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_more_than_512_volumes(seed):
+    assert_within_tolerance(estimate_volume(phantom((24, 24, 2, 600), seed), SearchConfig()))
+
+
 @pytest.mark.parametrize("config", [SearchConfig(), SearchConfig(fixed_n=N)],
                          ids=["free_n", "fixed_n"])
 def test_single_volume(config):

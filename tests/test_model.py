@@ -281,6 +281,26 @@ class TestHugeSamples:
             with pytest.raises(DomainError, match="2 sigma\\^2 > 0, got 1e-170"):
                 self.ESTIMATORS[name](m, 1e-170)
 
+    @pytest.mark.parametrize("sigma", [1.6e-162, 1e-155])
+    def test_n_moments_names_a_subnormal_sigma(self, sigma):
+        # 2 sigma^2 is subnormal but positive, so N of ordinary magnitudes
+        # overflows to inf.
+        m = chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows float64 at sigma = .*subnormal"):
+                estimate_n_moments(m, sigma)
+
+    def test_n_mle_names_the_underflow(self):
+        # Every m^2 underflows to 0, so each log is -inf.
+        m = 1e-170 * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="m\\^2 underflows float64 to 0"):
+                estimate_n_mle(m, 1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            n_from_log_moments(-math.inf, 10, 0, 1.0, 2.0)
+
     @pytest.mark.parametrize("sum_log", [math.inf, math.nan])
     def test_n_mle_names_the_overflow(self, sum_log):
         # m^2 = inf gives a log of inf, and inf / inf (2 sigma^2 = inf) a NaN.
