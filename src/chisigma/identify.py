@@ -11,9 +11,9 @@ grid and quantile bounds are tightened until sigma and N stabilize.
 
 The fit needs only sums over the identified voxels, so the data are
 reduced once to per-voxel moments (sum_v m^2, sum_v m^4 and, for the
-likelihood estimator, sum_v log m^2 and a zero count), adding one volume
-at a time; every outer pass then works on a slice's 2D view of those
-arrays instead of re-gathering the samples.
+likelihood estimator, sum_v log m^2 and a zero count), the rows of one
+array, adding one volume at a time; every outer pass then fits from one
+take of a slice's moments instead of re-gathering the samples.
 
 Candidates are scored on each slice's sums of m^2, sorted once: for a
 candidate, s never decreases as sum_v m^2 grows, so the voxels it
@@ -288,18 +288,11 @@ def refine_grid(sigma: float) -> np.ndarray:
     return sigma * (0.95 + 0.01 * np.arange(11, dtype=np.float64))
 
 
-class _Moments:
-    # Per-voxel sums over the volumes: of m^2, of m^4 and, for the
-    # likelihood estimator, of log(m^2 / ref) over positive samples, with
-    # the count of zero samples.
-    def __init__(self, s2, s4, log=None, zeros=None):
-        self.s2, self.s4, self.log, self.zeros = s2, s4, log, zeros
-
-    def map(self, fn) -> "_Moments":
-        """The same view ``fn`` of every array."""
-        return _Moments(fn(self.s2), fn(self.s4),
-                        None if self.log is None else fn(self.log),
-                        None if self.zeros is None else fn(self.zeros))
+# Rows of the per-voxel moments, one C-ordered float64 array of shape
+# (M, Z, Y, X): sums over the volumes of m^2 and m^4 (M = 2) and, for the
+# likelihood estimator (M = 4), of log(m^2 / ref) over positive samples and
+# the count of zero samples, which float64 holds exactly.
+_S2, _S4, _LOG, _ZEROS = range(4)
 
 
 # Voxels per block of the reduction: the block's sums and temporaries stay
@@ -308,7 +301,7 @@ _BLOCK_VOXELS = 1 << 15
 
 
 def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None):
-    # (median, moments (Z, Y, X), with log sums when ``ref`` is given) of
+    # (median, moments (M, Z, Y, X), with log rows when ``ref`` is given) of
     # vol, each None unless asked for, from one pass over its stored values.
     # The median is np.median of the float64 signal, bit for bit: the mean
     # of the one or two middle stored values mapped by the monotone
@@ -330,9 +323,7 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
             bracket = (sample[max(0, int((m - 1) * k[0] / n - delta))],
                        sample[min(m - 1, int((m - 1) * k[1] / n + delta) + 1)])
     if moments:
-        shape = vol.dims[2::-1]
-        sums = _Moments(np.zeros(shape), np.zeros(shape), *(
-            () if ref is None else (np.zeros(shape), np.zeros(shape, dtype=np.intp))))
+        sums = np.zeros((2 if ref is None else 4,) + vol.dims[2::-1])
     if bracket is not None or sums is not None:
         n_low, inside = _reduce_pass(vol, bracket, sums, ref)
     if bracket is not None:
@@ -354,7 +345,7 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
 # summed as inf (and log(m^2 / ref) as -inf or NaN when ref is inf), which
 # the search reports as a slice's error.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _reduce_pass(vol: Volume4D, bracket, sums: _Moments | None, ref: float | None):
+def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | None):
     # The pass of _reduce, in a frame of its own so that the read buffer is
     # freed before the kept values are joined. It takes each group of
     # vol._groups() by blocks of z-planes, a block one volume at a time, so
@@ -363,14 +354,16 @@ def _reduce_pass(vol: Volume4D, bracket, sums: _Moments | None, ref: float | Non
     # (Threads do not speed this up: it is bound by memory.)
     n_z, n_y, n_x = vol.dims[2::-1]
     step = min(n_z, max(1, _BLOCK_VOXELS // (n_y * n_x)))
-    signal, m2_buf, t_buf = (np.empty(step * n_y * n_x) for _ in "smt")
+    signal, m2_buf = (np.empty(step * n_y * n_x) for _ in "sm")
+    t_buf = None if ref is None else np.empty(step * n_y * n_x)
     ge_buf, le_buf = (np.empty(step * n_y * n_x, bool) for _ in "gl")
     n_low, inside = 0, []
     for group in vol._groups():
         for z0 in range(0, n_z, step):
             z = slice(z0, z0 + step)
             size = min(step, n_z - z0) * n_y * n_x
-            part = None if sums is None else sums.map(lambda a: a[z].reshape(-1))
+            # A view: each row's block of z-planes is contiguous.
+            part = None if sums is None else sums[:, z].reshape(len(sums), -1)
             for block in group[:, z]:
                 values = block.reshape(-1)
                 if bracket is not None:
@@ -384,14 +377,14 @@ def _reduce_pass(vol: Volume4D, bracket, sums: _Moments | None, ref: float | Non
                     # are, and ``out`` is left untouched.
                     m = vol.to_signal(values, out=signal[:size])
                     m2 = np.square(m, out=m2_buf[:size])
-                    np.add(part.s2, m2, out=part.s2)
+                    np.add(part[_S2], m2, out=part[_S2])
                     if ref is not None:
                         pos = np.greater(m, 0.0, out=le_buf[:size])
                         t = np.divide(m2, ref, out=t_buf[:size])
                         np.log(t, out=t, where=pos)
-                        np.add(part.log, t, out=part.log)
-                        np.add(part.zeros, np.logical_not(pos, out=pos), out=part.zeros)
-                    np.add(part.s4, np.square(m2, out=m2), out=part.s4)
+                        np.add(part[_LOG], t, out=part[_LOG])
+                        np.add(part[_ZEROS], np.logical_not(pos, out=pos), out=part[_ZEROS])
+                    np.add(part[_S4], np.square(m2, out=m2), out=part[_S4])
     return n_low, inside
 
 
@@ -451,7 +444,7 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    s2 = _reduce(_row_volume(arr), select=False, moments=True)[1].s2.reshape(arr.shape[:-1])
+    s2 = _reduce(_row_volume(arr), select=False, moments=True)[1][_S2].reshape(arr.shape[:-1])
     with _search_errstate():
         count, _, mask = _best_candidate(np.array([float(sigma_candidate)]), s2,
                                          np.sort(s2[s2 > 0.0]), bounds)
@@ -563,7 +556,7 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
         raise DegenerateDataError(_ONE_VOLUME)
     bounds = _bounds_for(*config.effective_n_bracket(), arr.shape[-1], config.p)
     sigma_max, sums = _bound_and_moments(vol, config, sigma_max)
-    sums = sums.map(lambda a: a.reshape(arr.shape[:-1]))
+    sums = sums.reshape((len(sums),) + arr.shape[:-1])
     with _search_errstate():
         return _search_slice(sums, arr.shape[-1], config, sigma_max, bounds, slice_index)
 
@@ -577,7 +570,7 @@ def _search_errstate() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_max: float,
+def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_max: float,
                   bounds: RejectionBounds, slice_index: int) -> SliceEstimate:
     # The search of estimate_slice, on one slice's per-voxel moments, from
     # the first-pass bounds. A pass's output (sigma, N) sets the next pass's
@@ -585,8 +578,8 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     # pass's state starts a cycle: the search stops at it. The states compare
     # as floats, which is bit for bit here: sigma and N of a pass whose grid
     # and bounds were refined from them are positive and finite.
-    ranked = np.sort(sums.s2[sums.s2 > 0.0])
-    flat = sums.map(lambda a: a.reshape(-1))
+    ranked = np.sort(sums[_S2][sums[_S2] > 0.0])
+    flat = sums.reshape(len(sums), -1)
     if ranked.size == 0:
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
     if ranked[0] == np.inf:
@@ -601,21 +594,21 @@ def _search_slice(sums: _Moments, n_volumes: int, config: SearchConfig, sigma_ma
     seen = set()  # the (sigma, N) of every pass so far
 
     for iters in range(1, config.max_outer_iters + 1):
-        count, _, mask = _best_candidate(grid, sums.s2, ranked, bounds)
+        count, _, mask = _best_candidate(grid, sums[_S2], ranked, bounds)
         if count == 0:
             raise NoNoiseVoxelsError(
                 f"slice {slice_index}: no candidate noise level identified any voxels"
             )
-        # Taken in memory order, as the mask would: the sums keep their bits.
-        idx = np.flatnonzero(mask)
+        # Taken in memory order, as the mask would, and each row summed
+        # pairwise, as np.sum sums it: the sums keep their bits.
+        total = np.add.reduce(flat.take(np.flatnonzero(mask), axis=1), axis=1)
         k = count * n_volumes
-        s2 = float(np.sum(flat.s2.take(idx)))
-        sigma = sigma_from_moments(s2, float(np.sum(flat.s4.take(idx))), k)
+        s2 = float(total[_S2])
+        sigma = sigma_from_moments(s2, float(total[_S4]), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
         elif ref is not None:
-            n_dof = n_from_log_moments(float(np.sum(flat.log.take(idx))), k,
-                                       int(np.sum(flat.zeros.take(idx))), sigma, ref)
+            n_dof = n_from_log_moments(float(total[_LOG]), k, int(total[_ZEROS]), sigma, ref)
         else:
             n_dof = n_from_moments(s2, k, sigma)
 
@@ -733,10 +726,10 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
 
     def run_one(k: int) -> SliceEstimate:
         # The slice in (X, Y, Z) order, copied C-ordered: the search runs
-        # faster on it than on a strided view. The moments are (Z, Y, X) and
-        # are sliced along their own axes: np.take would first copy a
+        # faster on it than on a strided view. The moments are (M, Z, Y, X)
+        # and are sliced along their own axes: np.take would first copy a
         # transposed array whole.
-        part = sums.map(lambda a: np.take(a, k, axis=2 - axis).T.copy())
+        part = np.take(sums, k, axis=3 - axis).transpose(0, 2, 1).copy()
         try:
             return _search_slice(part, data.dims[3], config, sigma_max, bounds, k)
         except ChiSigmaError as exc:

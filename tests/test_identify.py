@@ -848,7 +848,7 @@ def plain_passes(sums, n_volumes, config, sigma_max):
     # converged) after every pass up to the cap, the converged pass or the
     # first pass that repeats an earlier pass's (sigma, N), whichever comes
     # first. Its first c passes are the whole run at a cap of c.
-    nonpadding = sums.s2 > 0.0
+    nonpadding = sums[0] > 0.0
     n_low, n_high = config.effective_n_bracket()
     ref = identify._log_ref(config, sigma_max)
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
@@ -856,15 +856,15 @@ def plain_passes(sums, n_volumes, config, sigma_max):
     sigma_prev = n_prev = None
     seen = set()
     for _ in range(config.max_outer_iters):
-        count, _, mask = _best_candidate(grid, sums.s2, np.sort(sums.s2[nonpadding]), bounds)
+        count, _, mask = _best_candidate(grid, sums[0], np.sort(sums[0][nonpadding]), bounds)
         k = count * n_volumes
-        s2 = float(np.sum(sums.s2[mask]))
-        sigma = model.sigma_from_moments(s2, float(np.sum(sums.s4[mask])), k)
+        s2 = float(np.sum(sums[0][mask]))
+        sigma = model.sigma_from_moments(s2, float(np.sum(sums[1][mask])), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
         elif ref is not None:
-            n_dof = model.n_from_log_moments(float(np.sum(sums.log[mask])), k,
-                                             int(np.sum(sums.zeros[mask])), sigma, ref)
+            n_dof = model.n_from_log_moments(float(np.sum(sums[2][mask])), k,
+                                             int(np.sum(sums[3][mask])), sigma, ref)
         else:
             n_dof = model.n_from_moments(s2, k, sigma)
         if sigma_prev is not None:
@@ -895,7 +895,7 @@ def slice_searches(vol, config):
     bounds = _bounds_for(*config.effective_n_bracket(), vol.dims[3], config.p)
     sigma_max, sums = identify._bound_and_moments(vol, config, None)
     for k in range(vol.dims[2]):
-        part = sums.map(lambda a: np.ascontiguousarray(a.T[:, :, k]))
+        part = np.ascontiguousarray(sums[:, k].transpose(0, 2, 1))
         yield part, vol.dims[3], sigma_max, bounds, k
 
 
