@@ -38,7 +38,6 @@ from .errors import (
 # from this module because bench/spans.py hooks them by name on it.
 from .model import (  # noqa: F401
     Volume4D,
-    _OVERFLOW,
     _is_whole,
     estimate_n_mle,
     estimate_n_moments,
@@ -69,6 +68,9 @@ ESTIMATORS = ("moments", "mle")
 MAX_GRID_SIZE = 1 << 15
 _ONE_VOLUME = ("a single volume cannot be estimated: each voxel's statistic is one draw, "
                "which cannot tell noise from faint object (needs at least 2 volumes)")
+_OVERFLOW = ("the slice's sums of m^2 overflow float64: its nonzero magnitudes all exceed "
+             "about 1.3e154 units (the unit is 1, or for data beyond 2^-128..2^128 a power "
+             "of two near their median): outliers far above the rest of the data")
 
 
 @dataclass(frozen=True)
@@ -267,9 +269,35 @@ def _median_sample(groups, n: int) -> np.ndarray:
     return sample
 
 
+def _sample(vol: Volume4D) -> np.ndarray:
+    # The sorted sample of _median_sample over vol: read_nifti's for a volume
+    # it built, else taken on first use and kept on vol.
+    if vol._sample is None:
+        vol._sample = _median_sample(vol._groups(), math.prod(vol.dims))
+    return vol._sample
+
+
 def _median(vol: Volume4D) -> float:
     # np.median of vol's float64 signal, bit for bit (see _reduce).
     return _reduce(vol, select=True, moments=False)[0]
+
+
+def _unit(vol: Volume4D) -> float:
+    # The power of two that the moment pass divides the magnitudes by, so
+    # that m^4 stays a normal float from 2^-255 to 2^255 units: 1 while the
+    # data's scale lies within 2^-128..2^128, so ordinary data run the plain
+    # pass, else the power of two at it (within 2^+-1022, where its inverse
+    # is normal). The scale is the middle value of vol's median sample, or its
+    # largest if that is zero; not its largest, which up to 2^17 values is any
+    # spike's, and would push every other value into subnormals. Division by
+    # a power of two is exact: the sums are those of m times a power of two,
+    # bit for bit, while they stay normal floats.
+    sample = _sample(vol)
+    ends = vol.to_signal(sample[[0, sample.size // 2, -1]])  # either sign of the slope
+    scale = float(ends[1] or ends.max())
+    if scale == 0.0 or 2.0 ** -128 <= scale <= 2.0 ** 128:
+        return 1.0
+    return 2.0 ** min(max(math.frexp(scale)[1], -1022), 1022)
 
 
 def initial_grid(sigma_max: float, a: int) -> np.ndarray:
@@ -300,9 +328,13 @@ _S2, _S4, _LOG, _ZEROS = range(4)
 _BLOCK_VOXELS = 1 << 15
 
 
-def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None):
-    # (median, moments (M, Z, Y, X), with log rows when ``ref`` is given) of
-    # vol, each None unless asked for, from one pass over its stored values.
+def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None,
+            unit: float = 1.0):
+    # (median, moments) of vol, each None unless asked for, from one pass over
+    # its stored values. The moments are one C-ordered float64 array of
+    # shape (M, Z, Y, X), allocated here once, whose rows _S2 and _S4 (M = 2)
+    # and, when ``ref`` is given, _LOG and _ZEROS (M = 4) are sums over the
+    # volumes of powers of m / unit, ``unit`` a power of two (see _unit).
     # The median is np.median of the float64 signal, bit for bit: the mean
     # of the one or two middle stored values mapped by the monotone
     # to_signal (two middle ranks are symmetric, so a decreasing map only
@@ -314,7 +346,7 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
     n = math.prod(vol.dims)
     median = bracket = sums = None
     if select:
-        sample = vol._sample if vol._sample is not None else _median_sample(vol._groups(), n)
+        sample = _sample(vol)
         k, m = ((n - 1) // 2, n // 2), sample.size
         if m == n:
             median = float(np.mean(vol.to_signal(sample[k[0]:k[1] + 1])))
@@ -325,7 +357,7 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
     if moments:
         sums = np.zeros((2 if ref is None else 4,) + vol.dims[2::-1])
     if bracket is not None or sums is not None:
-        n_low, inside = _reduce_pass(vol, bracket, sums, ref)
+        n_low, inside = _reduce_pass(vol, bracket, sums, ref, unit)
     if bracket is not None:
         mid = np.concatenate(inside)
         del inside
@@ -341,11 +373,12 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
     return median, sums
 
 
-# m^2 and m^4 of magnitudes beyond the float64 range of those powers are
-# summed as inf (and log(m^2 / ref) as -inf or NaN when ref is inf), which
-# the search reports as a slice's error.
+# m^2 and m^4 beyond the float64 range of those powers are summed as inf
+# (and log(m^2 / ref) as -inf or NaN when ref is inf), which the search
+# reports as a slice's error.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | None):
+def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | None,
+                 unit: float):
     # The pass of _reduce, in a frame of its own so that the read buffer is
     # freed before the kept values are joined. It takes each group of
     # vol._groups() by blocks of z-planes, a block one volume at a time, so
@@ -376,6 +409,8 @@ def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | N
                     # Float64 values under identity scaling come back as they
                     # are, and ``out`` is left untouched.
                     m = vol.to_signal(values, out=signal[:size])
+                    if unit != 1.0:
+                        m = np.multiply(m, 1.0 / unit, out=signal[:size])
                     m2 = np.square(m, out=m2_buf[:size])
                     np.add(part[_S2], m2, out=part[_S2])
                     if ref is not None:
@@ -399,17 +434,20 @@ def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
 
 
 def _bound_and_moments(vol: Volume4D, config: SearchConfig, sigma_max: float | None):
-    # (sigma_max, moments) of vol, the bound from vol's median unless given.
-    # The sums of m^2 and m^4 do not need the bound, so one pass serves both;
-    # the log sums do, so the median takes a pass of its own first.
-    n_min = config.effective_n_bracket()[0]
+    # (sigma_max, moments, unit) of vol, the bound from vol's median unless
+    # given: the moments are of m / unit (see _unit), and sigma_max is
+    # returned in that unit. The sums of m^2 and m^4 do not need the bound,
+    # so one pass serves both; the log sums do, so the median takes a pass
+    # of its own first.
+    n_min, unit = config.effective_n_bracket()[0], _unit(vol)
     if sigma_max is None and _log_ref(config, 1.0) is None:
-        median, sums = _reduce(vol, select=True, moments=True)
-        return _bound(median, n_min), sums
+        median, sums = _reduce(vol, select=True, moments=True, unit=unit)
+        return _bound(median, n_min) / unit, sums, unit
     if sigma_max is None:
         sigma_max = sigma_upper_bound(vol, n_min)
-    return sigma_max, _reduce(vol, select=False, moments=True,
-                              ref=_log_ref(config, sigma_max))[1]
+    sigma_max = sigma_max / unit
+    return sigma_max, _reduce(vol, select=False, moments=True, ref=_log_ref(config, sigma_max),
+                              unit=unit)[1], unit
 
 
 def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds):
@@ -514,11 +552,15 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
 
     The slice is checked once, as a :class:`Volume4D` whose voxels form
     one row, and reduced to per-voxel moments by the pass that reduces a
-    whole volume in :func:`estimate_volume`, one volume at a time: sums
-    over the volume axis of m^2 and m^4, and for
-    ``estimator="mle"`` of log(m^2 / (2 sigma_max^2)) over positive
-    samples plus a count of zero samples. Each iteration fits from sums
-    of those over the identified voxels, with K = count * V samples.
+    whole volume in :func:`estimate_volume`, one volume at a time: the
+    rows of one array, reshaped once to the slice's shape, of sums over
+    the volume axis of m^2 and m^4, and for ``estimator="mle"`` of
+    log(m^2 / (2 sigma_max^2)) over positive samples plus a count of zero
+    samples. The magnitudes are first divided by a power of two, 1 unless
+    the middle value of the slice's median sample lies beyond 2^+-128,
+    which is exact and keeps the sums finite, and sigma is scaled back.
+    Each iteration fits from one take of those rows at the identified
+    voxels, summed row by row, with K = count * V samples.
 
     With ``config.fixed_n`` set, N is pinned and only sigma is searched.
 
@@ -555,10 +597,10 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     if arr.shape[-1] == 1:
         raise DegenerateDataError(_ONE_VOLUME)
     bounds = _bounds_for(*config.effective_n_bracket(), arr.shape[-1], config.p)
-    sigma_max, sums = _bound_and_moments(vol, config, sigma_max)
+    sigma_max, sums, unit = _bound_and_moments(vol, config, sigma_max)
     sums = sums.reshape((len(sums),) + arr.shape[:-1])
     with _search_errstate():
-        return _search_slice(sums, arr.shape[-1], config, sigma_max, bounds, slice_index)
+        return _search_slice(sums, arr.shape[-1], config, sigma_max, bounds, slice_index, unit)
 
 
 def _search_errstate() -> np.errstate:
@@ -571,13 +613,14 @@ def _search_errstate() -> np.errstate:
 
 
 def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_max: float,
-                  bounds: RejectionBounds, slice_index: int) -> SliceEstimate:
-    # The search of estimate_slice, on one slice's per-voxel moments, from
-    # the first-pass bounds. A pass's output (sigma, N) sets the next pass's
-    # grid and bounds on the fixed moments, so a pass that repeats an earlier
-    # pass's state starts a cycle: the search stops at it. The states compare
-    # as floats, which is bit for bit here: sigma and N of a pass whose grid
-    # and bounds were refined from them are positive and finite.
+                  bounds: RejectionBounds, slice_index: int, unit: float = 1.0) -> SliceEstimate:
+    # The search of estimate_slice, on one slice's per-voxel moments of
+    # m / unit, from the first-pass bounds and sigma_max in that unit; sigma
+    # is returned in the data's. A pass's output (sigma, N) sets the next
+    # pass's grid and bounds on the fixed moments, so a pass that repeats an
+    # earlier pass's state starts a cycle: the search stops at it. The states
+    # compare as floats, which is bit for bit here: sigma and N of a pass
+    # whose grid and bounds were refined from them are positive and finite.
     ranked = np.sort(sums[_S2][sums[_S2] > 0.0])
     flat = sums.reshape(len(sums), -1)
     if ranked.size == 0:
@@ -628,7 +671,7 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
 
     return SliceEstimate(
         slice_index=slice_index,
-        sigma_g=sigma,
+        sigma_g=sigma * unit,
         n_dof=n_dof,
         mask=mask,
         n_identified=count,
@@ -670,6 +713,14 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     m^4, which do not depend on it; ``estimator="mle"`` selects it in a
     pass of its own first, since its log sums are of log(m^2 / (2
     sigma_max^2)), which keeps N bit-exact under power-of-two scaling.
+    The sums are the rows of one (M, Z, Y, X) float64 array, and each
+    slice is cut from it with one take. They are of m divided by a power
+    of two: 1 while the middle value of the median's sample lies within
+    2^-128..2^128, else the power of two at that value. The division is
+    exact, so the data times 2^k give the same records with sigma_g times
+    2^k, bit for bit, while the sums stay normal floats (k from -900 to
+    900 on chi noise); a slice fails with a record naming the overflow
+    only if all its nonzero values exceed about 1.3e154 of those units.
     A file-backed volume (see :func:`chisigma.io.read_nifti`) is read
     from its file in each pass, a few volumes at a time, so only the 3D
     moments, a read buffer and the values near the median stay in
@@ -717,7 +768,7 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         return [_failed_slice(k, slice_shape, _ONE_VOLUME) for k in range(n_slices)]
     bounds = _bounds_for(*config.effective_n_bracket(), data.dims[3], config.p)
     try:
-        sigma_max, sums = _bound_and_moments(data, config, None)
+        sigma_max, sums, unit = _bound_and_moments(data, config, None)
     except DegenerateDataError:
         return [
             _failed_slice(k, slice_shape, "volume median is zero")
@@ -731,7 +782,7 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
         # transposed array whole.
         part = np.take(sums, k, axis=3 - axis).transpose(0, 2, 1).copy()
         try:
-            return _search_slice(part, data.dims[3], config, sigma_max, bounds, k)
+            return _search_slice(part, data.dims[3], config, sigma_max, bounds, k, unit)
         except ChiSigmaError as exc:
             return _failed_slice(k, slice_shape, str(exc))
 

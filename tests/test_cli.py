@@ -93,20 +93,28 @@ class TestExitCodes:
         assert "32768" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("estimator", ["moments", "mle"])
-    def test_huge_magnitudes_fail_every_slice_by_name(self, tmp_path, capsys, estimator):
-        # float64 magnitudes of 1e78, whose m^4 overflow: exit 3 with each
-        # slice's overflow named, and neither a traceback nor a numpy warning.
-        data = 1e78 * np.sqrt(np.random.default_rng(4).chisquare(8, (6, 4, 16, 16)))
-        path = tmp_path / "huge.nii"
-        path.write_bytes(io._pack_header((16, 16, 4, 6), (1.0, 1.0, 1.0), 64, 64)
-                         + bytes(4) + data.astype("<f8").tobytes())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(["estimate", str(path), "--estimator", estimator])
-        err = capsys.readouterr().err
-        assert code == EXIT_ALL_FAILED, err
-        assert err.count("overflow float64") == 4 and err.endswith("failed on every slice\n")
-        assert "Traceback" not in err and "Warning" not in err
+    def test_huge_magnitudes_scale_sigma_exactly(self, tmp_path, capsys, estimator):
+        # float64 chi magnitudes at scale 1 and 2^260, where m^4 would
+        # overflow float64: both exit 0, the second report's slices are the
+        # first's with sigma_g times 2^260, and there is neither a traceback
+        # nor a numpy warning.
+        data = np.sqrt(np.random.default_rng(4).chisquare(8, (6, 4, 16, 16)))
+        slices = []
+        for scale in (1.0, 2.0 ** 260):
+            path, report = tmp_path / f"{scale}.nii", tmp_path / f"{scale}.json"
+            path.write_bytes(io._pack_header((16, 16, 4, 6), (1.0, 1.0, 1.0), 64, 64)
+                             + bytes(4) + (scale * data).astype("<f8").tobytes())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["estimate", str(path), "--estimator", estimator,
+                            "--out-report", str(report)])
+            err = capsys.readouterr().err
+            assert code == EXIT_OK, err
+            assert "Traceback" not in err and "Warning" not in err
+            slices.append(json.loads(report.read_text())["slices"])
+        for s in slices[0]:
+            s["sigma_g"] *= 2.0 ** 260
+        assert slices[1] == slices[0]
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["estimate", str(tmp_path / "nope.nii")]) == EXIT_IO

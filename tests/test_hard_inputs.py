@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from chisigma.errors import DegenerateDataError, DomainError
+from chisigma import identify
+from chisigma.errors import DegenerateDataError
 from chisigma.identify import SearchConfig, estimate_slice, estimate_volume
 
 SIGMA, N = 10.0, 4
@@ -103,19 +104,76 @@ def test_noise_only_with_many_volumes():
     assert_within_tolerance(estimate_volume(noise, SearchConfig()))
 
 
-@pytest.mark.parametrize("scale", [1e76, 1e78, 1e153, 1e160])
-@pytest.mark.parametrize("config", [SearchConfig(), SearchConfig(estimator="mle"),
-                                    SearchConfig(fixed_n=N)], ids=["moments", "mle", "fixed_n"])
-def test_huge_magnitudes_name_the_overflow(scale, config):
-    # Beyond about 1.2e77 a voxel's m^4, and beyond 1.3e154 its m^2, overflow
-    # float64, and a slice's sum of them does so about tenfold sooner: every
-    # slice fails with a record that says so, and numpy warns of nothing.
-    data = scale * np.sqrt(np.random.default_rng(4).chisquare(2 * N, (16, 16, 4, 6)))
+ESTIMATORS = pytest.mark.parametrize(
+    "config", [SearchConfig(), SearchConfig(estimator="mle"), SearchConfig(fixed_n=N)],
+    ids=["moments", "mle", "fixed_n"])
+
+
+def records(estimates, scale=1.0):
+    # Every field of each slice's estimate, sigma_g times ``scale``.
+    return [(e.slice_index, e.sigma_g * scale, e.n_dof, e.mask.tobytes(), e.n_identified,
+             e.outer_iters, e.converged, e.error) for e in estimates]
+
+
+@pytest.mark.parametrize("k", [-900, -600, -300, -129, -100, 100, 129, 300, 600, 900])
+@ESTIMATORS
+def test_power_of_two_scaling_is_bit_exact(k, config):
+    # The moment pass divides the magnitudes by a power of two near their
+    # median before it squares them, so data times 2^k give the records of
+    # the data with sigma_g times 2^k, bit for bit, far beyond the range
+    # where m^2 or m^4 of the scaled values would leave float64, and numpy
+    # warns of nothing.
+    data = np.sqrt(np.random.default_rng(4).chisquare(2 * N, (16, 16, 4, 6)))
+    scaled = data * 2.0 ** k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimates = estimate_volume(data, config)
-        with pytest.raises(DomainError, match="overflow float64"):
-            estimate_slice(data[:, :, 0], config)
-    assert [e.error for e in estimates] == [estimates[0].error] * 4
-    assert "overflow float64" in estimates[0].error
-    assert all(e.n_identified == 0 and not e.converged for e in estimates)
+        want = estimate_volume(data, config) + [estimate_slice(data[:, :, 1], config)]
+        got = estimate_volume(scaled, config) + [estimate_slice(scaled[:, :, 1], config)]
+    assert all(e.error is None for e in want)
+    assert records(got) == records(want, 2.0 ** k)
+
+
+@ESTIMATORS
+def test_overflow_of_a_lone_spike_is_named(config):
+    # The overflow left: a slice whose only nonzero value is a spike whose
+    # square overflows float64 in the moment pass's unit (1 here, the data
+    # reaching about 240). The volume holds more than 2^17 values, so the
+    # median's sample is a subset, and the spike sits outside it. Its slice
+    # fails with a record that names the overflow; the others keep the
+    # records of the data without the spike, bit for bit.
+    shape = (64, 64, 5, 8)
+    n = int(np.prod(shape))
+    data = phantom(shape, 1)
+    data[:, :, 4] = 0.0
+    # Stored order is (V, Z, Y, X): the first value of volume 3 in plane 4
+    # that the sample does not take.
+    sampled = set(identify._median_sample([np.arange(n)], n).tolist())
+    x = next(x for x in range(shape[0]) if ((3 * 5 + 4) * 64 + 5) * 64 + x not in sampled)
+    spiked = data.copy()
+    spiked[x, 5, 4, 3] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = estimate_volume(data, config)
+        got = estimate_volume(spiked, config)
+    assert "overflow float64" in got[4].error
+    assert got[4].n_identified == 0 and not got[4].converged
+    assert records(got[:4]) == records(want[:4])
+    assert all(e.error is None for e in want[:4])
+
+
+def test_spike_in_the_sample_leaves_the_other_slices_alone():
+    # Up to 2^17 values the median's sample is every value, spike and all.
+    # The unit comes from the sample's middle value, not its largest, so the
+    # spike (1e100, whose m^2 and m^4 overflow) pushes no other value into
+    # subnormals: its own slice still passes, without that voxel, and the
+    # other slices keep their records bit for bit.
+    data = phantom((48, 48, 6, 9), 1)
+    spiked = data.copy()
+    spiked[3, 3, 2, 4] = 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = estimate_volume(data, SearchConfig())
+        got = estimate_volume(spiked, SearchConfig())
+    assert_within_tolerance(got)
+    assert records(got[:2] + got[3:]) == records(want[:2] + want[3:])
+    assert not got[2].mask[3, 3]

@@ -893,7 +893,7 @@ def slice_searches(vol, config):
     # The per-slice arguments of _search_slice but the config, as
     # estimate_volume builds them.
     bounds = _bounds_for(*config.effective_n_bracket(), vol.dims[3], config.p)
-    sigma_max, sums = identify._bound_and_moments(vol, config, None)
+    sigma_max, sums, _ = identify._bound_and_moments(vol, config, None)
     for k in range(vol.dims[2]):
         part = np.ascontiguousarray(sums[:, k].transpose(0, 2, 1))
         yield part, vol.dims[3], sigma_max, bounds, k
@@ -1027,3 +1027,18 @@ class TestPostCapWork:
         sigma, n_dof, mask, _ = expected[-1]
         assert (got.sigma_g, got.n_dof, got.outer_iters) == (sigma, n_dof, 3)
         assert np.array_equal(got.mask, mask)
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_stacked_fit_sums_each_row_as_np_sum(rows):
+    # Each pass fits from np.add.reduce over one take of every row of the
+    # moments. That must give each row's np.sum of its own take bit for bit,
+    # at every index-set size from 1 to 2,000, across the sizes where
+    # numpy's pairwise summation changes blocks (7, 8, 9 and 127, 128, 129).
+    rng = np.random.default_rng(70 + rows)
+    flat = (rng.standard_normal((rows, 4096)) * np.exp(rng.uniform(-30.0, 30.0, (rows, 4096))))
+    for size in range(1, 2001):
+        idx = np.sort(rng.choice(4096, size, replace=False))
+        got = np.add.reduce(flat.take(idx, axis=1), axis=1)
+        want = np.array([np.sum(row.take(idx)) for row in flat])
+        assert np.array_equal(got, want), size

@@ -338,6 +338,43 @@ def test_float64_identity_sums_are_of_the_values(tmp_path, file_backed):
     assert np.array_equal(sums[2], log) and not sums[3].any()
 
 
+@pytest.mark.parametrize("unit", [1.0, 2.0 ** -40], ids=["unit1", "unit2^-40"])
+@pytest.mark.parametrize("ref", [None, 2.0], ids=["no_log", "log"])
+@pytest.mark.parametrize("file_backed", [True, False], ids=["file", "memory"])
+def test_reduce_writes_through_its_view(tmp_path, file_backed, ref, unit):
+    # The pass adds each block of z-planes into a view of the moments: with
+    # 8 planes of 64x64 voxels a block, 20 planes take 3 blocks. A copy would
+    # leave the sums at zero. They must be those of m / unit summed over the
+    # volumes in order, and for the log rows of log(m^2 / ref) over positive
+    # values and the count of zeros.
+    shape = (64, 64, 20, 7)
+    assert -(-shape[2] // (identify._BLOCK_VOXELS // (shape[0] * shape[1]))) >= 3
+    data = phantom(shape, 18).astype("<f4")
+    data[::7, ::5] = 0.0
+    if file_backed:
+        path = tmp_path / "f4.nii"
+        path.write_bytes(craft_nifti(shape, 16, data.tobytes(order="F")))
+        vol = read_nifti(path)
+        assert vol._stored is None
+    else:
+        vol = Volume4D(voxels=data)
+    want = np.zeros((2 if ref is None else 4,) + shape[2::-1])
+    with np.errstate(divide="ignore"):
+        for v in range(shape[3]):
+            m = data[..., v].T.astype(np.float64) * (1.0 / unit)
+            m2 = m * m
+            want[0] += m2
+            want[1] += m2 * m2
+            if ref is not None:
+                want[2] += np.where(m > 0.0, np.log(m2 / ref), 0.0)
+                want[3] += m == 0.0
+    _, sums = identify._reduce(vol, select=False, moments=True, ref=ref, unit=unit)
+    assert sums.flags.c_contiguous and sums.dtype == np.float64
+    assert np.array_equal(sums, want)
+    if ref is not None:
+        assert want[3].any()
+
+
 def tall_file(tmp_path, volumes):
     path = tmp_path / f"tall{volumes}.nii"
     data = phantom((4, 4, 2, volumes), 14).astype("<f4")
