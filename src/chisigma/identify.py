@@ -68,9 +68,10 @@ ESTIMATORS = ("moments", "mle")
 MAX_GRID_SIZE = 1 << 15
 _ONE_VOLUME = ("a single volume cannot be estimated: each voxel's statistic is one draw, "
                "which cannot tell noise from faint object (needs at least 2 volumes)")
-_OVERFLOW = ("the slice's sums of m^2 overflow float64: its nonzero magnitudes all exceed "
-             "about 1.3e154 units (the unit is 1, or for data beyond 2^-128..2^128 a power "
-             "of two near their median): outliers far above the rest of the data")
+_SLICE_OVERFLOW = ("the slice's sums of m^2 overflow float64: its nonzero magnitudes all "
+                   "exceed about 1.3e154 units (the unit is 1, or for data beyond "
+                   "2^-128..2^128 a power of two near their median): outliers far above the "
+                   "rest of the data")
 
 
 @dataclass(frozen=True)
@@ -626,7 +627,7 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
     if ranked.size == 0:
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
     if ranked[0] == np.inf:
-        raise DomainError(_OVERFLOW)
+        raise DomainError(_SLICE_OVERFLOW)
 
     ref = _log_ref(config, sigma_max)
     grid = initial_grid(sigma_max, config.grid_size)

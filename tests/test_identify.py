@@ -1036,7 +1036,7 @@ def test_stacked_fit_sums_each_row_as_np_sum(rows):
     # at every index-set size from 1 to 2,000, across the sizes where
     # numpy's pairwise summation changes blocks (7, 8, 9 and 127, 128, 129).
     rng = np.random.default_rng(70 + rows)
-    flat = (rng.standard_normal((rows, 4096)) * np.exp(rng.uniform(-30.0, 30.0, (rows, 4096))))
+    flat = rng.standard_normal((rows, 4096)) * np.exp(rng.uniform(-30.0, 30.0, (rows, 4096)))
     for size in range(1, 2001):
         idx = np.sort(rng.choice(4096, size, replace=False))
         got = np.add.reduce(flat.take(idx, axis=1), axis=1)
