@@ -8,6 +8,7 @@ case is tuned until it passes.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,32 +134,64 @@ def test_power_of_two_scaling_is_bit_exact(k, config):
     assert records(got) == records(want, 2.0 ** k)
 
 
-@ESTIMATORS
-def test_overflow_of_a_lone_spike_is_named(config):
-    # The overflow left: a slice whose only nonzero value is a spike whose
-    # square overflows float64 in the moment pass's unit (1 here, the data
-    # reaching about 240). The volume holds more than 2^17 values, so the
-    # median's sample is a subset, and the spike sits outside it. Its slice
-    # fails with a record that names the overflow; the others keep the
-    # records of the data without the spike, bit for bit.
+def lone_spike(scale):
+    # A 64x64x5x8 phantom times ``scale`` whose plane 4 is zero, and the same
+    # volume with one value 1e160 times ``scale`` in that plane. The volume
+    # holds more than 2^17 values, so the median's sample is a subset, and
+    # the spike sits outside it.
     shape = (64, 64, 5, 8)
     n = int(np.prod(shape))
-    data = phantom(shape, 1)
+    data = scale * phantom(shape, 1)
     data[:, :, 4] = 0.0
     # Stored order is (V, Z, Y, X): the first value of volume 3 in plane 4
     # that the sample does not take.
     sampled = set(identify._median_sample([np.arange(n)], n).tolist())
     x = next(x for x in range(shape[0]) if ((3 * 5 + 4) * 64 + 5) * 64 + x not in sampled)
     spiked = data.copy()
-    spiked[x, 5, 4, 3] = 1e160
+    spiked[x, 5, 4, 3] = 1e160 * scale
+    return data, spiked
+
+
+def spike_named(data, spiked, config):
+    # The estimates of data and of spiked, after checking that the spike's
+    # slice fails with a record that names the overflow and that the other
+    # slices of data pass.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         want = estimate_volume(data, config)
         got = estimate_volume(spiked, config)
     assert "overflow float64" in got[4].error
     assert got[4].n_identified == 0 and not got[4].converged
-    assert records(got[:4]) == records(want[:4])
     assert all(e.error is None for e in want[:4])
+    return want, got
+
+
+@ESTIMATORS
+def test_overflow_of_a_lone_spike_is_named(config):
+    # The overflow left: a slice whose only nonzero value is a spike whose
+    # square overflows float64 in the moment pass's unit (1 here, the data
+    # reaching about 240). The other slices keep the records of the data
+    # without the spike, bit for bit.
+    want, got = spike_named(*lone_spike(1.0), config)
+    assert records(got[:4]) == records(want[:4])
+
+
+@pytest.mark.parametrize("scale", [1e76, 1e78])
+@ESTIMATORS
+def test_huge_magnitudes_name_the_overflow(scale, config):
+    # From about 1.2e77 a raw m^4 overflows float64, and a slice's sum of
+    # it does so about tenfold sooner. Data at these scales are estimated in
+    # a unit near their median, and what overflows is named by how far it
+    # lies above that unit, not by its raw size: the lone spike, 1e160 times
+    # the rest, fails its slice as it does at scale 1. The spike moves the
+    # median one rank, and with it the likelihood's reference, which here
+    # moves N by an ulp; the rest of each record keeps its bits.
+    want, got = spike_named(*lone_spike(scale), config)
+    for w, g in zip(want[:4], got[:4]):
+        assert abs(g.sigma_g / scale / SIGMA - 1.0) <= TOLERANCE, (g.slice_index, g.sigma_g)
+        assert g.n_dof == pytest.approx(w.n_dof, rel=1e-14)
+    same_n = [replace(g, n_dof=w.n_dof) for w, g in zip(want[:4], got[:4])]
+    assert records(same_n) == records(want[:4])
 
 
 def test_spike_in_the_sample_leaves_the_other_slices_alone():
