@@ -21,6 +21,9 @@ from .identify import (
     SearchConfig,
     SliceEstimate,
     count_in_bounds,
+    estimate_n_mle,
+    estimate_n_moments,
+    estimate_sigma,
     estimate_slice,
     estimate_volume,
     initial_grid,
@@ -36,7 +39,7 @@ from .io import (
     write_report,
     write_slice_csv,
 )
-from .model import Volume4D, estimate_n_mle, estimate_n_moments, estimate_sigma
+from .model import Volume4D
 from .synth import (
     NoiseField,
     PhantomSpec,

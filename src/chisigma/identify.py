@@ -1,4 +1,4 @@
-"""Iterative identification of noise-only voxels and per-slice estimation.
+"""Noise-voxel identification, the per-slice search and the sample estimators.
 
 For each 2D slice of a 4D dataset the algorithm searches a grid of
 candidate noise levels. For a candidate sigma, the per-voxel statistic
@@ -13,7 +13,10 @@ The fit needs only sums over the identified voxels, so the data are
 reduced once to per-voxel moments (sum_v m^2, sum_v m^4 and, for the
 likelihood estimator, sum_v log m^2 and a zero count), the rows of one
 array, adding one volume at a time; every outer pass then fits from one
-take of a slice's moments instead of re-gathering the samples.
+take of a slice's moments instead of re-gathering the samples. That pass
+is the one place where magnitudes become moments: the sample-array
+estimators (``estimate_*``) run it too, each sample one voxel, and sum
+its rows pairwise, which is accurate for sample counts well past 10^6.
 
 Candidates are scored on each slice's sums of m^2, sorted once: for a
 candidate, s never decreases as sum_v m^2 grows, so the voxels it
@@ -34,14 +37,11 @@ from .errors import (
     DomainError,
     NoNoiseVoxelsError,
 )
-# The sample-array estimators are not called here; they stay importable
-# from this module because bench/spans.py hooks them by name on it.
-from .model import (  # noqa: F401
+from .model import (
+    _OVERFLOW,
     Volume4D,
+    _check_sigma,
     _is_whole,
-    estimate_n_mle,
-    estimate_n_moments,
-    estimate_sigma,
     n_from_log_moments,
     n_from_moments,
     sigma_from_moments,
@@ -58,6 +58,9 @@ __all__ = [
     "count_in_bounds",
     "estimate_slice",
     "estimate_volume",
+    "estimate_sigma",
+    "estimate_n_moments",
+    "estimate_n_mle",
 ]
 
 # Spatial axis of a (X, Y, Z, V) array for each slice-axis name.
@@ -68,10 +71,6 @@ ESTIMATORS = ("moments", "mle")
 MAX_GRID_SIZE = 1 << 15
 _ONE_VOLUME = ("a single volume cannot be estimated: each voxel's statistic is one draw, "
                "which cannot tell noise from faint object (needs at least 2 volumes)")
-_SLICE_OVERFLOW = ("the slice's sums of m^2 overflow float64: its nonzero magnitudes all "
-                   "exceed about 1.3e154 units (the unit is 1, or for data beyond "
-                   "2^-128..2^128 a power of two near their median): outliers far above the "
-                   "rest of the data")
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _row_volume(data) -> Volume4D:
     # median does not depend on the layout.
     arr = np.asarray(data, dtype=np.float64)
     if arr.size == 0:
-        raise DegenerateDataError("cannot bound sigma on empty data")
+        raise DegenerateDataError("the data are empty")
     return Volume4D(voxels=arr.reshape(-1, 1, 1, arr.shape[-1] if arr.ndim else 1))
 
 
@@ -375,8 +374,8 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
 
 
 # m^2 and m^4 beyond the float64 range of those powers are summed as inf
-# (and log(m^2 / ref) as -inf or NaN when ref is inf), which the search
-# reports as a slice's error.
+# (and log(m^2 / ref) as -inf or NaN when ref is inf), which the formulas
+# of model report.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | None,
                  unit: float):
@@ -422,6 +421,56 @@ def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | N
                         np.add(part[_ZEROS], np.logical_not(pos, out=pos), out=part[_ZEROS])
                     np.add(part[_S4], np.square(m2, out=m2), out=part[_S4])
     return n_low, inside
+
+
+def _sample_moments(samples, sigma: float | None = None, log: bool = False):
+    # (sums, K, unit, sigma / unit) of K samples: the moment pass of one volume
+    # whose voxels they are, in its unit (see _unit), each row summed pairwise
+    # as np.sum sums it, and sigma checked in that unit (see model._check_sigma).
+    # With ``log``, the log rows too, with the reference 2 (sigma / unit)^2.
+    vol = _row_volume(np.reshape(samples, (-1, 1)))
+    unit = _unit(vol)
+    s = None if sigma is None else _check_sigma(sigma, unit)
+    sums = _reduce(vol, select=False, moments=True, ref=2.0 * s * s if log else None, unit=unit)[1]
+    with _search_errstate():
+        return np.add.reduce(sums.reshape(len(sums), -1), axis=1), vol.dims[0], unit, s
+
+
+def estimate_sigma(samples) -> float:
+    """Estimate the Gaussian noise standard deviation from noise samples.
+
+    ``samples`` holds at least two magnitude values, not all equal, and
+    the estimate is strictly positive. It uses their moments:
+
+        sigma = sqrt( sum(m^4)/sum(m^2) - sum(m^2)/K ) / sqrt(2)
+
+    The sums are those of the moment pass (see :func:`estimate_slice`),
+    in its power-of-two unit, so the samples times 2^k give sigma times
+    2^k, bit for bit, while the sums stay normal floats.
+    """
+    sums, k, unit, _ = _sample_moments(samples)
+    return sigma_from_moments(float(sums[_S2]), float(sums[_S4]), k) * unit
+
+
+def estimate_n_moments(samples, sigma: float) -> float:
+    """Estimate the effective degrees of freedom from the second moment.
+
+    N = sum(m^2) / (2 K sigma^2), the sample mean of t = m^2 / (2 sigma^2),
+    from the moment pass as :func:`estimate_sigma` takes it.
+    """
+    sums, k, _, s = _sample_moments(samples, sigma)
+    return n_from_moments(float(sums[_S2]), k, s)
+
+
+def estimate_n_mle(samples, sigma: float) -> float:
+    """Estimate the effective degrees of freedom by maximum likelihood.
+
+    N = inv_digamma(mean(log(m^2 / (2 sigma^2)))), from the moment pass as
+    :func:`estimate_sigma` takes it; exact-zero samples are dropped or
+    rejected as :func:`~chisigma.model.n_from_log_moments` describes.
+    """
+    sums, k, _, s = _sample_moments(samples, sigma, log=True)
+    return n_from_log_moments(float(sums[_LOG]), k, int(sums[_ZEROS]), s, 2.0 * s * s)
 
 
 def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
@@ -605,11 +654,11 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
 
 
 def _search_errstate() -> np.errstate:
-    # Huge magnitudes overflow in the search: a candidate's 2 sigma^2 to inf
-    # (and inf / inf to NaN), which _best_candidate's counts handle, and a
-    # fit's sums to inf, which sigma_from_moments reports. So numpy's warnings
-    # are off around the searches, in their callers: a decorator's frame
-    # would be the one that n_from_log_moments's warning names.
+    # Huge magnitudes overflow in the search, a candidate's 2 sigma^2 to inf
+    # (and inf / inf to NaN), which _best_candidate's counts handle, and in
+    # the row sums of a fit or a sample estimator, which the formulas report.
+    # So numpy's warnings are off around them, in the callers: a decorator's
+    # frame would be the one that n_from_log_moments's warning names.
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -627,7 +676,7 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
     if ranked.size == 0:
         raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
     if ranked[0] == np.inf:
-        raise DomainError(_SLICE_OVERFLOW)
+        raise DomainError(_OVERFLOW)
 
     ref = _log_ref(config, sigma_max)
     grid = initial_grid(sigma_max, config.grid_size)

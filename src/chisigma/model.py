@@ -1,4 +1,4 @@
-"""Magnitude data types, shared input rules and the noise estimators.
+"""Magnitude data types, shared input rules and the formulas of the estimators.
 
 ``Volume4D`` and ``VolumeStream`` carry 4D magnitude data, whole or one
 volume at a time. The estimators use the change of variable
@@ -6,13 +6,11 @@ t = m^2 / (2 sigma_g^2), which maps signal-free magnitudes (central chi
 with ``n_dof`` complex channels of standard deviation ``sigma_g``) to a
 gamma law with shape ``n_dof`` and unit scale.
 
-All estimators are pure functions of the sample values. Each formula
-lives in a function of sample sums (``sigma_from_moments``,
-``n_from_moments``, ``n_from_log_moments``), which the slice search
-calls with sums of per-voxel moments; ``estimate_*`` validate a sample
-array, sum it and call those. Summations use numpy's pairwise reduction,
-so results are deterministic for a fixed sample ordering and accurate
-for sample counts well past 10^6.
+Each estimator is a formula of a few sample sums (``sigma_from_moments``,
+``n_from_moments``, ``n_from_log_moments``). The sums come from one
+moment pass in :mod:`chisigma.identify`, which serves both the slice
+search and the sample-array estimators ``estimate_*`` there, so this
+module squares no magnitudes.
 """
 
 import functools
@@ -28,9 +26,6 @@ from .specfun import inv_digamma
 __all__ = [
     "Volume4D",
     "VolumeStream",
-    "estimate_sigma",
-    "estimate_n_moments",
-    "estimate_n_mle",
     "sigma_from_moments",
     "n_from_moments",
     "n_from_log_moments",
@@ -290,18 +285,24 @@ def _lend(vol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _as_sample_array(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise DegenerateDataError("sample set is empty")
-    check_magnitudes(arr)
-    return arr
+_OVERFLOW = ("the sums of m^2 and m^4 overflow float64: magnitudes above about 1.2e77 (m^4) "
+             "or 1.3e154 (m^2) units, the unit being 1, or a power of two near the median for "
+             "data beyond 2^-128..2^128: outliers far above the rest of the data")
+_UNDERFLOW = ("the sum of log(m^2 / (2 sigma^2)) is -inf: for some positive magnitude m^2 "
+              "underflows float64 to 0, or m^2 / (2 sigma^2) does: magnitudes far below the "
+              "rest of the data, or sigma far above them")
 
 
-_OVERFLOW = ("the sums of m^2 and m^4 overflow float64: magnitudes must stay well below "
-             "1.2e77, whose m^4 overflows alone (rescale the data)")
-_UNDERFLOW = ("the sum of log(m^2 / (2 sigma^2)) is -inf: m^2 underflows float64 to 0 for "
-              "positive magnitudes below about 1.6e-162 (rescale the data)")
+def _check_sigma(sigma: float, unit: float = 1.0) -> float:
+    # sigma / unit, for the formulas below given sums of powers of m / unit,
+    # refused unless it and 2 (sigma / unit)^2 are positive (the square is 0
+    # below about 1.6e-162). The one home of this rule; the error names sigma
+    # as the caller gave it.
+    s = float(sigma) / unit
+    if not (s > 0.0 and 2.0 * s * s > 0.0):
+        where = "" if unit == 1.0 else f" in units of {unit!r}"
+        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0{where}, got {sigma}")
+    return s
 
 
 def sigma_from_moments(s2: float, s4: float, k: int) -> float:
@@ -335,15 +336,13 @@ def n_from_moments(s2: float, k: int, sigma: float) -> float:
     Raises :class:`DomainError` when N overflows float64, as it does for
     ordinary magnitudes once 2 sigma^2 is subnormal.
     """
-    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
-        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
+    _check_sigma(sigma)
     if not math.isfinite(s2):
         raise DomainError(_OVERFLOW)
     n = s2 / (2.0 * k * sigma * sigma)
     if not math.isfinite(n):
         raise DomainError(f"N = sum(m^2) / (2 K sigma^2) overflows float64 at sigma = {sigma!r}: "
-                          "sigma is too small for the magnitudes (2 sigma^2 is subnormal for "
-                          "sigma below about 1.05e-154; rescale the data)")
+                          "sigma is too small for the magnitudes, as when 2 sigma^2 is subnormal")
     return n
 
 
@@ -361,11 +360,10 @@ def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
     are dropped with a warning as long as at least 90% of the samples are
     positive, and rejected as a domain error otherwise. An inf or NaN
     ``sum_log`` (squares that overflow float64) raises the overflow error,
-    and -inf (a positive sample whose square underflows to 0) the
+    and -inf (a positive sample whose ratio to ref underflows to 0) the
     underflow error.
     """
-    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
-        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
+    _check_sigma(sigma)
     if not sum_log < math.inf:
         raise DomainError(_OVERFLOW)
     if sum_log == -math.inf:
@@ -383,54 +381,3 @@ def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
         )
     mean_log_t = sum_log / (k - n_zero) + math.log(ref / (2.0 * sigma * sigma))
     return inv_digamma(mean_log_t)
-
-
-@np.errstate(over="ignore")  # an overflow raises DomainError from the moment form
-def estimate_sigma(samples) -> float:
-    """Estimate the Gaussian noise standard deviation from noise samples.
-
-    Uses the moments of the magnitude values:
-
-        sigma = sqrt( sum(m^4)/sum(m^2) - sum(m^2)/K ) / sqrt(2)
-
-    Parameters
-    ----------
-    samples : array_like
-        At least two magnitude values, not all equal.
-
-    Returns
-    -------
-    float
-        The estimated standard deviation, strictly positive.
-    """
-    arr = _as_sample_array(samples)
-    m2 = arr * arr
-    return sigma_from_moments(float(np.sum(m2)), float(np.sum(m2 * m2)), arr.size)
-
-
-@np.errstate(over="ignore")  # an overflow raises DomainError from the moment form
-def estimate_n_moments(samples, sigma: float) -> float:
-    """Estimate the effective degrees of freedom from the second moment.
-
-    Computes N = sum(m^2) / (2 K sigma^2), the sample mean of the
-    transformed values t_k = m_k^2 / (2 sigma^2).
-    """
-    arr = _as_sample_array(samples)
-    return n_from_moments(float(np.sum(arr * arr)), arr.size, sigma)
-
-
-def estimate_n_mle(samples, sigma: float) -> float:
-    """Estimate the effective degrees of freedom by maximum likelihood.
-
-    Computes N = inv_digamma( mean(log(m^2 / (2 sigma^2))) ), dropping or
-    rejecting exact-zero samples as :func:`n_from_log_moments` describes.
-    """
-    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0):  # 2 sigma^2 is 0 below 1.6e-162
-        raise DomainError(f"sigma must be positive, with 2 sigma^2 > 0, got {sigma}")
-    arr = _as_sample_array(samples)
-    pos = arr[arr > 0.0]
-    ref = 2.0 * sigma * sigma
-    # Not a decorator: the zeros warning names this function's caller.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DomainError below
-        sum_log = float(np.sum(np.log(pos * pos / ref)))
-    return n_from_log_moments(sum_log, arr.size, arr.size - pos.size, sigma, ref)

@@ -17,10 +17,12 @@ from chisigma.identify import (
     RejectionBounds,
     SearchConfig,
     count_in_bounds,
+    estimate_n_mle,
+    estimate_n_moments,
+    estimate_sigma,
     estimate_volume,
 )
 from chisigma.io import Volume4D, build_report
-from chisigma.model import estimate_n_mle, estimate_n_moments, estimate_sigma
 from chisigma.specfun import (
     digamma,
     gamma_p,

@@ -16,6 +16,7 @@ import pytest
 from chisigma import identify
 from chisigma.errors import DegenerateDataError
 from chisigma.identify import SearchConfig, estimate_slice, estimate_volume
+from chisigma.synth import PhantomSpec, simulate
 
 SIGMA, N = 10.0, 4
 TOLERANCE = 0.12
@@ -95,6 +96,27 @@ def test_single_volume(config):
     with pytest.raises(DegenerateDataError) as caught:
         estimate_slice(data[:, :, 0], config)
     assert str(caught.value) == estimates[0].error
+
+
+@pytest.fixture(scope="module")
+def criterion_1_at_n8():
+    # The criterion-1 uniform phantom of tests/test_acceptance.py at N = 8
+    # (64x64x50, 65 volumes, seed 1000 + 2), simulated once.
+    spec = PhantomSpec(dims=(64, 64, 50), n_volumes=65, n_true=8.0, profile="uniform",
+                       seed=1002)
+    return simulate(spec)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the first pass's window, taken at n_min, lets a candidate far "
+                          "above sigma take the object with part of the background: 16 "
+                          "(moments) and 20 (mle) of 50 slices fail")
+@pytest.mark.parametrize("estimator", ["moments", "mle"])
+def test_every_slice_of_the_criterion_1_phantom_estimates(criterion_1_at_n8, estimator):
+    # Criterion 1 averages the slices that estimate and lists the others as
+    # skipped, so it passes with these failures; here every slice counts.
+    estimates = estimate_volume(criterion_1_at_n8, SearchConfig(estimator=estimator))
+    assert [e.slice_index for e in estimates if e.error is not None] == []
 
 
 def test_noise_only_with_many_volumes():

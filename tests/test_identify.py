@@ -39,7 +39,7 @@ from chisigma.identify import (
     sigma_upper_bound,
 )
 from chisigma.io import Volume4D
-from chisigma.model import estimate_n_mle, estimate_n_moments, estimate_sigma
+from chisigma.model import n_from_log_moments, n_from_moments, sigma_from_moments
 from chisigma.specfun import inv_gamma_p
 from chisigma.synth import PhantomSpec, simulate
 
@@ -481,9 +481,28 @@ def loop_best_candidate(grid, sum_m2, nonpadding, bounds):
     return best_count, best_sigma, best_mask
 
 
+# Reference sample-array estimators, independent of the moment pass under
+# test: they square the raw samples and sum them with np.sum, the log sum
+# over the positive samples only.
+def ref_sigma(m):
+    m2 = m * m
+    return sigma_from_moments(float(np.sum(m2)), float(np.sum(m2 * m2)), m.size)
+
+
+def ref_n_moments(m, sigma):
+    return n_from_moments(float(np.sum(m * m)), m.size, sigma)
+
+
+def ref_n_mle(m, sigma):
+    pos = m[m > 0.0]
+    ref = 2.0 * sigma * sigma
+    return n_from_log_moments(float(np.sum(np.log(pos * pos / ref))), m.size,
+                              m.size - pos.size, sigma, ref)
+
+
 def sample_path_slice(arr, config, sigma_max):
     # Reference search that re-gathers the identified samples on every pass
-    # and fits them with the sample-array estimators. It stops at the cap,
+    # and fits them with the reference estimators above. It stops at the cap,
     # on convergence, or at the first pass that repeats an earlier pass's
     # (sigma, N).
     n_volumes = arr.shape[-1]
@@ -501,13 +520,13 @@ def sample_path_slice(arr, config, sigma_max):
         if count == 0:
             raise NoNoiseVoxelsError("no candidate identified any voxels")
         samples = arr[mask].ravel()
-        sigma = estimate_sigma(samples)
+        sigma = ref_sigma(samples)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
         elif config.estimator == "mle":
-            n_dof = estimate_n_mle(samples, sigma)
+            n_dof = ref_n_mle(samples, sigma)
         else:
-            n_dof = estimate_n_moments(samples, sigma)
+            n_dof = ref_n_moments(samples, sigma)
         if sigma_prev is not None:
             if (abs(sigma - sigma_prev) / sigma_prev < config.rel_tol
                     and abs(n_dof - n_prev) / n_prev < config.rel_tol):

@@ -14,14 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chisigma.errors import DegenerateDataError, DomainError
-from chisigma.model import (
-    estimate_n_mle,
-    estimate_n_moments,
-    estimate_sigma,
-    n_from_log_moments,
-    n_from_moments,
-    sigma_from_moments,
-)
+from chisigma.identify import estimate_n_mle, estimate_n_moments, estimate_sigma
+from chisigma.model import n_from_log_moments, n_from_moments, sigma_from_moments
 from chisigma.specfun import inv_digamma
 
 
@@ -135,6 +129,13 @@ class TestEstimateN:
             n = estimate_n_mle(m, 1.0)
         assert 1.0 < n < 3.0
 
+    def test_mle_zero_warning_names_the_caller(self):
+        m = chi_draws(np.random.default_rng(20), sigma=1.0, n=2, size=1000)
+        m[:5] = 0.0
+        with pytest.warns(RuntimeWarning, match="5 zero-valued") as caught:
+            estimate_n_mle(m, 1.0)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_mle_rejects_many_zeros(self):
         rng = np.random.default_rng(21)
         m = chi_draws(rng, sigma=1.0, n=2, size=1000)
@@ -234,10 +235,12 @@ class TestMomentForms:
 
 
 class TestHugeSamples:
-    """Overflowing squares raise DomainError, and numpy warns of nothing.
+    """Magnitudes far from 1 are estimated in a power-of-two unit.
 
-    From about 1.2e77 m^4 overflows float64, which only sigma's formula
-    uses; from about 1.3e154 m^2 does too, and so does 2 sigma^2.
+    The estimators run the moment pass of the slice search, which divides
+    the magnitudes by a power of two near their median before squaring
+    them. So only values far above the rest of the samples overflow, and
+    a sigma is too small only against the magnitudes, not on its own.
     """
 
     ESTIMATORS = {
@@ -250,15 +253,46 @@ class TestHugeSamples:
     def huge(scale):
         return scale * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=1000)
 
-    @pytest.mark.parametrize("name,scale", [("sigma", 1e78), ("sigma", 1e160),
-                                            ("n_moments", 1e160), ("n_mle", 1e160)])
+    @pytest.mark.parametrize("size", [1000, 300001])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_power_of_two_scaling_is_bit_exact(self, size, zeros):
+        # Up to 2^17 samples the unit comes from every sample, beyond it from
+        # a subset. The samples times 2^k give sigma times 2^k, and N at
+        # sigma times 2^k, bit for bit, with no numpy warning.
+        m = chi_draws(np.random.default_rng(30), sigma=1.0, n=4, size=size)
+        if zeros:
+            m[::20] = 0.0  # 5%, which the likelihood fit drops with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "dropped .* zero-valued", RuntimeWarning)
+            want = {name: f(m, 1.0) for name, f in self.ESTIMATORS.items()}
+            for k in range(-900, 901, 50):
+                c = 2.0 ** k
+                got = {name: f(c * m, c) for name, f in self.ESTIMATORS.items()}
+                assert got == dict(want, sigma=want["sigma"] * c), k
+
+    @pytest.mark.parametrize("name,scale", [("sigma", 1e160), ("n_moments", 1e160),
+                                            ("n_mle", 1e160)])
     @pytest.mark.parametrize("sigma", ["true", "one"])
     def test_overflow_raises_without_a_warning(self, name, scale, sigma):
-        m = self.huge(scale)
+        # The overflow left: a lone spike ``scale`` times the rest, whose
+        # square overflows float64 in the unit of the rest (1 here: the rest
+        # are chi magnitudes with sigma 10). It is named whatever sigma.
+        m = self.huge(10.0)
+        m[7] = scale * 10.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow float64"):
-                self.ESTIMATORS[name](m, scale if sigma == "true" else 1.0)
+                self.ESTIMATORS[name](m, 10.0 if sigma == "true" else 1.0)
+
+    @pytest.mark.parametrize("name", ["n_moments", "n_mle"])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 1e10])
+    def test_bad_sigma_is_named_as_given(self, name, sigma):
+        # In the unit of these samples, about 2^602, a sigma of 1e10 is below
+        # 1e-170, so 2 sigma^2 underflows to 0: the error names the sigma
+        # the caller gave, and the unit.
+        with pytest.raises(DomainError, match=f"2 sigma\\^2 > 0 in units of .*, got {sigma}$"):
+            self.ESTIMATORS[name](self.huge(2.0 ** 600), sigma)
 
     @pytest.mark.parametrize("name", ["n_moments", "n_mle"])
     def test_n_below_the_m2_overflow(self, name):
@@ -271,10 +305,10 @@ class TestHugeSamples:
             n_from_moments(math.inf, 10, 1.0)
 
     @pytest.mark.parametrize("name", ["n_moments", "n_mle"])
-    @pytest.mark.parametrize("scale", [1.0, 1e-170])
+    @pytest.mark.parametrize("scale", [1.0])
     def test_sigma_whose_square_underflows(self, name, scale):
-        # 2 sigma^2 is 0 in float64: a typed error, not a ZeroDivisionError,
-        # and not the overflow's.
+        # 2 sigma^2 is 0 in float64, on data in the unit 1: a typed error,
+        # not a ZeroDivisionError, and not the overflow's.
         m = scale * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -292,7 +326,8 @@ class TestHugeSamples:
                 estimate_n_moments(m, sigma)
 
     def test_n_mle_names_the_underflow(self):
-        # Every m^2 underflows to 0, so each log is -inf.
+        # sigma lies far above the magnitudes, so every m^2 / (2 sigma^2)
+        # underflows to 0 and each log is -inf.
         m = 1e-170 * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
