@@ -41,7 +41,6 @@ from .io import (
 )
 from .model import Volume4D
 from .synth import (
-    NoiseField,
     PhantomSpec,
     build_phantom,
     build_tau,
@@ -63,7 +62,7 @@ __all__ = [
     "EstimateReport", "Volume4D", "build_report", "read_nifti", "read_report",
     "write_nifti", "write_report", "write_slice_csv",
     "estimate_n_mle", "estimate_n_moments", "estimate_sigma",
-    "NoiseField", "PhantomSpec", "build_phantom", "build_tau", "corrupt",
+    "PhantomSpec", "build_phantom", "build_tau", "corrupt",
     "object_mask", "sigma_from_snr", "simulate", "simulate_stream",
     "__version__",
 ]

@@ -226,14 +226,15 @@ def _bound(median: float, n_dof: float) -> float:
 
 
 def _row_volume(data) -> Volume4D:
-    # An array of shape (..., V) as one checked Volume4D of shape (n, 1, 1, V):
-    # its n voxels in one row, in C order, so the volume code reduces a slice
-    # and reshaping its (1, 1, n) moments restores the slice's shape. The
-    # median does not depend on the layout.
+    # An array of shape (..., V) as one checked Volume4D of shape (1, 1, n, V):
+    # its n voxels in one row along z, in C order, so the volume code reduces
+    # a slice, in blocks of _BLOCK_VOXELS z-planes of one voxel each, and
+    # reshaping its (n, 1, 1) moments restores the slice's shape. The median
+    # does not depend on the layout.
     arr = np.asarray(data, dtype=np.float64)
     if arr.size == 0:
         raise DegenerateDataError("the data are empty")
-    return Volume4D(voxels=arr.reshape(-1, 1, 1, arr.shape[-1] if arr.ndim else 1))
+    return Volume4D(voxels=arr.reshape(1, 1, -1, arr.shape[-1] if arr.ndim else 1))
 
 
 _MEDIAN_SAMPLE = 1 << 16
@@ -433,7 +434,7 @@ def _sample_moments(samples, sigma: float | None = None, log: bool = False):
     s = None if sigma is None else _check_sigma(sigma, unit)
     sums = _reduce(vol, select=False, moments=True, ref=2.0 * s * s if log else None, unit=unit)[1]
     with _search_errstate():
-        return np.add.reduce(sums.reshape(len(sums), -1), axis=1), vol.dims[0], unit, s
+        return np.add.reduce(sums.reshape(len(sums), -1), axis=1), vol.dims[2], unit, s
 
 
 def estimate_sigma(samples) -> float:

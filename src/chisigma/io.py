@@ -127,8 +127,9 @@ class _Payload:
     :meth:`groups` opens the uncompressed file, by its absolute path (so
     a later change of the working directory does not change the file
     read), on its own handle, so passes may run on several threads at
-    once. It reads the array in groups of whole volumes into one buffer
-    of _GROUP_BYTES per voxel: two float32 volumes, four int16 ones.
+    once. It reads the array in groups of whole volumes, into the array
+    it is given or one buffer of _GROUP_BYTES per voxel: two float32
+    volumes, four int16 ones.
     A pass that finds the file changed since the
     check (another device, inode, size or mtime) raises
     :class:`NiftiError` instead of reading other values than were checked;
@@ -156,8 +157,11 @@ class _Payload:
                 block.byteswap(inplace=True)
             yield block
 
-    def groups(self):
-        """One pass over the payload, checked against the file read_nifti checked."""
+    def groups(self, into=None):
+        """One pass over the payload, checked against the file read_nifti checked.
+
+        The groups are those of :meth:`read` with ``into``.
+        """
         try:
             f = open(self._abspath, "rb")
         except OSError as exc:
@@ -165,7 +169,7 @@ class _Payload:
         with f:
             self._same_file(f)
             f.seek(self.offset)
-            yield from self.read(f)
+            yield from self.read(f, into)
             self._same_file(f)
 
     def _same_file(self, f) -> None:
@@ -351,9 +355,7 @@ def _file_chunks(volume, spacing, path):
         shape = volume.dims
         spacing = volume.spacing
         datatype, bitpix, dtype = 16, 32, "<f4"
-        stream = volume if isinstance(volume, VolumeStream) else VolumeStream(
-            shape, _signals(volume), spacing)
-        makers = stream.makers()
+        makers = volume.makers() if isinstance(volume, VolumeStream) else _signals(volume)
     else:
         arr = np.asarray(volume)
         if arr.dtype != np.bool_:
@@ -373,13 +375,14 @@ def _file_chunks(volume, spacing, path):
 
 
 def _signals(volume: Volume4D):
-    # Each volume's float64 signal, as an array that the next read of a
-    # file-backed volume does not overwrite: fills run after later volumes
-    # are read.
+    # The maker of each volume's float64 signal, lending an array that the
+    # next read of a file-backed volume does not overwrite: fills run after
+    # later volumes are read.
     for group in volume._groups():
         for block in group:
             signal = volume.to_signal(block)
-            yield signal.copy() if signal is block and volume._stored is None else signal
+            reused = signal is block and volume._stored is None
+            yield functools.partial(_lend, signal.copy() if reused else signal)
 
 
 def _fill(make, out, path) -> memoryview:

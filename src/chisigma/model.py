@@ -131,10 +131,11 @@ class Volume4D:
         # finite; ``clamp`` says some of them are negative. ``stored`` is an
         # array, or a file source read in passes: an object with the
         # ``shape`` (V, Z, Y, X) and ``dtype`` of the stored array whose
-        # ``groups()`` yields that array's consecutive blocks of whole
-        # volumes, each valid until the next is taken. ``sample`` is the
-        # sorted sample that brackets the median, taken while checking (see
-        # identify._median_sample).
+        # ``groups(into=None)`` yields that array's consecutive blocks of
+        # whole volumes, each valid until the next is taken, or each read
+        # into its block of ``into``, an array of that shape. ``sample`` is
+        # the sorted sample that brackets the median, taken while checking
+        # (see identify._median_sample).
         vol = cls.__new__(cls)
         vol._adopt(stored, spacing, (float(scale[0]), float(scale[1])), clamp, sample)
         return vol
@@ -162,10 +163,8 @@ class Volume4D:
         """
         if self._stored is None:
             stored = np.empty(self._shape, self.dtype)
-            v = 0
-            for group in self._source.groups():
-                stored[v:v + len(group)] = group
-                v += len(group)
+            for _ in self._source.groups(into=stored):
+                pass  # each group is read straight into its block
             stored.flags.writeable = False
             self._stored = stored
         return self._stored

@@ -4,7 +4,8 @@ Phantoms are simple geometric objects (a uniform ball or concentric
 spheres) on an exact-zero background, with the first volume acting as
 the non-diffusion-weighted reference. Corruption gives each voxel of
 each volume the magnitude of N complex Gaussian channels around the
-noiseless intensity, with a spatially modulated noise level
+noiseless intensity, with a noise level s that varies over the grid:
+``corrupt`` takes the (X, Y, Z) map of s, and the phantoms' map is
 s = tau * sigma_g. Its squared magnitude over s^2 is noncentral
 chi-square with 2N degrees of freedom and noncentrality (I/s)^2, so it
 is drawn once per voxel-volume from that law.
@@ -40,7 +41,6 @@ from .model import Volume4D, VolumeStream, _is_whole
 
 __all__ = [
     "PhantomSpec",
-    "NoiseField",
     "build_phantom",
     "sigma_from_snr",
     "build_tau",
@@ -109,24 +109,6 @@ class PhantomSpec:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class NoiseField:
-    """Spatial noise model: per-voxel modulation tau times base level sigma_g."""
-
-    tau: np.ndarray
-    sigma_g: float
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.float64)
-        if tau.ndim != 3:
-            raise DomainError(f"tau must be a 3D grid, got {tau.ndim} dimensions")
-        if not np.all(tau >= 1.0):
-            raise DomainError("tau must be at least 1 everywhere")
-        if not self.sigma_g >= 0.0:
-            raise DomainError(f"sigma_g must be nonnegative, got {self.sigma_g}")
-        object.__setattr__(self, "tau", tau)
-
-
 def _radius_grid(dims) -> np.ndarray:
     # Euclidean distance of each voxel center from the grid center. The
     # axes are broadcast open, so only the sum is a full grid.
@@ -168,16 +150,6 @@ def _reference(spec: PhantomSpec) -> np.ndarray:
     return b0
 
 
-def _noiseless_volumes(ref: np.ndarray, n_volumes: int):
-    # The noiseless volumes, each (Z, Y, X) like a volume's stored block:
-    # the reference volume, then one attenuated copy of it, yielded again
-    # for each diffusion-weighted volume.
-    yield ref
-    dwi = _DWI_ATTENUATION * ref
-    for _ in range(1, n_volumes):
-        yield dwi
-
-
 def build_phantom(spec: PhantomSpec) -> Volume4D:
     """Construct the noiseless 4D phantom.
 
@@ -187,9 +159,11 @@ def build_phantom(spec: PhantomSpec) -> Volume4D:
     are scaled so the object mean still equals ``b0_intensity``. Volumes
     after the first carry the same geometry at reduced intensity.
     """
-    ref = np.ascontiguousarray(_reference(spec).T)
-    noiseless = _noiseless_volumes(ref, spec.n_volumes)
-    return _collect(VolumeStream(spec.dims + (spec.n_volumes,), noiseless))
+    ref = _reference(spec).T
+    out = np.empty((spec.n_volumes,) + ref.shape)
+    out[0] = ref
+    out[1:] = _DWI_ATTENUATION * ref
+    return Volume4D(voxels=out.T)
 
 
 def sigma_from_snr(b0, snr: float) -> float:
@@ -314,35 +288,42 @@ def _collect(stream: VolumeStream) -> Volume4D:
     return Volume4D(voxels=out.T, spacing=stream.spacing)
 
 
-def corrupt(noiseless, field: NoiseField, n_true, seed: int) -> Volume4D:
+def corrupt(noiseless, scale, n_true, seed: int) -> Volume4D:
     """Apply noncentral-chi noise to a noiseless volume.
 
     Each voxel value I becomes
 
         s * sqrt(x),  x ~ noncentral chi-square(df = 2N, nonc = (I/s)^2)
 
-    with s = tau * sigma_g, one draw per voxel and volume. This is
-    exactly the law of the root sum of squares of N complex channels
-    with independent Normal(0, s^2) noise in each real and imaginary
-    part, the intensity split evenly across the real parts; I = 0 gives
-    the central chi-square of the background. Volume v draws from the
-    v-th child stream of a Philox generator seeded from ``seed``, so the
-    output is reproducible and independent of any schedule over volumes.
+    with s the voxel's value in ``scale``, the (X, Y, Z) noise-level map
+    (tau * sigma_g in the paper's phantoms, or sigma_g times a g-factor
+    map), one draw per voxel and volume. This is exactly the law of the
+    root sum of squares of N complex channels with independent
+    Normal(0, s^2) noise in each real and imaginary part, the intensity
+    split evenly across the real parts; I = 0 gives the central
+    chi-square of the background. Volume v draws from the v-th child
+    stream of a Philox generator seeded from ``seed``, so the output is
+    reproducible and independent of any schedule over volumes.
 
-    ``n_true`` must be a positive integer; fractional degrees of freedom
-    exist on the estimation side only.
+    ``scale`` must match the volume's grid and be finite and positive
+    everywhere, or zero everywhere, which gives a float64 copy of the
+    noiseless signal. ``n_true`` must be a positive integer; fractional
+    degrees of freedom exist on the estimation side only.
     """
     df = _dof(n_true)
     vol = noiseless if isinstance(noiseless, Volume4D) else Volume4D(voxels=noiseless)
     dims = vol.dims
-    if dims[:3] != np.asarray(field.tau).shape:
-        raise DomainError(
-            f"tau grid {np.asarray(field.tau).shape} does not match volume {dims[:3]}"
-        )
+    scale = np.asarray(scale, dtype=np.float64, order="C")
+    if scale.shape != dims[:3]:
+        raise DomainError(f"noise-level map {scale.shape} does not match volume {dims[:3]}")
+    # NaN propagates to min and max.
+    lo, hi = float(scale.min()), float(scale.max())
+    if not (0.0 < lo and hi < math.inf or lo == hi == 0.0):
+        raise DomainError("the noise-level map must be finite and positive everywhere, "
+                          "or zero everywhere")
     blocks = (vol.to_signal(block) for block in vol.stored)
-    if field.sigma_g == 0.0:
+    if hi == 0.0:
         return _collect(VolumeStream(dims, blocks, vol.spacing))
-    scale = np.multiply(field.tau, field.sigma_g, order="C")
     maps = ((_noncentrality(block.T, scale, np.empty_like(scale)), 1) for block in blocks)
     noisy = _noisy_volumes(maps, scale, df, seed, dims[3])
     return _collect(VolumeStream(dims, noisy, vol.spacing))

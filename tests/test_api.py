@@ -12,7 +12,7 @@ from chisigma import cli, identify, io, model, synth
 
 MODULES = ["chisigma"] + [f"chisigma.{m.name}" for m in pkgutil.iter_modules(chisigma.__path__)]
 REMOVED = ("GammaParams", "TransformedSampleSet", "NoiseSampleSet",
-           "ChiParams", "chi_pdf", "transform")
+           "ChiParams", "chi_pdf", "transform", "NoiseField")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,7 +26,7 @@ def test_all_names_resolve(name):
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_types_are_gone(name):
-    for module in (chisigma, model):
+    for module in (chisigma, model, synth):
         assert not hasattr(module, name)
         assert name not in module.__all__
 

@@ -1,8 +1,11 @@
 """Golden outputs: the bytes ``chisigma estimate`` writes for a fixed phantom.
 
-The digests were recorded with the two-pass estimate (median, then
-moments) and hold any later change of how the volume is reduced to the
-same stdout, report, CSV and mask, byte for byte. The phantom holds more
+The digests were last recorded (commit 6206293) with the one-pass
+estimate (the median and the moments from one pass over the values),
+when a cycling search came to stop at its first repeated pass and the
+first grid's bound came to be taken at n_min. They hold any later change
+of how the volume is reduced to the same stdout, report, CSV and mask,
+byte for byte. The phantom holds more
 than 2**17 values, so the median is selected by a pass over the values
 inside a bracket, not taken from the whole sample. It is written twice
 with the same signal: as float32 ``.nii``, which stays on disk and is

@@ -379,7 +379,7 @@ class TestEstimateVolume:
         # estimate_slice checks its slice once, as the one-row volume that its
         # median and its moments read.
         estimate_slice(arr[:, :, 0], SearchConfig())
-        assert shapes == [(16, 16, 4, 5), (16 * 16, 1, 1, 5)]
+        assert shapes == [(16, 16, 4, 5), (1, 1, 16 * 16, 5)]
 
     def test_threads_produce_identical_results(self):
         rng = np.random.default_rng(39)

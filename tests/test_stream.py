@@ -142,6 +142,23 @@ def test_gzip_read_holds_no_group_sized_temporary(tmp_path):
     assert peak < 2 * vol.stored.nbytes, peak
 
 
+def test_stored_of_a_file_backed_volume_reads_into_place(tmp_path):
+    # 8 int16 volumes of 1 MiB, read straight into the stored array: no
+    # buffer of a group of 4 volumes is held beside it.
+    shape = (128, 128, 32, 8)
+    values = (np.arange(int(np.prod(shape))) % 1000).astype("<i2")
+    path = write_layout(tmp_path, "nii", shape, 4, values.tobytes())
+    vol = read_nifti(path)
+    tracemalloc.start()
+    try:
+        stored = vol.stored
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stored.reshape(-1), values)
+    assert peak < 1.1 * stored.nbytes, (peak, stored.nbytes)
+
+
 def test_write_streams_a_file_backed_volume(tmp_path):
     shape = (9, 8, 3, 12)
     signal = phantom(shape, 12).astype("<f4")
@@ -236,9 +253,9 @@ def count_reads(monkeypatch) -> list:
     reads = []
     real = io._Payload.groups
 
-    def spy(payload):
+    def spy(payload, *args, **kwargs):
         reads.append(payload.path)
-        return real(payload)
+        return real(payload, *args, **kwargs)
 
     monkeypatch.setattr(io._Payload, "groups", spy)
     return reads

@@ -16,9 +16,8 @@ import pytest
 from scipy import stats
 
 from chisigma.errors import ConfigError, DegenerateDataError, DomainError
-from chisigma.io import EstimateReport, _file_chunks, _write_gzip, write_nifti
+from chisigma.io import EstimateReport, Volume4D, _file_chunks, _write_gzip, write_nifti
 from chisigma.synth import (
-    NoiseField,
     PhantomSpec,
     _radius_grid,
     _truth_spec,
@@ -172,29 +171,27 @@ class TestCorrupt:
     def test_zero_sigma_is_identity(self):
         spec = small_spec()
         vol = build_phantom(spec)
-        field = NoiseField(tau=np.ones(spec.dims), sigma_g=0.0)
-        out = corrupt(vol, field, 1, seed=3)
+        out = corrupt(vol, np.zeros(spec.dims), 1, seed=3)
         assert np.array_equal(out.voxels, vol.voxels)
         assert out.voxels is not vol.voxels
 
     def test_non_integer_n_rejected(self):
         spec = small_spec()
         vol = build_phantom(spec)
-        field = NoiseField(tau=np.ones(spec.dims), sigma_g=1.0)
+        scale = np.ones(spec.dims)
         with pytest.raises(DomainError):
-            corrupt(vol, field, 2.5, seed=0)
+            corrupt(vol, scale, 2.5, seed=0)
         with pytest.raises(DomainError):
-            corrupt(vol, field, 0, seed=0)
+            corrupt(vol, scale, 0, seed=0)
         with pytest.raises(DomainError):
-            corrupt(vol, field, math.inf, seed=0)
+            corrupt(vol, scale, math.inf, seed=0)
 
     def test_rician_background_is_exponential_after_transform(self):
         # N=1, tau=1: t = m^2/(2 sigma^2) over background is Exp(1).
         sigma = 20.0
         dims = (100, 100, 1)
         vol = np.zeros(dims + (1,))
-        field = NoiseField(tau=np.ones(dims), sigma_g=sigma)
-        noisy = corrupt(vol, field, 1, seed=8)
+        noisy = corrupt(vol, np.full(dims, sigma), 1, seed=8)
         t = (noisy.voxels.ravel() ** 2) / (2.0 * sigma * sigma)
         ks = stats.kstest(t, lambda x: 1.0 - np.exp(-x)).statistic
         assert ks < 1.63 / math.sqrt(t.size)  # 1% critical value
@@ -204,8 +201,7 @@ class TestCorrupt:
         sigma, n = 10.0, 3
         dims = (50, 50, 1)
         vol = np.zeros(dims + (40,))
-        tau = np.full(dims, 1.3)
-        noisy = corrupt(vol, NoiseField(tau=tau, sigma_g=sigma), n, seed=9)
+        noisy = corrupt(vol, np.full(dims, 1.3 * sigma), n, seed=9)
         m2 = noisy.voxels ** 2
         expected = 2.0 * n * (1.3 * sigma) ** 2
         se = float(np.std(m2)) / math.sqrt(m2.size)
@@ -215,7 +211,7 @@ class TestCorrupt:
         sigma = 7.0
         dims = (64, 64, 8)
         vol = np.zeros(dims + (4,))
-        noisy = corrupt(vol, NoiseField(tau=np.ones(dims), sigma_g=sigma), 1, seed=10)
+        noisy = corrupt(vol, np.full(dims, sigma), 1, seed=10)
         med = float(np.median(noisy.voxels))
         ref = sigma * math.sqrt(2.0 * math.log(2.0))
         assert med == pytest.approx(ref, rel=0.01)
@@ -225,7 +221,7 @@ class TestCorrupt:
         sigma, n, v = 5.0, 2, 16
         dims = (40, 40, 4)
         vol = np.zeros(dims + (v,))
-        noisy = corrupt(vol, NoiseField(tau=np.ones(dims), sigma_g=sigma), n, seed=11)
+        noisy = corrupt(vol, np.full(dims, sigma), n, seed=11)
         s = np.sum(noisy.voxels ** 2 / (2.0 * sigma * sigma), axis=-1).ravel()
         tol = 3.0 * float(np.std(s)) / math.sqrt(s.size)
         assert abs(float(np.mean(s)) - v * n) <= tol
@@ -237,7 +233,7 @@ class TestCorrupt:
         spec = small_spec(dims=(24, 24, 16), n_volumes=12, profile="sphere_ramp")
         vol = build_phantom(spec)
         s = build_tau(spec.dims, spec.profile, spec.tau_max)[..., np.newaxis] * sigma
-        noisy = corrupt(vol, NoiseField(tau=s[..., 0] / sigma, sigma_g=sigma), n, seed=13)
+        noisy = corrupt(vol, s[..., 0], n, seed=13)
         obj = np.broadcast_to(object_mask(spec)[..., np.newaxis], vol.dims)
         x = (noisy.voxels / s)[obj] ** 2
         lam = (vol.voxels / s)[obj] ** 2
@@ -247,10 +243,10 @@ class TestCorrupt:
     def test_seed_determinism(self):
         spec = small_spec()
         vol = build_phantom(spec)
-        field = NoiseField(tau=np.ones(spec.dims), sigma_g=5.0)
-        a = corrupt(vol, field, 2, seed=42)
-        b = corrupt(vol, field, 2, seed=42)
-        c = corrupt(vol, field, 2, seed=43)
+        scale = np.full(spec.dims, 5.0)
+        a = corrupt(vol, scale, 2, seed=42)
+        b = corrupt(vol, scale, 2, seed=42)
+        c = corrupt(vol, scale, 2, seed=43)
         assert np.array_equal(a.voxels, b.voxels)
         assert not np.array_equal(a.voxels, c.voxels)
 
@@ -258,8 +254,7 @@ class TestCorrupt:
         # Object voxels keep roughly their noiseless intensity at high snr.
         spec = small_spec(b0_intensity=10000.0)
         vol = build_phantom(spec)
-        field = NoiseField(tau=np.ones(spec.dims), sigma_g=10.0)
-        noisy = corrupt(vol, field, 4, seed=12)
+        noisy = corrupt(vol, np.full(spec.dims, 10.0), 4, seed=12)
         obj = object_mask(spec)
         b0 = noisy.voxels[..., 0][obj]
         assert float(np.mean(b0)) == pytest.approx(10000.0, rel=0.01)
@@ -268,7 +263,26 @@ class TestCorrupt:
         spec = small_spec()
         vol = build_phantom(spec)
         with pytest.raises(DomainError):
-            corrupt(vol, NoiseField(tau=np.ones((4, 4, 4)), sigma_g=1.0), 1, seed=0)
+            corrupt(vol, np.ones((4, 4, 4)), 1, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0],
+                             ids=["nan", "inf", "-inf", "negative", "some_zeros"])
+    def test_scale_map_must_be_positive_and_finite(self, bad):
+        # One bad voxel in a map of ones: zeros are taken only everywhere.
+        spec = small_spec()
+        vol = build_phantom(spec)
+        scale = np.ones(spec.dims)
+        scale[3, 5, 2] = bad
+        with pytest.raises(DomainError, match="noise-level map"):
+            corrupt(vol, scale, 1, seed=0)
+
+    def test_zero_map_gives_a_float64_copy(self):
+        values = np.arange(2 * 3 * 4 * 2, dtype=np.int16).reshape(2, 3, 4, 2)
+        vol = Volume4D(voxels=values)
+        out = corrupt(vol, np.zeros((2, 3, 4)), 1, seed=0)
+        assert vol.dtype == np.int16 and out.dtype == np.float64
+        assert np.array_equal(out.voxels, values)
+        assert not np.shares_memory(out.stored, vol.stored)
 
 
 class TestSimulate:
@@ -322,8 +336,8 @@ class TestSimulate:
         spec = small_spec(profile="sphere_ramp", n_true=2.0)
         phantom = build_phantom(spec)
         sigma_g = sigma_from_snr(phantom.voxels[..., 0], spec.snr)
-        field = NoiseField(tau=build_tau(spec.dims, spec.profile, spec.tau_max), sigma_g=sigma_g)
-        want = corrupt(phantom, field, spec.n_true, spec.seed)
+        scale = build_tau(spec.dims, spec.profile, spec.tau_max) * sigma_g
+        want = corrupt(phantom, scale, spec.n_true, spec.seed)
         stream, truth = simulate_stream(spec)
         assert truth["sigma_g"] == sigma_g
         assert np.array_equal(np.stack(list(stream)), want.stored)
