@@ -170,7 +170,7 @@ def cmd_evaluate(args) -> int:
     try:
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{args.truth}: not valid JSON ({exc})") from exc
     result = evaluate_report(report, truth)
 

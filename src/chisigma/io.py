@@ -94,11 +94,30 @@ def _read_into(f, arr, path, what):
     buf = memoryview(arr).cast("B")
     got = 0
     while got < len(buf):
-        n = f.readinto(buf[got:got + _READ_BYTES])
+        with _gzip_checked(path):
+            n = f.readinto(buf[got:got + _READ_BYTES])
         if not n:
             raise NiftiError(f"{path}: truncated file while reading {what} "
                              f"({got} of {len(buf)} bytes)")
         got += n
+
+
+@contextlib.contextmanager
+def _gzip_checked(path):
+    # A gzip stream that is cut short, holds bad deflate data or fails its
+    # CRC-32 or length check raises NiftiError naming ``path``.
+    try:
+        yield
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise NiftiError(f"{path}: damaged gzip stream: {exc}") from exc
+
+
+def _read_to_end(f, path) -> None:
+    # gzip checks a stream's CRC-32 and length only at its end, so a gzip
+    # stream is read there, any bytes after what was read being dropped.
+    with _gzip_checked(path):
+        while isinstance(f, gzip.GzipFile) and f.read(_READ_BYTES):
+            pass
 
 
 def _img_sibling(path):
@@ -194,9 +213,13 @@ def read_nifti(path) -> Volume4D:
     One rule decides what is kept: a gzip payload is read straight into
     the returned :class:`Volume4D`'s ``stored`` array, so that it is
     inflated once, and an uncompressed one (``.nii`` or ``.img``) is
-    not kept. That volume is *file-backed*, and holds only the header,
-    the scaling and the check's results (among them the sorted sample
-    that brackets the median). :func:`~chisigma.identify.estimate_volume`
+    not kept. Every gzip stream opened here, the header's of a pair
+    included, is read to its end, where gzip checks the CRC-32 and the
+    length of its data; bytes after the payload are dropped. A volume
+    read from an uncompressed file is *file-backed*, and holds only the
+    header, the scaling and the check's results (among them the sorted
+    sample that brackets the median).
+    :func:`~chisigma.identify.estimate_volume`
     (once; twice for ``estimator="mle"`` beyond 2^17 values),
     :func:`volume_fingerprint` and :func:`write_nifti` then read the file
     again, a few volumes at a time into one reused buffer, and only the
@@ -215,8 +238,9 @@ def read_nifti(path) -> Volume4D:
         dimensionality, spatial axes beyond the 512-voxel guard (the
         volume axis has none), dims that need more voxel data than the
         file can hold (checked before any allocation; a gzip file holds
-        at most 1032 times its size), or voxel values that are NaN or
-        infinite after scaling.
+        at most 1032 times its size), voxel values that are NaN or
+        infinite after scaling, or a gzip stream that is cut short, holds
+        bad deflate data or fails its CRC-32 or length check.
     """
     try:
         f = _open_for_read(path)
@@ -269,6 +293,7 @@ def read_nifti(path) -> Volume4D:
                 raise NiftiError(f"{path}: vox_offset {offset} overlaps the header")
             source, data_path = f, path
         else:
+            _read_to_end(f, path)
             img_path = _img_sibling(path)
             try:
                 source = _open_for_read(img_path)
@@ -312,6 +337,7 @@ def read_nifti(path) -> Volume4D:
             source.seek(offset)
             sample = _median_sample(checked(payload.read(source, stored)),
                                     math.prod(stored_shape))
+            _read_to_end(source, data_path)
     clamp = lo < 0.0
     if clamp:
         warnings.warn(f"{path}: clamped {n_neg} negative voxel values to 0",
@@ -617,15 +643,16 @@ def write_report(report: EstimateReport, path) -> None:
 def read_report(path) -> EstimateReport:
     """Read a report written by :func:`write_report`, of schema v2 or v1.
 
-    Unknown extra fields are ignored for forward compatibility; a
-    ``schema`` other than ``chisigma-report-v1`` or ``-v2`` (or none),
-    missing required fields, slice fields of the wrong JSON type, or a
-    slice index that appears twice raise :class:`SchemaError`.
+    Unknown extra fields are ignored for forward compatibility; a file
+    that is not UTF-8 JSON, a ``schema`` other than ``chisigma-report-v1``
+    or ``-v2`` (or none), missing required fields, slice fields of the
+    wrong JSON type, or a slice index that appears twice raise
+    :class:`SchemaError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: report must be a JSON object")

@@ -13,7 +13,6 @@ search and the sample-array estimators ``estimate_*`` there, so this
 module squares no magnitudes.
 """
 
-import functools
 import math
 import numbers
 import warnings
@@ -222,64 +221,57 @@ class Volume4D:
 
 
 class VolumeStream:
-    """4D magnitude data handed over one 3D volume at a time.
+    """4D magnitude data handed over one 3D volume at a time, as makers.
 
-    ``volumes`` yields the V volumes in order. Each is a float64 signal
-    array of shape (Z, Y, X), the block a :class:`Volume4D`'s ``stored``
-    holds for that volume, or a *maker* of one: a callable ``make(out=None)``
-    that returns the volume in a new float64 array, or, given ``out`` (an
-    array of that shape, of any real dtype), writes it into ``out`` with
-    numpy's assignment cast and returns ``out``. A maker depends on no
-    other, so makers may run on several threads at once and in any order.
-    The values are trusted to be magnitudes, that is finite and
-    nonnegative. A stream is read once, through :meth:`makers` or by
-    iterating it: :func:`chisigma.io.write_nifti` draws each volume
-    straight into a float32 buffer of its own, on its deflate threads for
-    a ``.gz`` file, and writes it, so no 4D array is ever built.
+    ``makers`` yields one *maker* per volume, in order: a callable
+    ``make(out)`` that writes its volume, the (Z, Y, X) block a
+    :class:`Volume4D`'s ``stored`` holds for it, as float64 signal into
+    ``out`` (an array of that shape, of any real dtype) with numpy's
+    assignment cast, and returns ``out``. A maker depends on no other, so
+    makers may run on several threads at once and in any order. The values
+    are trusted to be magnitudes, that is finite and nonnegative. A stream
+    is read once, through :meth:`makers`: :func:`chisigma.io.write_nifti`
+    draws each volume straight into a float32 buffer of its own, on its
+    deflate threads for a ``.gz`` file, and writes it, so no 4D array is
+    ever built.
 
     Parameters
     ----------
     dims : tuple of int
         (X, Y, Z, V).
-    volumes : iterable of ndarray or callable
-        The V volumes, each of shape (Z, Y, X), or their makers.
+    makers : iterable of callable
+        The makers of the V volumes.
     spacing : tuple of float
         Voxel edge lengths (dx, dy, dz) in mm.
     """
 
-    def __init__(self, dims, volumes, spacing=(1.0, 1.0, 1.0)):
+    def __init__(self, dims, makers, spacing=(1.0, 1.0, 1.0)):
         if len(dims) != 4 or any(not isinstance(d, numbers.Integral) or d < 1 for d in dims):
             raise DomainError(f"dims must be 4 positive integers, got {dims}")
         self.dims = tuple(int(d) for d in dims)
         self.spacing = _spacing(spacing)
-        self._volumes = volumes
+        self._makers = makers
 
     def makers(self):
-        """Yield one maker per volume, in order; an array is lent as one.
+        """Yield one maker per volume, in order.
 
-        Taking the makers checks the volume count, and each array's shape,
-        against ``dims``; a maker's volume has the shape of ``dims``.
+        Taking the makers checks that each is callable and that their count
+        is that of ``dims``.
         """
-        shape, count = self.dims[2::-1], self.dims[3]
+        count = self.dims[3]
         n = 0
-        for vol in self._volumes:
-            if n == count or not (callable(vol) or vol.shape == shape):
-                raise DomainError(f"stream volume {n} does not fit dims {self.dims}")
-            n += 1
-            yield vol if callable(vol) else functools.partial(_lend, vol)
-            del vol  # let the volume go before the next one is made
+        for n, make in enumerate(self._makers, 1):
+            if n > count:
+                raise DomainError(f"stream volume {n - 1} does not fit dims {self.dims}")
+            if not callable(make):
+                raise DomainError(f"stream volume {n - 1} is not a maker: {type(make).__name__}")
+            yield make
         if n != count:
             raise DomainError(f"stream ended after {n} of {count} volumes")
 
-    def __iter__(self):
-        for make in self.makers():
-            yield make()
 
-
-def _lend(vol: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _lend(vol: np.ndarray, out: np.ndarray) -> np.ndarray:
     # The maker of a volume that already exists.
-    if out is None:
-        return vol
     out[...] = vol
     return out
 

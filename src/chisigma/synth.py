@@ -10,26 +10,26 @@ s = tau * sigma_g. Its squared magnitude over s^2 is noncentral
 chi-square with 2N degrees of freedom and noncentrality (I/s)^2, so it
 is drawn once per voxel-volume from that law.
 
-One private generator hands out the noise as one maker per 3D volume,
-in volume order: volume v draws from its own Philox child stream v, so
-its values do not depend on which thread draws it or when, and
-``corrupt``, ``simulate`` and ``simulate_stream`` give the same values.
-``simulate_stream`` hands the makers over as a ``VolumeStream``, each
-drawing its volume from one of two noncentrality maps (the reference
-volume's and its attenuated copy's) into the buffer its consumer
-lends, so the draws hold the scale and the maps, never a 4D array;
-``write_nifti`` runs them on its deflate threads. ``simulate`` and
-``corrupt`` run them in order, each straight into its volume's block
-of an in-memory ``Volume4D``.
+One private draw function makes each noisy 3D volume, from its
+noncentrality map, into the buffer it is given: volume v draws from its
+own Philox child stream v, so its values do not depend on which thread
+draws it or when, and ``corrupt``, ``simulate`` and ``simulate_stream``
+give the same values. ``corrupt`` and ``simulate_stream`` each pair the
+child streams with their maps as one maker per volume, in volume order,
+and ``simulate`` takes the makers of ``simulate_stream``. That hands
+its makers over as a ``VolumeStream``; they share one noncentrality map,
+the reference volume's, times 1 or the attenuation squared, so the draws
+hold the scale and the map, never a 4D array, and ``write_nifti`` runs
+them on its deflate threads. ``simulate`` and ``corrupt`` run them in
+order, each straight into its volume's block of an in-memory
+``Volume4D``; ``corrupt`` makes each volume's map as its maker is taken.
 
 ``simulate`` writes a ``chisigma-truth-v1`` ground-truth record naming
 the generator (``ncchisq-philox-v1``), and ``evaluate_report`` reads it
 back, with or without that key, to score an estimation report.
 """
 
-import copy
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, SchemaError
 from .identify import AXIS_INDEX, SearchConfig
-from .model import Volume4D, VolumeStream, _is_whole
+from .model import Volume4D, VolumeStream, _is_whole, _lend
 
 __all__ = [
     "PhantomSpec",
@@ -210,82 +210,43 @@ def _dof(n_true) -> int:
 _DRAW_ROWS = 8
 
 
-class _Map:
-    # A noncentrality map (X, Y, Z): ``factor`` times the C-ordered ``values``,
-    # with its draw slabs as (rows, background) pairs: runs of at most
-    # _DRAW_ROWS x-rows, each all background (noncentrality 0 everywhere) or not.
-    def __init__(self, values: np.ndarray):
-        self.values, self.factor = values, 1.0
-        background = ~values.any(axis=(1, 2))
-        self.slabs, start = [], 0
-        for i in range(1, len(values) + 1):
-            if i == len(values) or i - start == _DRAW_ROWS or background[i] != background[start]:
-                self.slabs.append((slice(start, i), bool(background[start])))
-                start = i
-
-
-def _draw_volume(stream, df: int, nonc: _Map, scale: np.ndarray, out=None) -> np.ndarray:
+def _draw_volume(stream, df, nonc, factor, scale, out) -> np.ndarray:
     # One noisy volume, (Z, Y, X) C-ordered, drawn from the SeedSequence
     # ``stream`` into ``out`` (of any real dtype: the float64 draws are cast
-    # on assignment) or a new float64 array, from the (X, Y, Z) C-ordered
-    # noncentrality map and scale. The draws run over (X, Y, Z) in C order,
-    # a slab of x-rows per call: consecutive calls continue one stream, so
-    # the values are those of a single call over the map, and no (X, Y, Z)
-    # copy of the volume is made. numpy draws noncentrality 0 as a central
-    # chi-square, so an all-background slab takes the scalar-df call, which
-    # consumes the stream alike and gives the same values, faster.
+    # on assignment), from ``factor`` times the (X, Y, Z) C-ordered
+    # noncentrality map ``nonc`` and the scale. The draws run over (X, Y, Z)
+    # in C order, a slab of x-rows per call: runs of at most _DRAW_ROWS rows,
+    # each all background (noncentrality 0 everywhere) or not. Consecutive
+    # calls continue one stream, so the values are those of a single call over
+    # the map, and no (X, Y, Z) copy of the volume is made. numpy draws
+    # noncentrality 0 as a central chi-square, so an all-background slab takes
+    # the scalar-df call, which consumes the stream alike and gives the same
+    # values, faster.
     rng = np.random.Generator(np.random.Philox(stream))
-    if out is None:
-        out = np.empty(nonc.values.shape[::-1])
-    for rows, background in nonc.slabs:
-        if background:
-            x = rng.chisquare(df, nonc.values[rows].shape)
+    background = ~nonc.any(axis=(1, 2))
+    start = 0
+    for stop in range(1, len(nonc) + 1):
+        if stop < len(nonc) and stop - start < _DRAW_ROWS and background[stop] == background[start]:
+            continue  # row ``stop`` joins the slab
+        rows = slice(start, stop)
+        if background[start]:
+            x = rng.chisquare(df, nonc[rows].shape)
         else:
-            nc = nonc.values[rows]
-            x = rng.noncentral_chisquare(df, nc if nonc.factor == 1.0 else nc * nonc.factor)
+            x = rng.noncentral_chisquare(df, nonc[rows] if factor == 1.0 else nonc[rows] * factor)
         np.sqrt(x, out=x)
         x *= scale[rows]
         out[..., rows] = x.T
+        start = stop
     return out
 
 
-def _noisy_volumes(maps, scale: np.ndarray, df: int, seed: int, n_volumes: int):
-    # The one draw loop, as makers (see VolumeStream): ``maps`` yields
-    # (noncentrality map, count) runs, each map drawn for ``count``
-    # consecutive volumes; volume v draws from the v-th Philox child stream
-    # of seed, whichever thread runs its maker and whenever.
-    streams = iter(np.random.SeedSequence(seed).spawn(n_volumes))
-    for nonc, count in maps:
-        for stream in itertools.islice(streams, count):
-            yield functools.partial(_draw_volume, stream, df, nonc, scale)
-
-
-def _noncentrality(vol, scale: np.ndarray, out: np.ndarray) -> _Map:
-    # The noncentrality map (vol / scale)^2 of a noiseless (X, Y, Z) volume.
-    return _Map(np.square(np.divide(vol, scale, out=out), out=out))
-
-
-def _reference_maps(b0: np.ndarray, scale: np.ndarray, n_volumes: int):
-    # The simulated volumes' runs: the map of the reference volume b0 for
-    # volume 0, then the same map, sharing its values and slabs, times
-    # _DWI_ATTENUATION^2 for every diffusion-weighted volume. The attenuation
-    # is a power of two, so (a b0 / s)^2 = a^2 (b0 / s)^2 exactly unless a
-    # value is subnormal. b0 is this generator's own: the map takes its place.
-    nonc = _noncentrality(b0, scale, b0)
-    yield nonc, 1
-    if n_volumes > 1:
-        dwi = copy.copy(nonc)
-        dwi.factor = _DWI_ATTENUATION ** 2
-        yield dwi, n_volumes - 1
-
-
-def _collect(stream: VolumeStream) -> Volume4D:
-    # The in-memory volume of a stream, each volume made straight into its
-    # block of a volume-major array.
-    out = np.empty(stream.dims[::-1])
-    for v, make in enumerate(stream.makers()):
+def _collect(dims, makers, spacing) -> Volume4D:
+    # The in-memory volume of the makers (see VolumeStream), each volume made
+    # straight into its block of a volume-major array.
+    out = np.empty(dims[::-1])
+    for v, make in enumerate(makers):
         make(out=out[v])
-    return Volume4D(voxels=out.T, spacing=stream.spacing)
+    return Volume4D(voxels=out.T, spacing=spacing)
 
 
 def corrupt(noiseless, scale, n_true, seed: int) -> Volume4D:
@@ -321,12 +282,17 @@ def corrupt(noiseless, scale, n_true, seed: int) -> Volume4D:
     if not (0.0 < lo and hi < math.inf or lo == hi == 0.0):
         raise DomainError("the noise-level map must be finite and positive everywhere, "
                           "or zero everywhere")
-    blocks = (vol.to_signal(block) for block in vol.stored)
+    signals = (vol.to_signal(block) for block in vol.stored)
     if hi == 0.0:
-        return _collect(VolumeStream(dims, blocks, vol.spacing))
-    maps = ((_noncentrality(block.T, scale, np.empty_like(scale)), 1) for block in blocks)
-    noisy = _noisy_volumes(maps, scale, df, seed, dims[3])
-    return _collect(VolumeStream(dims, noisy, vol.spacing))
+        makers = (functools.partial(_lend, signal) for signal in signals)
+    else:
+        # Volume v draws from the v-th Philox child stream of seed, whichever
+        # thread runs its maker and whenever, with the noncentrality map
+        # (I / s)^2 of its signal, made (C-ordered) as its maker is taken.
+        makers = (functools.partial(_draw_volume, stream, df,
+                                    np.square(np.divide(signal.T, scale, order="C")), 1.0, scale)
+                  for stream, signal in zip(np.random.SeedSequence(seed).spawn(dims[3]), signals))
+    return _collect(dims, makers, vol.spacing)
 
 
 def simulate_stream(spec: PhantomSpec):
@@ -353,8 +319,14 @@ def simulate_stream(spec: PhantomSpec):
     sigma_g = sigma_from_snr(b0, spec.snr)
     scale = build_tau(spec.dims, spec.profile, spec.tau_max)
     scale *= sigma_g
-    maps = _reference_maps(b0, scale, spec.n_volumes)
-    noisy = _noisy_volumes(maps, scale, df, spec.seed, spec.n_volumes)
+    # One map for every volume: the reference volume's, times the attenuation
+    # squared for the diffusion-weighted ones. The attenuation is a power of
+    # two, so (a b0 / s)^2 = a^2 (b0 / s)^2 exactly unless a value is
+    # subnormal. b0 is this call's own: the map takes its place.
+    nonc = np.square(np.divide(b0, scale, out=b0), out=b0)
+    noisy = (functools.partial(_draw_volume, stream, df, nonc,
+                               1.0 if v == 0 else _DWI_ATTENUATION ** 2, scale)
+             for v, stream in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.n_volumes)))
     truth = {
         "schema": "chisigma-truth-v1",
         "generator": GENERATOR,
@@ -375,7 +347,7 @@ def simulate(spec: PhantomSpec):
         spec echo plus the realized sigma_g.
     """
     stream, truth = simulate_stream(spec)
-    return _collect(stream), truth
+    return _collect(stream.dims, stream.makers(), stream.spacing), truth
 
 
 @dataclass

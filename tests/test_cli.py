@@ -23,6 +23,7 @@ from chisigma.identify import SearchConfig, SliceEstimate
 from chisigma.io import Volume4D, build_report, read_nifti, read_report, write_nifti
 from chisigma.io import _file_chunks, _write_gzip
 from chisigma.synth import PhantomSpec, evaluate_report, simulate, simulate_stream
+from test_io import GZIP_DAMAGE, damaged_gzip
 
 
 def run(argv):
@@ -135,6 +136,16 @@ class TestExitCodes:
             vol.write_bytes(bytes(raw))
             assert run(["estimate", str(vol)]) == EXIT_IO
             assert "vox_offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_damaged_gzip_input(self, sim_paths, tmp_path, capsys, damage):
+        # One error line naming the file, exit 2. A flipped deflate byte may
+        # be found before the stream's end, as values that are not finite.
+        path = tmp_path / "d.nii.gz"
+        path.write_bytes(damaged_gzip(sim_paths[0].read_bytes(), damage))
+        assert run(["estimate", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
     def test_header_claiming_more_than_the_file_holds(self, tmp_path, capsys):
         # 512 x 512 x 512 x 512 float64 is 512 GiB; the file is 416 bytes.
@@ -538,6 +549,16 @@ class TestEvaluate:
         assert run(["evaluate", "--report", str(sim_report), "--truth", str(bad)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("which", ["report", "truth"])
+    def test_file_that_is_not_utf8(self, sim_paths, sim_report, capsys, which):
+        # A volume given in the place of a JSON file is not valid JSON: exit 2.
+        noisy, truth = sim_paths
+        paths = {"report": sim_report, "truth": truth, which: noisy}
+        assert run(["evaluate", "--report", str(paths["report"]),
+                    "--truth", str(paths["truth"])]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {noisy}: not valid JSON") and err.count("\n") == 1
 
     def test_mismatched_truth(self, sim_paths, tmp_path, capsys):
         out, truth = sim_paths

@@ -5,6 +5,7 @@ the parser is tested against the format definition, not against the
 package's own writer.
 """
 
+import functools
 import gzip
 import hashlib
 import io
@@ -43,7 +44,7 @@ from chisigma.io import (
     write_slice_csv,
 )
 from chisigma.io import _DEFLATE_BYTES, _deflate, _file_chunks, _write_gzip
-from chisigma.model import VolumeStream
+from chisigma.model import VolumeStream, _lend
 from chisigma.specfun import inv_gamma_p
 
 
@@ -467,16 +468,21 @@ class TestWriteNifti:
         vol = Volume4D(voxels=rng.uniform(0.0, 9.0, (7, 5, 3, 4)), spacing=(2.0, 1.5, 3.0))
         want, got = tmp_path / f"v.{suffix}", tmp_path / f"s.{suffix}"
         write_nifti(vol, want)
-        write_nifti(VolumeStream(vol.dims, iter(vol.stored), vol.spacing), got)
+        makers = (functools.partial(_lend, block) for block in vol.stored)
+        write_nifti(VolumeStream(vol.dims, makers, vol.spacing), got)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("suffix", ["nii", "nii.gz"])
-    @pytest.mark.parametrize("count,shape", [(2, (3, 5, 7)), (4, (3, 5, 7)), (3, (3, 7, 5))],
-                             ids=["short", "long", "wrong_shape"])
-    def test_stream_that_does_not_fit_its_dims(self, tmp_path, suffix, count, shape):
-        vols = (np.ones(shape) for _ in range(count))
+    @pytest.mark.parametrize("count,lent,match", [(2, True, "ended after 2 of 3"),
+                                                  (4, True, "volume 3 does not fit"),
+                                                  (3, False, "volume 0 is not a maker")],
+                             ids=["short", "long", "not_a_maker"])
+    def test_stream_that_does_not_fit_its_dims(self, tmp_path, suffix, count, lent, match):
+        # A stream takes makers only: an array item is refused, not lent.
+        vol = np.ones((3, 5, 7))
+        vols = (functools.partial(_lend, vol) if lent else vol for _ in range(count))
         path = tmp_path / f"s.{suffix}"
-        with pytest.raises(DomainError, match="stream"):
+        with pytest.raises(DomainError, match=f"stream {match}"):
             write_nifti(VolumeStream((7, 5, 3, 3), vols), path)
         assert not path.exists()
 
@@ -492,7 +498,7 @@ class TestWriteNifti:
 
         def volumes():
             drawn.append(1)
-            yield np.zeros((2, 2, 513))
+            yield functools.partial(_lend, np.zeros((2, 2, 513)))
 
         path = tmp_path / "big.nii"
         with pytest.raises(NiftiError, match="guard"):
@@ -777,6 +783,13 @@ class TestReports:
         with pytest.raises(SchemaError):
             read_report(path)
 
+    def test_not_utf8(self, tmp_path):
+        # A binary file, such as a volume given in the report's place.
+        path = tmp_path / "r.json"
+        path.write_bytes(gzip.compress(b"{}"))
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            read_report(path)
+
     def test_csv_export(self, tmp_path):
         report = sample_report()
         path = tmp_path / "r.csv"
@@ -847,6 +860,64 @@ class TestHdrImgPair:
         (tmp_path / "lone.hdr").write_bytes(full[:348])
         with pytest.raises(NiftiError):
             read_nifti(tmp_path / "lone.hdr")
+
+
+def damaged_gzip(raw: bytes, damage: str) -> bytes:
+    """A gzip file's bytes, cut short or with one byte flipped."""
+    if damage == "half":
+        return raw[:len(raw) // 2]
+    if damage == "40_bytes":
+        return raw[:40]
+    # The last 8 bytes are the CRC-32 and the length (ISIZE) of the data.
+    at = {"deflate": len(raw) // 2, "crc": len(raw) - 8, "isize": len(raw) - 4}[damage]
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
+
+
+GZIP_DAMAGE = ["half", "40_bytes", "deflate", "crc", "isize"]
+
+
+class TestDamagedGzip:
+    # gzip checks a stream's CRC-32 and length only at its end, which a read
+    # that stops at the payload's last byte never reaches.
+    @pytest.fixture(scope="class")
+    def raw(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gz") / "v.nii.gz"
+        rng = np.random.default_rng(61)
+        write_nifti(Volume4D(voxels=rng.uniform(1.0, 9.0, (12, 10, 4, 3))), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_damaged_nii_gz(self, tmp_path, raw, damage):
+        path = tmp_path / "d.nii.gz"
+        path.write_bytes(damaged_gzip(raw, damage))
+        with pytest.raises(NiftiError, match="damaged gzip stream") as err:
+            read_nifti(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("damaged", ["hdr", "img"])
+    def test_damaged_stream_of_a_pair(self, tmp_path, damaged):
+        arr = np.arange(8, dtype="<f4").reshape((2, 2, 2), order="F")
+        full = craft_nifti((2, 2, 2), 16, arr.tobytes(order="F"),
+                           vox_offset=0, magic=b"ni1\x00")
+        streams = {"hdr": gzip.compress(full[:348], mtime=0),
+                   "img": gzip.compress(arr.tobytes(order="F"), mtime=0)}
+        for ext, data in streams.items():
+            (tmp_path / f"pair.{ext}.gz").write_bytes(data)
+        assert np.array_equal(read_nifti(tmp_path / "pair.hdr.gz").voxels[..., 0], arr)
+        path = tmp_path / f"pair.{damaged}.gz"
+        path.write_bytes(damaged_gzip(streams[damaged], "crc"))
+        with pytest.raises(NiftiError, match="damaged gzip stream") as err:
+            read_nifti(tmp_path / "pair.hdr.gz")
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_bytes_after_the_payload_are_dropped(self, tmp_path):
+        # The stream is read to its end, and what follows the payload in it
+        # (here, 3 MiB of it: more than one read) is not data.
+        arr = np.arange(8, dtype="<f4").reshape((2, 2, 2), order="F")
+        raw = craft_nifti((2, 2, 2), 16, arr.tobytes(order="F")) + bytes(3 << 20)
+        path = tmp_path / "tail.nii.gz"
+        path.write_bytes(gzip.compress(raw))
+        assert np.array_equal(read_nifti(path).voxels[..., 0], arr)
 
 
 class TestOversizedHeader:

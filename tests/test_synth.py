@@ -326,7 +326,7 @@ class TestSimulate:
         stream, stream_truth = simulate_stream(spec)
         assert stream_truth == truth
         assert stream.dims == noisy.dims and stream.spacing == noisy.spacing
-        vols = list(stream)
+        vols = [make(out=np.empty(stream.dims[2::-1])) for make in stream.makers()]
         assert len(vols) == spec.n_volumes
         for got, want in zip(vols, noisy.stored):
             assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -340,7 +340,8 @@ class TestSimulate:
         want = corrupt(phantom, scale, spec.n_true, spec.seed)
         stream, truth = simulate_stream(spec)
         assert truth["sigma_g"] == sigma_g
-        assert np.array_equal(np.stack(list(stream)), want.stored)
+        vols = [make(out=np.empty(stream.dims[2::-1])) for make in stream.makers()]
+        assert np.array_equal(np.stack(vols), want.stored)
 
     # sha256 of simulate()'s stored bytes and of the .nii.gz written from
     # simulate_stream, recorded when the draw loop was last rewritten: the
