@@ -46,7 +46,7 @@ from .model import (
     n_from_moments,
     sigma_from_moments,
 )
-from .specfun import check_prob_level, inv_gamma_p
+from .specfun import inv_gamma_p
 
 __all__ = [
     "SearchConfig",
@@ -115,7 +115,8 @@ class SearchConfig:
     slice_axis: str = "z"
 
     def __post_init__(self):
-        check_prob_level(self.p)
+        if not 0.0 < self.p < 1.0:  # NaN fails too
+            raise ConfigError(f"p must lie strictly in (0, 1), got {self.p}")
         if not _is_whole(self.grid_size) or not 2 <= self.grid_size <= MAX_GRID_SIZE:
             raise ConfigError(f"grid_size must be an integer from 2 to {MAX_GRID_SIZE}, "
                               f"got {self.grid_size}")
@@ -484,21 +485,26 @@ def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
     return None
 
 
-def _bound_and_moments(vol: Volume4D, config: SearchConfig, sigma_max: float | None):
-    # (sigma_max, moments, unit) of vol, the bound from vol's median unless
-    # given: the moments are of m / unit (see _unit), and sigma_max is
-    # returned in that unit. The sums of m^2 and m^4 do not need the bound,
-    # so one pass serves both; the log sums do, so the median takes a pass
-    # of its own first.
-    n_min, unit = config.effective_n_bracket()[0], _unit(vol)
+def _search_setup(vol: Volume4D, config: SearchConfig, sigma_max: float | None):
+    # (moments, sigma_max / unit, first-pass bounds, unit) of vol, the bound
+    # from vol's median unless given: the moments are of m / unit (see
+    # _unit), and the bounds are at the N bracket. A single volume raises
+    # before any pass. The sums of m^2 and m^4 do not need the bound, so one
+    # pass serves both; the log sums do, so the median takes a pass of its
+    # own first.
+    if vol.dims[3] == 1:
+        raise DegenerateDataError(_ONE_VOLUME)
+    n_low, n_high = config.effective_n_bracket()
+    bounds = _bounds_for(n_low, n_high, vol.dims[3], config.p)
+    unit = _unit(vol)
     if sigma_max is None and _log_ref(config, 1.0) is None:
         median, sums = _reduce(vol, select=True, moments=True, unit=unit)
-        return _bound(median, n_min) / unit, sums, unit
+        return sums, _bound(median, n_low) / unit, bounds, unit
     if sigma_max is None:
-        sigma_max = sigma_upper_bound(vol, n_min)
+        sigma_max = sigma_upper_bound(vol, n_low)
     sigma_max = sigma_max / unit
-    return sigma_max, _reduce(vol, select=False, moments=True, ref=_log_ref(config, sigma_max),
-                              unit=unit)[1], unit
+    sums = _reduce(vol, select=False, moments=True, ref=_log_ref(config, sigma_max), unit=unit)[1]
+    return sums, sigma_max, bounds, unit
 
 
 def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds):
@@ -601,6 +607,10 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     and mask, with ``converged=False``. ``outer_iters`` is always the
     number of passes run.
 
+    The search is set up as :func:`estimate_volume` sets up each of its
+    slices: a single volume is rejected before any pass, the first grid
+    tops out at ``sigma_max`` and the first pass's bounds are the gamma
+    quantiles at the N bracket (``n_min`` to ``n_max``, or ``fixed_n``).
     The slice is checked once, as a :class:`Volume4D` whose voxels form
     one row, and reduced to per-voxel moments by the pass that reduces a
     whole volume in :func:`estimate_volume`, one volume at a time: the
@@ -644,11 +654,8 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     arr = np.asarray(slice_data, dtype=np.float64)
     if arr.ndim < 2:
         raise DomainError("slice data must have a trailing volume axis")
-    vol = _row_volume(arr)  # the one check of the slice
-    if arr.shape[-1] == 1:
-        raise DegenerateDataError(_ONE_VOLUME)
-    bounds = _bounds_for(*config.effective_n_bracket(), arr.shape[-1], config.p)
-    sigma_max, sums, unit = _bound_and_moments(vol, config, sigma_max)
+    # _row_volume is the one check of the slice.
+    sums, sigma_max, bounds, unit = _search_setup(_row_volume(arr), config, sigma_max)
     sums = sums.reshape((len(sums),) + arr.shape[:-1])
     with _search_errstate():
         return _search_slice(sums, arr.shape[-1], config, sigma_max, bounds, slice_index, unit)
@@ -747,18 +754,21 @@ def _failed_slice(index: int, shape, message: str) -> SliceEstimate:
 def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceEstimate]:
     """Estimate every slice of a 4D dataset independently.
 
-    The initial-grid upper bound is computed once from the median of
-    the whole 4D data (selected among the stored values, without
-    copying them), and the volume is reduced once to per-voxel moments
-    (see :func:`estimate_slice`), adding one volume at a time in a fixed
-    order. Then each slice along ``config.slice_axis`` is searched on
-    its own on its 2D view of those moments, one slice after another on
-    the calling thread. Slices that fail (no
-    identifiable noise voxels, degenerate samples) are reported with
-    ``converged=False`` and zero estimates instead of aborting the
-    volume. A single volume (V = 1) fails every slice with a record that
-    says so, with or without ``fixed_n``: each voxel's statistic is then
-    one draw, which cannot tell noise from faint object.
+    The search is set up once for the whole volume, as for one slice in
+    :func:`estimate_slice`: the initial-grid upper bound from the median
+    of the whole 4D data (selected among the stored values, without
+    copying them), the first pass's bounds at the N bracket, and the
+    per-voxel moments, adding one volume at a time in a fixed order.
+    Then each slice along ``config.slice_axis`` is searched on its own
+    on its 2D view of those moments, one slice after another on the
+    calling thread. Slices that fail (no identifiable noise voxels,
+    degenerate samples) are reported with ``converged=False`` and zero
+    estimates instead of aborting the volume. A volume the setup rejects
+    fails every slice with a record naming the cause: a single volume
+    (V = 1), with or without ``fixed_n``, since each voxel's statistic is
+    then one draw, which cannot tell noise from faint object, found
+    before any pass; or a median of zero ("data median is zero; no
+    signal present"), which leaves no first grid.
 
     One pass over the stored values selects the median and sums m^2 and
     m^4, which do not depend on it; ``estimator="mle"`` selects it in a
@@ -815,16 +825,10 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = data.dims[axis]
     slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)
-    if data.dims[3] == 1:
-        return [_failed_slice(k, slice_shape, _ONE_VOLUME) for k in range(n_slices)]
-    bounds = _bounds_for(*config.effective_n_bracket(), data.dims[3], config.p)
     try:
-        sigma_max, sums, unit = _bound_and_moments(data, config, None)
-    except DegenerateDataError:
-        return [
-            _failed_slice(k, slice_shape, "volume median is zero")
-            for k in range(n_slices)
-        ]
+        sums, sigma_max, bounds, unit = _search_setup(data, config, None)
+    except DegenerateDataError as exc:
+        return [_failed_slice(k, slice_shape, str(exc)) for k in range(n_slices)]
 
     def run_one(k: int) -> SliceEstimate:
         # The slice in (X, Y, Z) order, copied C-ordered: the search runs

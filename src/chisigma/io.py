@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _HEADER_SIZE = 348
+# The header fields read and written, from offset 0, in struct's notation
+# after a byte-order character: sizeof_hdr, dim[8], datatype, bitpix,
+# pixdim[8], vox_offset, scl_slope and scl_inter.
+_HEADER_FIELDS = "i36x8h14x2h2x8f3f"
 # Largest spatial axis read or written; it bounds the per-voxel moments
 # that estimate keeps. The volume axis has no such guard.
 _MAX_AXIS = 512
@@ -249,38 +253,32 @@ def read_nifti(path) -> Volume4D:
     with f:
         hdr = bytearray(_HEADER_SIZE)
         _read_into(f, hdr, path, "header")
-        (sizeof_hdr,) = struct.unpack("<i", hdr[:4])
-        if sizeof_hdr == _HEADER_SIZE:
-            bo = "<"
-        elif struct.unpack(">i", hdr[:4])[0] == _HEADER_SIZE:
-            bo = ">"
-        else:
-            raise NiftiError(f"{path}: not a NIfTI-1 file (sizeof_hdr={sizeof_hdr})")
+        little, big = (struct.unpack_from(bo + _HEADER_FIELDS, hdr) for bo in "<>")
+        if _HEADER_SIZE not in (little[0], big[0]):
+            raise NiftiError(f"{path}: not a NIfTI-1 file (sizeof_hdr={little[0]})")
+        swap = little[0] != _HEADER_SIZE
+        fields = big if swap else little
         magic = bytes(hdr[344:348])
         if magic not in (b"n+1\x00", b"ni1\x00"):
             raise NiftiError(f"{path}: bad magic {magic!r}")
 
-        dim = struct.unpack(bo + "8h", hdr[40:56])
-        ndim = dim[0]
+        ndim = fields[1]  # dim[0]
         if ndim not in (3, 4):
             raise NiftiError(f"{path}: unsupported dimensionality {ndim} (need 3 or 4)")
-        shape = tuple(int(d) for d in dim[1 : ndim + 1])
+        shape = tuple(int(d) for d in fields[2 : ndim + 2])
         if any(d < 1 for d in shape):
             raise NiftiError(f"{path}: nonpositive axis in dims {shape}")
         _check_axes(path, shape)
 
-        (datatype, bitpix) = struct.unpack(bo + "2h", hdr[70:74])
+        datatype, bitpix = fields[9:11]
         if datatype not in _STORED_TYPES:
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
         dt = np.dtype(_STORED_TYPES[datatype]).newbyteorder("<")
         if bitpix != 8 * dt.itemsize:
             raise NiftiError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
 
-        pixdim = struct.unpack(bo + "8f", hdr[76:108])
-        spacing = tuple(float(d) if d > 0.0 else 1.0 for d in pixdim[1:4])
-        (vox_offset,) = struct.unpack(bo + "f", hdr[108:112])
-        (slope,) = struct.unpack(bo + "f", hdr[112:116])
-        (inter,) = struct.unpack(bo + "f", hdr[116:120])
+        spacing = tuple(float(d) if d > 0.0 else 1.0 for d in fields[12:15])  # pixdim[1:4]
+        vox_offset, slope, inter = fields[19:]
         if slope == 0.0:
             slope = 1.0
         # NaN, infinities and offsets past any file position would crash
@@ -312,7 +310,7 @@ def read_nifti(path) -> Volume4D:
             if need > room:
                 raise NiftiError(f"{data_path}: truncated file: dims {shape} need {need} "
                                  f"bytes of voxel data, at most {max(room, 0)} fit")
-            payload = _Payload(data_path, offset, dt, bo == ">", stored_shape, identity)
+            payload = _Payload(data_path, offset, dt, swap, stored_shape, identity)
             resident = isinstance(source, gzip.GzipFile)
             stored = np.empty(stored_shape, dtype=dt) if resident else None
             lo, n_neg = np.inf, 0
@@ -348,15 +346,11 @@ def read_nifti(path) -> Volume4D:
 
 def _pack_header(shape, spacing, datatype, bitpix) -> bytes:
     hdr = bytearray(_HEADER_SIZE)
-    struct.pack_into("<i", hdr, 0, _HEADER_SIZE)
-    hdr[38] = ord("r")
     dim = [len(shape)] + list(shape) + [1] * (7 - len(shape))
-    struct.pack_into("<8h", hdr, 40, *dim)
-    struct.pack_into("<2h", hdr, 70, datatype, bitpix)
     pixdim = [1.0] + list(spacing) + [0.0] * (7 - len(spacing))
-    struct.pack_into("<8f", hdr, 76, *pixdim)
-    struct.pack_into("<f", hdr, 108, float(_HEADER_SIZE + 4))
-    struct.pack_into("<2f", hdr, 112, 1.0, 0.0)
+    struct.pack_into("<" + _HEADER_FIELDS, hdr, 0, _HEADER_SIZE, *dim, datatype, bitpix,
+                     *pixdim, float(_HEADER_SIZE + 4), 1.0, 0.0)
+    hdr[38] = ord("r")
     hdr[123] = 2 | 8  # mm and seconds
     hdr[148:156] = b"chisigma"
     hdr[344:348] = b"n+1\x00"

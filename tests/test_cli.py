@@ -93,6 +93,13 @@ class TestExitCodes:
         assert err.startswith("configuration error: grid_size ") and err.count("\n") == 1
         assert "32768" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("p", ["1", "0", "nan"])
+    def test_bad_p_is_a_configuration_error(self, sim_paths, capsys, p):
+        assert run(["estimate", str(sim_paths[0]), "--p", p]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: p ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("estimator", ["moments", "mle"])
     def test_huge_magnitudes_scale_sigma_exactly(self, tmp_path, capsys, estimator):
         # float64 chi magnitudes at scale 1 and 2^260, where m^4 would
@@ -167,6 +174,26 @@ class TestExitCodes:
         vol = tmp_path / "flat.nii"
         write_nifti(Volume4D(voxels=np.full((6, 6, 4, 5), 3.0)), vol)
         assert run(["estimate", str(vol)]) == EXIT_ALL_FAILED
+
+    @pytest.mark.parametrize("n_volumes,cause", [
+        (5, "data median is zero; no signal present"),
+        (1, "a single volume cannot be estimated"),
+    ], ids=["v5", "v1"])
+    def test_zero_median_volume(self, tmp_path, capsys, n_volumes, cause):
+        # Over half the voxels are exact zeros, so the volume's median is zero
+        # and no first grid can be set: every slice fails with one record that
+        # names the cause, which for a single volume is found before any pass.
+        data = np.sqrt(np.random.default_rng(1).chisquare(8, (16, 16, 4, n_volumes))) * 10.0
+        data[:, :9] = 0.0
+        estimates = identify.estimate_volume(data, SearchConfig())
+        assert [e.slice_index for e in estimates] == [0, 1, 2, 3]
+        assert all(e.error.startswith(cause) and e.n_identified == 0 and not e.converged
+                   for e in estimates)
+        vol = tmp_path / "zero.nii"
+        write_nifti(Volume4D(voxels=data), vol)
+        assert run(["estimate", str(vol)]) == EXIT_ALL_FAILED
+        err = capsys.readouterr().err
+        assert err.count(f": {cause}") == 4 and "Traceback" not in err
 
     def test_fractional_ncoils(self, tmp_path, capsys):
         out = tmp_path / "o.nii"

@@ -76,7 +76,7 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SearchConfig(n_min=5.0, n_max=2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             SearchConfig(p=1.5)
         with pytest.raises(ConfigError):
             SearchConfig(grid_size=1)
@@ -911,8 +911,7 @@ def cycling_phantom():
 def slice_searches(vol, config):
     # The per-slice arguments of _search_slice but the config, as
     # estimate_volume builds them.
-    bounds = _bounds_for(*config.effective_n_bracket(), vol.dims[3], config.p)
-    sigma_max, sums, _ = identify._bound_and_moments(vol, config, None)
+    sums, sigma_max, bounds, _ = identify._search_setup(vol, config, None)
     for k in range(vol.dims[2]):
         part = np.ascontiguousarray(sums[:, k].transpose(0, 2, 1))
         yield part, vol.dims[3], sigma_max, bounds, k
