@@ -115,8 +115,11 @@ class SearchConfig:
     slice_axis: str = "z"
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:  # NaN fails too
-            raise ConfigError(f"p must lie strictly in (0, 1), got {self.p}")
+        # NaN fails too, and so does a p whose first-pass quantile levels,
+        # p/2 and 1 - p/2, round to 0 or 1.
+        if not (0.0 < self.p < 1.0 and self.p / 2.0 > 0.0 and 1.0 - self.p / 2.0 < 1.0):
+            raise ConfigError(f"p must lie strictly in (0, 1), with p/2 > 0 and 1 - p/2 < 1 "
+                              f"in float64, got {self.p}")
         if not _is_whole(self.grid_size) or not 2 <= self.grid_size <= MAX_GRID_SIZE:
             raise ConfigError(f"grid_size must be an integer from 2 to {MAX_GRID_SIZE}, "
                               f"got {self.grid_size}")
@@ -231,11 +234,20 @@ def _row_volume(data) -> Volume4D:
     # its n voxels in one row along z, in C order, so the volume code reduces
     # a slice, in blocks of _BLOCK_VOXELS z-planes of one voxel each, and
     # reshaping its (n, 1, 1) moments restores the slice's shape. The median
-    # does not depend on the layout.
-    arr = np.asarray(data, dtype=np.float64)
+    # does not depend on the layout. Volume4D keeps or converts the dtype.
+    arr = np.asarray(data)
     if arr.size == 0:
         raise DegenerateDataError("the data are empty")
     return Volume4D(voxels=arr.reshape(1, 1, -1, arr.shape[-1] if arr.ndim else 1))
+
+
+def _slice_volume(slice_data) -> tuple[Volume4D, tuple]:
+    # A slice of shape (..., V) as _row_volume's volume, the one check of the
+    # slice, and its spatial shape.
+    arr = np.asarray(slice_data)
+    if arr.ndim < 2:
+        raise DomainError("slice data must have a trailing volume axis")
+    return _row_volume(arr), arr.shape[:-1]
 
 
 _MEDIAN_SAMPLE = 1 << 16
@@ -536,10 +548,8 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     """
     if not sigma_candidate > 0.0:
         raise DomainError(f"sigma candidate must be positive, got {sigma_candidate}")
-    arr = np.asarray(slice_data, dtype=np.float64)
-    if arr.ndim < 2:
-        raise DomainError("slice data must have a trailing volume axis")
-    s2 = _reduce(_row_volume(arr), select=False, moments=True)[1][_S2].reshape(arr.shape[:-1])
+    vol, shape = _slice_volume(slice_data)
+    s2 = _reduce(vol, select=False, moments=True)[1][_S2].reshape(shape)
     with _search_errstate():
         count, _, mask = _best_candidate(np.array([float(sigma_candidate)]), s2,
                                          np.sort(s2[s2 > 0.0]), bounds)
@@ -651,14 +661,11 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
         If the slice holds no nonzero voxel, or every candidate of the
         current grid identifies zero voxels.
     """
-    arr = np.asarray(slice_data, dtype=np.float64)
-    if arr.ndim < 2:
-        raise DomainError("slice data must have a trailing volume axis")
-    # _row_volume is the one check of the slice.
-    sums, sigma_max, bounds, unit = _search_setup(_row_volume(arr), config, sigma_max)
-    sums = sums.reshape((len(sums),) + arr.shape[:-1])
+    vol, shape = _slice_volume(slice_data)
+    sums, sigma_max, bounds, unit = _search_setup(vol, config, sigma_max)
+    sums = sums.reshape((len(sums),) + shape)
     with _search_errstate():
-        return _search_slice(sums, arr.shape[-1], config, sigma_max, bounds, slice_index, unit)
+        return _search_slice(sums, vol.dims[3], config, sigma_max, bounds, slice_index, unit)
 
 
 def _search_errstate() -> np.errstate:
@@ -682,7 +689,7 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
     ranked = np.sort(sums[_S2][sums[_S2] > 0.0])
     flat = sums.reshape(len(sums), -1)
     if ranked.size == 0:
-        raise NoNoiseVoxelsError(f"slice {slice_index} holds no nonzero voxels")
+        raise NoNoiseVoxelsError("the slice holds no nonzero voxels")
     if ranked[0] == np.inf:
         raise DomainError(_OVERFLOW)
 
@@ -697,9 +704,7 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
     for iters in range(1, config.max_outer_iters + 1):
         count, _, mask = _best_candidate(grid, sums[_S2], ranked, bounds)
         if count == 0:
-            raise NoNoiseVoxelsError(
-                f"slice {slice_index}: no candidate noise level identified any voxels"
-            )
+            raise NoNoiseVoxelsError("no candidate noise level identified any voxels")
         # Taken in memory order, as the mask would, and each row summed
         # pairwise, as np.sum sums it: the sums keep their bits.
         total = np.add.reduce(flat.take(np.flatnonzero(mask), axis=1), axis=1)
@@ -788,20 +793,19 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     memory. The results are those of the same data held in memory, bit
     for bit.
 
-    A :class:`Volume4D` is trusted as checked; an ndarray is checked
-    once, whole, by wrapping it in one. No slice is checked again.
-
     Parameters
     ----------
     data : Volume4D or ndarray
-        4D magnitude data, shape (X, Y, Z, V).
+        4D magnitude data, shape (X, Y, Z, V). A :class:`Volume4D` is
+        trusted as checked; an ndarray is checked once, whole, by wrapping
+        it in one, which keeps its dtype (uint8, int16, int32, float32 or
+        float64; any other becomes float64), so no float64 copy is made.
     config : SearchConfig
         Search parameters.
     threads : int
-        At least 1. The search is serial whatever the count: it spends
-        its time in many small numpy calls that hold the interpreter
-        lock, so worker threads made it no faster. Results are identical
-        for any thread count.
+        At least 1. The search is serial whatever the count (its many
+        small numpy calls hold the interpreter lock), so results are
+        identical for any thread count.
 
     Returns
     -------
@@ -818,10 +822,9 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     if not isinstance(data, Volume4D):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 4:
-            raise DomainError(f"expected 4D data, got {arr.ndim} dimensions")
-        data = Volume4D(voxels=arr)
+        if np.ndim(data) != 4:
+            raise DomainError(f"expected 4D data, got {np.ndim(data)} dimensions")
+        data = Volume4D(voxels=data)
     axis = AXIS_INDEX[config.slice_axis]
     n_slices = data.dims[axis]
     slice_shape = tuple(d for i, d in enumerate(data.dims[:3]) if i != axis)

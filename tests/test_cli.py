@@ -93,12 +93,25 @@ class TestExitCodes:
         assert err.startswith("configuration error: grid_size ") and err.count("\n") == 1
         assert "32768" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("p", ["1", "0", "nan"])
+    @pytest.mark.parametrize("p", ["1", "0", "nan", "1e-300"])
     def test_bad_p_is_a_configuration_error(self, sim_paths, capsys, p):
+        # 1e-300 lies in (0, 1), but its upper quantile level 1 - p/2 rounds to 1.
         assert run(["estimate", str(sim_paths[0]), "--p", p]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("configuration error: p ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_failed_slice_is_named_once(self, tmp_path, capsys):
+        # A p this close to 1 leaves every band too narrow to hold a voxel:
+        # each slice fails, and its stderr line names it once.
+        path = str(tmp_path / "smoke.nii")
+        assert run(["simulate", "--dims", "24,24,8", "--volumes", "17", "--seed", "1",
+                    "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["estimate", path, "--p", "0.999999999999"]) == EXIT_ALL_FAILED
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[1:-1] == [f"  slice {k}: no candidate noise level identified any voxels"
+                               for k in range(8)], lines
 
     @pytest.mark.parametrize("estimator", ["moments", "mle"])
     def test_huge_magnitudes_scale_sigma_exactly(self, tmp_path, capsys, estimator):

@@ -32,6 +32,9 @@ from chisigma.identify import (
     _bounds_for,
     _median,
     count_in_bounds,
+    estimate_n_mle,
+    estimate_n_moments,
+    estimate_sigma,
     estimate_slice,
     estimate_volume,
     initial_grid,
@@ -86,6 +89,11 @@ class TestSearchConfig:
             SearchConfig(slice_axis="t")
         with pytest.raises(ConfigError):
             SearchConfig(fixed_n=0.0)
+        # A p whose quantile levels p/2 and 1 - p/2 round to 0 or 1 in float64.
+        for p in (1e-300, 5e-324, 1e-17):
+            with pytest.raises(ConfigError, match="p must lie strictly in"):
+                SearchConfig(p=p)
+        assert SearchConfig(p=2.3e-16).p == 2.3e-16
 
     @pytest.mark.parametrize("field", ["n_min", "n_max", "fixed_n"])
     def test_rejects_infinite_n(self, field):
@@ -248,9 +256,11 @@ class TestCountInBounds:
         for sigma in (1.0, 0.75, 3.1):
             for bounds in (RejectionBounds(2.5, 8.0), RejectionBounds(0.0, 4.0),
                            RejectionBounds(1.0 / 3.0, 7.1), RejectionBounds(500.0, 600.0)):
-                count, mask = count_in_bounds(data, sigma, bounds)
                 want = quotient_mask(s2, s2 > 0.0, sigma, bounds)
-                assert count == np.count_nonzero(want) and np.array_equal(mask, want)
+                # The same values stored as float32 and int16 count alike.
+                for arr in (data, data.astype(np.float32), data.astype(np.int16)):
+                    count, mask = count_in_bounds(arr, sigma, bounds)
+                    assert count == np.count_nonzero(want) and np.array_equal(mask, want)
 
     def test_rejects_flat_input(self):
         with pytest.raises(DomainError):
@@ -411,6 +421,56 @@ class TestEstimateVolume:
             count, _ = count_in_bounds(data, sigma, bounds)
             counts.append(count)
         assert counts[0] <= counts[1] <= counts[2]
+
+
+def records(estimates):
+    # Every field of each estimate, the mask as bytes.
+    return [(e.slice_index, e.sigma_g, e.n_dof, e.n_identified, e.outer_iters, e.converged,
+             e.error, e.mask.tobytes()) for e in estimates]
+
+
+@pytest.fixture(scope="module")
+def chi_volume():
+    # 64x64x16x33 chi magnitudes (N = 2, sigma = 40), rounded so that int16
+    # holds them as they are.
+    return np.rint(chi_slice(np.random.default_rng(48), 40.0, 2, (64, 64, 16), 33))
+
+
+class TestStoredDtype:
+    # An array keeps its stored dtype into the search: the records are those
+    # of its float64 copy, bit for bit, and no float64 copy of it is made.
+    @pytest.mark.parametrize("dtype, order, bound", [
+        (np.float32, "C", 1.5), (np.float32, "F", 0.75), (np.int16, "F", 0.75),
+    ], ids=["f32_C", "f32_F", "i16_F"])
+    def test_volume_in_bounded_memory(self, chi_volume, dtype, order, bound):
+        # The traced peak over the input's bytes: a float64 copy and its
+        # volume-major copy took 4.31, 2.31 and 4.62 times the input.
+        data = np.asarray(chi_volume, dtype=dtype, order=order)
+        want = records(estimate_volume(data.astype(np.float64), SearchConfig()))
+        tracemalloc.start()
+        try:
+            got = records(estimate_volume(data, SearchConfig()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak / data.nbytes < bound, peak / data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint8])
+    def test_slice_and_samples(self, chi_volume, dtype):
+        part = chi_volume[:, :, 3]
+        if dtype is np.uint8:
+            part = np.minimum(part, 255.0)
+        arr = part.astype(dtype)
+        for kwargs in ({}, {"estimator": "mle"}, {"fixed_n": 2.0}):
+            config = SearchConfig(**kwargs)
+            assert records([estimate_slice(arr, config)]) == records(
+                [estimate_slice(part, config)]), kwargs
+        assert sigma_upper_bound(arr, 1.0) == sigma_upper_bound(part, 1.0)
+        samples = arr[arr > 0]
+        assert estimate_sigma(samples) == estimate_sigma(samples.astype(np.float64))
+        for fit in (estimate_n_moments, estimate_n_mle):
+            assert fit(samples, 40.0) == fit(samples.astype(np.float64), 40.0)
 
 
 @pytest.fixture(scope="module")
