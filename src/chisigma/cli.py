@@ -77,8 +77,7 @@ def cmd_estimate(args) -> int:
         slice_axis=args.axis,
     )
     volume = read_nifti(args.input)
-    want_report = bool(args.out_report or args.out_csv)
-    if want_report and threads > 1:
+    if args.out_report and threads > 1:
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
@@ -111,8 +110,10 @@ def cmd_estimate(args) -> int:
         print("error: estimation failed on every slice", file=sys.stderr)
         return EXIT_ALL_FAILED
 
-    if want_report:
-        report = build_report(estimates, config, volume, fingerprint=fingerprint)
+    if args.out_report or args.out_csv:
+        # A CSV alone hashes nothing: write_slice_csv reads no fingerprint.
+        report = build_report(estimates, config, volume,
+                              fingerprint=fingerprint if args.out_report else {})
     if args.out_report:
         write_report(report, args.out_report)
     if args.out_csv:

@@ -10,13 +10,15 @@ parameters are re-estimated from the identified voxels, and the search
 grid and quantile bounds are tightened until sigma and N stabilize.
 
 The fit needs only sums over the identified voxels, so the data are
-reduced once to per-voxel moments (sum_v m^2, sum_v m^4 and, for the
-likelihood estimator, sum_v log m^2 and a zero count), the rows of one
-array, adding one volume at a time; every outer pass then fits from one
-take of a slice's moments instead of re-gathering the samples. That pass
-is the one place where magnitudes become moments: the sample-array
-estimators (``estimate_*``) run it too, each sample one voxel, and sum
-its rows pairwise, which is accurate for sample counts well past 10^6.
+reduced once, in one pass that also selects the median, to per-voxel
+moments: sum_v m^2, sum_v m^4 and, for the likelihood estimator, the
+sums of log f and of e over m = f 2^e written exactly, and a zero count.
+They are the rows of one array, adding one volume at a time; every outer
+pass then fits from one take of a slice's moments instead of re-gathering
+the samples. That pass is the one place where magnitudes become moments:
+the sample-array estimators (``estimate_*``) run it too, each sample one
+voxel, and sum its rows pairwise, which is accurate for sample counts
+well past 10^6.
 
 Candidates are scored on each slice's sums of m^2, sorted once: for a
 candidate, s never decreases as sum_v m^2 grows, so the voxels it
@@ -215,7 +217,7 @@ def sigma_upper_bound(data, n_dof: float) -> float:
     is bit-equal to ``np.median`` of the float64 signal, which is never
     built. Beyond 2^17 values it takes one pass over the stored values
     (a read of a file-backed volume's file), which :func:`estimate_volume`
-    shares with its moments unless its log sums need the bound.
+    shares with its moments.
     """
     vol = data if isinstance(data, Volume4D) else _row_volume(data)
     if not n_dof > 0.0:
@@ -332,9 +334,10 @@ def refine_grid(sigma: float) -> np.ndarray:
 
 # Rows of the per-voxel moments, one C-ordered float64 array of shape
 # (M, Z, Y, X): sums over the volumes of m^2 and m^4 (M = 2) and, for the
-# likelihood estimator (M = 4), of log(m^2 / ref) over positive samples and
-# the count of zero samples, which float64 holds exactly.
-_S2, _S4, _LOG, _ZEROS = range(4)
+# likelihood estimator (M = 5), of log f and of e, with m = f 2^e exactly
+# and f in [0.5, 1) (np.frexp), a zero counting as f = 1 and e = 0, and the
+# count of zero samples. float64 holds the last two exactly.
+_S2, _S4, _LOG, _EXP, _ZEROS = range(5)
 
 
 # Voxels per block of the reduction: the block's sums and temporaries stay
@@ -342,13 +345,13 @@ _S2, _S4, _LOG, _ZEROS = range(4)
 _BLOCK_VOXELS = 1 << 15
 
 
-def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None,
+def _reduce(vol: Volume4D, select: bool, moments: bool, log: bool = False,
             unit: float = 1.0):
     # (median, moments) of vol, each None unless asked for, from one pass over
     # its stored values. The moments are one C-ordered float64 array of
     # shape (M, Z, Y, X), allocated here once, whose rows _S2 and _S4 (M = 2)
-    # and, when ``ref`` is given, _LOG and _ZEROS (M = 4) are sums over the
-    # volumes of powers of m / unit, ``unit`` a power of two (see _unit).
+    # and, with ``log``, _LOG, _EXP and _ZEROS (M = 5) are sums over the
+    # volumes of m / unit, ``unit`` a power of two (see _unit).
     # The median is np.median of the float64 signal, bit for bit: the mean
     # of the one or two middle stored values mapped by the monotone
     # to_signal (two middle ranks are symmetric, so a decreasing map only
@@ -369,9 +372,9 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
             bracket = (sample[max(0, int((m - 1) * k[0] / n - delta))],
                        sample[min(m - 1, int((m - 1) * k[1] / n + delta) + 1)])
     if moments:
-        sums = np.zeros((2 if ref is None else 4,) + vol.dims[2::-1])
+        sums = np.zeros((5 if log else 2,) + vol.dims[2::-1])
     if bracket is not None or sums is not None:
-        n_low, inside = _reduce_pass(vol, bracket, sums, ref, unit)
+        n_low, inside = _reduce_pass(vol, bracket, sums, unit)
     if bracket is not None:
         mid = np.concatenate(inside)
         del inside
@@ -387,23 +390,24 @@ def _reduce(vol: Volume4D, select: bool, moments: bool, ref: float | None = None
     return median, sums
 
 
-# m^2 and m^4 beyond the float64 range of those powers are summed as inf
-# (and log(m^2 / ref) as -inf or NaN when ref is inf), which the formulas
-# of model report.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | None,
-                 unit: float):
+# m^2 and m^4 beyond the float64 range of those powers are summed as inf,
+# which the formulas of model report.
+@np.errstate(over="ignore")
+def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, unit: float):
     # The pass of _reduce, in a frame of its own so that the read buffer is
     # freed before the kept values are joined. It takes each group of
     # vol._groups() by blocks of z-planes, a block one volume at a time, so
     # every voxel's sums see the volumes in file order, and returns the
     # count of values at or above the bracket and the list of those inside.
+    # The exponents of a group's volumes are summed in int32 first (exact for
+    # up to about 10^6 volumes), and added to their row once per group.
     # (Threads do not speed this up: it is bound by memory.)
     n_z, n_y, n_x = vol.dims[2::-1]
     step = min(n_z, max(1, _BLOCK_VOXELS // (n_y * n_x)))
     signal, m2_buf = (np.empty(step * n_y * n_x) for _ in "sm")
-    t_buf = None if ref is None else np.empty(step * n_y * n_x)
     ge_buf, le_buf = (np.empty(step * n_y * n_x, bool) for _ in "gl")
+    log = sums is not None and len(sums) > _ZEROS
+    e_buf = np.empty(step * n_y * n_x, np.intc) if log else None
     n_low, inside = 0, []
     for group in vol._groups():
         for z0 in range(0, n_z, step):
@@ -411,6 +415,7 @@ def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | N
             size = min(step, n_z - z0) * n_y * n_x
             # A view: each row's block of z-planes is contiguous.
             part = None if sums is None else sums[:, z].reshape(len(sums), -1)
+            exps = np.zeros(size, np.intc) if log else None
             for block in group[:, z]:
                 values = block.reshape(-1)
                 if bracket is not None:
@@ -427,13 +432,18 @@ def _reduce_pass(vol: Volume4D, bracket, sums: np.ndarray | None, ref: float | N
                         m = np.multiply(m, 1.0 / unit, out=signal[:size])
                     m2 = np.square(m, out=m2_buf[:size])
                     np.add(part[_S2], m2, out=part[_S2])
-                    if ref is not None:
-                        pos = np.greater(m, 0.0, out=le_buf[:size])
-                        t = np.divide(m2, ref, out=t_buf[:size])
-                        np.log(t, out=t, where=pos)
-                        np.add(part[_LOG], t, out=part[_LOG])
-                        np.add(part[_ZEROS], np.logical_not(pos, out=pos), out=part[_ZEROS])
                     np.add(part[_S4], np.square(m2, out=m2), out=part[_S4])
+                    if log:
+                        # The mantissas reuse m2's buffer; a zero's, 0, plus
+                        # its count is 1, whose log adds nothing.
+                        f, e = np.frexp(m, out=(m2, e_buf[:size]))
+                        zero = np.equal(m, 0.0, out=le_buf[:size])
+                        np.add(part[_ZEROS], zero, out=part[_ZEROS])
+                        np.add(part[_LOG], np.log(np.add(f, zero, out=f), out=f),
+                               out=part[_LOG])
+                        np.add(exps, e, out=exps)
+            if log:
+                np.add(part[_EXP], exps, out=part[_EXP])
     return n_low, inside
 
 
@@ -441,11 +451,11 @@ def _sample_moments(samples, sigma: float | None = None, log: bool = False):
     # (sums, K, unit, sigma / unit) of K samples: the moment pass of one volume
     # whose voxels they are, in its unit (see _unit), each row summed pairwise
     # as np.sum sums it, and sigma checked in that unit (see model._check_sigma).
-    # With ``log``, the log rows too, with the reference 2 (sigma / unit)^2.
+    # With ``log``, the log rows too.
     vol = _row_volume(np.reshape(samples, (-1, 1)))
     unit = _unit(vol)
     s = None if sigma is None else _check_sigma(sigma, unit)
-    sums = _reduce(vol, select=False, moments=True, ref=2.0 * s * s if log else None, unit=unit)[1]
+    sums = _reduce(vol, select=False, moments=True, log=log, unit=unit)[1]
     with _search_errstate():
         return np.add.reduce(sums.reshape(len(sums), -1), axis=1), vol.dims[2], unit, s
 
@@ -480,43 +490,34 @@ def estimate_n_mle(samples, sigma: float) -> float:
     """Estimate the effective degrees of freedom by maximum likelihood.
 
     N = inv_digamma(mean(log(m^2 / (2 sigma^2)))), from the moment pass as
-    :func:`estimate_sigma` takes it; exact-zero samples are dropped or
-    rejected as :func:`~chisigma.model.n_from_log_moments` describes.
+    :func:`estimate_sigma` takes it, with the logs taken from each sample's
+    exact mantissa and exponent (see
+    :func:`~chisigma.model.n_from_log_moments`), so samples far below sigma
+    give N too. Exact-zero samples are dropped or rejected as that function
+    describes, and a sample whose square overflows in the unit is named.
     """
     sums, k, _, s = _sample_moments(samples, sigma, log=True)
-    return n_from_log_moments(float(sums[_LOG]), k, int(sums[_ZEROS]), s, 2.0 * s * s)
-
-
-def _log_ref(config: SearchConfig, sigma_max: float) -> float | None:
-    # The reference of the log sums, None unless the likelihood estimator
-    # runs. It scales with the data, which keeps the sums, and so N,
-    # bit-exact under power-of-two scaling.
-    if config.fixed_n is None and config.estimator == "mle":
-        sigma_max = float(sigma_max)  # overflows to inf without a warning
-        return 2.0 * sigma_max * sigma_max
-    return None
+    if not math.isfinite(sums[_S2]):
+        raise DomainError(_OVERFLOW)
+    return n_from_log_moments(float(sums[_LOG]), float(sums[_EXP]), k, int(sums[_ZEROS]), s)
 
 
 def _search_setup(vol: Volume4D, config: SearchConfig, sigma_max: float | None):
     # (moments, sigma_max / unit, first-pass bounds, unit) of vol, the bound
-    # from vol's median unless given: the moments are of m / unit (see
-    # _unit), and the bounds are at the N bracket. A single volume raises
-    # before any pass. The sums of m^2 and m^4 do not need the bound, so one
-    # pass serves both; the log sums do, so the median takes a pass of its
-    # own first.
+    # from vol's median unless given, selected in the pass that sums the
+    # moments: they are of m / unit (see _unit), and the bounds are at the N
+    # bracket. A single volume raises before any pass. No moment depends on
+    # the bound, so one pass serves every estimator.
     if vol.dims[3] == 1:
         raise DegenerateDataError(_ONE_VOLUME)
     n_low, n_high = config.effective_n_bracket()
     bounds = _bounds_for(n_low, n_high, vol.dims[3], config.p)
     unit = _unit(vol)
-    if sigma_max is None and _log_ref(config, 1.0) is None:
-        median, sums = _reduce(vol, select=True, moments=True, unit=unit)
-        return sums, _bound(median, n_low) / unit, bounds, unit
+    median, sums = _reduce(vol, select=sigma_max is None, moments=True,
+                           log=config.fixed_n is None and config.estimator == "mle", unit=unit)
     if sigma_max is None:
-        sigma_max = sigma_upper_bound(vol, n_low)
-    sigma_max = sigma_max / unit
-    sums = _reduce(vol, select=False, moments=True, ref=_log_ref(config, sigma_max), unit=unit)[1]
-    return sums, sigma_max, bounds, unit
+        sigma_max = _bound(median, n_low)
+    return sums, sigma_max / unit, bounds, unit
 
 
 def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds):
@@ -535,8 +536,10 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     -------
     (int, ndarray)
         The count and the boolean voxel mask, found as the search scores
-        a candidate, on the slice's sorted sums of m^2. All-zero padding
-        voxels are never counted.
+        a candidate, on the slice's sorted sums of m^2 in the power-of-two
+        unit of :func:`estimate_slice`, so the slice and the candidate
+        times 2^k give the same count and mask. All-zero padding voxels
+        are never counted.
 
     Raises
     ------
@@ -549,9 +552,10 @@ def count_in_bounds(slice_data, sigma_candidate: float, bounds: RejectionBounds)
     if not sigma_candidate > 0.0:
         raise DomainError(f"sigma candidate must be positive, got {sigma_candidate}")
     vol, shape = _slice_volume(slice_data)
-    s2 = _reduce(vol, select=False, moments=True)[1][_S2].reshape(shape)
+    unit = _unit(vol)
+    s2 = _reduce(vol, select=False, moments=True, unit=unit)[1][_S2].reshape(shape)
     with _search_errstate():
-        count, _, mask = _best_candidate(np.array([float(sigma_candidate)]), s2,
+        count, _, mask = _best_candidate(np.array([float(sigma_candidate) / unit]), s2,
                                          np.sort(s2[s2 > 0.0]), bounds)
     return count, np.zeros(s2.shape, dtype=bool) if mask is None else mask
 
@@ -625,11 +629,13 @@ def estimate_slice(slice_data, config: SearchConfig, sigma_max: float | None = N
     one row, and reduced to per-voxel moments by the pass that reduces a
     whole volume in :func:`estimate_volume`, one volume at a time: the
     rows of one array, reshaped once to the slice's shape, of sums over
-    the volume axis of m^2 and m^4, and for ``estimator="mle"`` of
-    log(m^2 / (2 sigma_max^2)) over positive samples plus a count of zero
-    samples. The magnitudes are first divided by a power of two, 1 unless
-    the middle value of the slice's median sample lies beyond 2^+-128,
-    which is exact and keeps the sums finite, and sigma is scaled back.
+    the volume axis of m^2 and m^4, and for ``estimator="mle"`` of log f
+    and of e, each sample written exactly as m = f 2^e with f in [0.5, 1),
+    plus a count of zero samples. Without ``sigma_max`` the same pass
+    selects the median. The magnitudes are first divided by a power of
+    two, 1 unless the middle value of the slice's median sample lies
+    beyond 2^+-128, which is exact and keeps the sums finite, and sigma
+    is scaled back.
     Each iteration fits from one take of those rows at the identified
     voxels, summed row by row, with K = count * V samples.
 
@@ -693,7 +699,6 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
     if ranked[0] == np.inf:
         raise DomainError(_OVERFLOW)
 
-    ref = _log_ref(config, sigma_max)
     grid = initial_grid(sigma_max, config.grid_size)
 
     sigma_prev = None
@@ -713,8 +718,9 @@ def _search_slice(sums: np.ndarray, n_volumes: int, config: SearchConfig, sigma_
         sigma = sigma_from_moments(s2, float(total[_S4]), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
-        elif ref is not None:
-            n_dof = n_from_log_moments(float(total[_LOG]), k, int(total[_ZEROS]), sigma, ref)
+        elif config.estimator == "mle":
+            n_dof = n_from_log_moments(float(total[_LOG]), float(total[_EXP]), k,
+                                       int(total[_ZEROS]), sigma)
         else:
             n_dof = n_from_moments(s2, k, sigma)
 
@@ -776,9 +782,9 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     signal present"), which leaves no first grid.
 
     One pass over the stored values selects the median and sums m^2 and
-    m^4, which do not depend on it; ``estimator="mle"`` selects it in a
-    pass of its own first, since its log sums are of log(m^2 / (2
-    sigma_max^2)), which keeps N bit-exact under power-of-two scaling.
+    m^4 and, for ``estimator="mle"``, the log mantissas and the exponents
+    of m = f 2^e, none of which depend on the median. So N is bit-exact
+    under power-of-two scaling, and a file-backed volume is read once.
     The sums are the rows of one (M, Z, Y, X) float64 array, and each
     slice is cut from it with one take. They are of m divided by a power
     of two: 1 while the middle value of the median's sample lies within
@@ -798,8 +804,9 @@ def estimate_volume(data, config: SearchConfig, threads: int = 1) -> list[SliceE
     data : Volume4D or ndarray
         4D magnitude data, shape (X, Y, Z, V). A :class:`Volume4D` is
         trusted as checked; an ndarray is checked once, whole, by wrapping
-        it in one, which keeps its dtype (uint8, int16, int32, float32 or
-        float64; any other becomes float64), so no float64 copy is made.
+        it in one, which keeps its dtype (uint8, uint16, int16, int32,
+        float32 or float64; any other becomes float64), so no float64 copy
+        is made.
     config : SearchConfig
         Search parameters.
     threads : int

@@ -2,7 +2,7 @@
 
 The NIfTI-1 reader/writer handles the plain single-file layout (magic
 "n+1") and the two-file header/image pair (magic "ni1"), both endian
-orders, optional gzip compression, and the five datatypes that cover
+orders, optional gzip compression, and the six datatypes that cover
 magnitude MRI in practice. Everything is parsed with explicit bounds
 checks so malformed files fail with :class:`NiftiError` rather than
 crashing.
@@ -223,9 +223,8 @@ def read_nifti(path) -> Volume4D:
     read from an uncompressed file is *file-backed*, and holds only the
     header, the scaling and the check's results (among them the sorted
     sample that brackets the median).
-    :func:`~chisigma.identify.estimate_volume`
-    (once; twice for ``estimator="mle"`` beyond 2^17 values),
-    :func:`volume_fingerprint` and :func:`write_nifti` then read the file
+    :func:`~chisigma.identify.estimate_volume` (once, for every
+    estimator), :func:`volume_fingerprint` and :func:`write_nifti` then read the file
     again, a few volumes at a time into one reused buffer, and only the
     3D moments and the values near the median stay in memory. The file
     must stay in place while the volume is used. The checks are not

@@ -8,9 +8,11 @@ gamma law with shape ``n_dof`` and unit scale.
 
 Each estimator is a formula of a few sample sums (``sigma_from_moments``,
 ``n_from_moments``, ``n_from_log_moments``). The sums come from one
-moment pass in :mod:`chisigma.identify`, which serves both the slice
-search and the sample-array estimators ``estimate_*`` there, so this
-module squares no magnitudes.
+moment pass in :mod:`chisigma.identify`, which serves every estimator,
+both in the slice search and in the sample-array estimators
+``estimate_*`` there, so this module squares no magnitudes. The
+likelihood's log sums are of each magnitude's exact mantissa and
+exponent, so no sum depends on sigma or on a reference level.
 """
 
 import math
@@ -63,14 +65,14 @@ def _spacing(spacing) -> tuple:
 
 
 # Stored dtypes by NIfTI-1 datatype code; other input is kept as float64.
-_STORED_TYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
+_STORED_TYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8", 512: "u2"}
 
 
 class Volume4D:
     """Dense 4D magnitude data, kept as stored, with voxel-spacing metadata.
 
     ``stored`` holds the values as a NIfTI file stores them: dtype u1,
-    i2, i4, f4 or f8 (little-endian), C-ordered with shape (V, Z, Y, X),
+    u2, i2, i4, f4 or f8 (little-endian), C-ordered with shape (V, Z, Y, X),
     so that each 3D volume is one contiguous block. The magnitude signal
     is ``max(stored * slope + inter, 0)`` in float64, with ``scale =
     (slope, inter)``; :meth:`to_signal` is the one home of that rule,
@@ -103,7 +105,7 @@ class Volume4D:
     ----------
     voxels : array_like
         Shape (X, Y, Z, V), or (X, Y, Z) for a single volume. Values of
-        another dtype than the five above are converted to float64.
+        another dtype than the six above are converted to float64.
     spacing : tuple of float
         Voxel edge lengths (dx, dy, dz) in mm.
     """
@@ -279,9 +281,6 @@ def _lend(vol: np.ndarray, out: np.ndarray) -> np.ndarray:
 _OVERFLOW = ("the sums of m^2 and m^4 overflow float64: magnitudes above about 1.2e77 (m^4) "
              "or 1.3e154 (m^2) units, the unit being 1, or a power of two near the median for "
              "data beyond 2^-128..2^128: outliers far above the rest of the data")
-_UNDERFLOW = ("the sum of log(m^2 / (2 sigma^2)) is -inf: for some positive magnitude m^2 "
-              "underflows float64 to 0, or m^2 / (2 sigma^2) does: magnitudes far below the "
-              "rest of the data, or sigma far above them")
 
 
 def _check_sigma(sigma: float, unit: float = 1.0) -> float:
@@ -337,28 +336,28 @@ def n_from_moments(s2: float, k: int, sigma: float) -> float:
     return n
 
 
-def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
-                       ref: float) -> float:
-    """Maximum-likelihood degrees of freedom from a sum of logs.
+def n_from_log_moments(sum_log: float, sum_exp: float, k: int, n_zero: int,
+                       sigma: float) -> float:
+    """Maximum-likelihood degrees of freedom from exact mantissas and exponents.
 
-    ``sum_log`` is the sum of log(m^2 / ref) over the K - n_zero positive
-    samples of a set of K. Then N = inv_digamma(mean(log(m^2 / (2 sigma^2)))),
-    the mean being sum_log / (K - n_zero) + log(ref / (2 sigma^2)). Any
-    positive ``ref`` gives the same N up to roundoff; passing 2 sigma^2
-    makes the correction term exactly zero.
+    Each of K samples is written exactly as m = f 2^e with f in [0.5, 1)
+    and e an integer (``np.frexp``); ``sum_log`` is the sum of log f and
+    ``sum_exp`` that of e, a zero sample adding 0 to both. With sigma =
+    g 2^h likewise and K' = K - n_zero positive samples,
+
+        mean log t = (2 sum_log + log 4 (sum_exp - h K')) / K' - log(2 g^2),
+
+    the mean of log(m^2 / (2 sigma^2)), and N = inv_digamma(mean log t).
+    Every term is the same, bit for bit, for the samples and sigma times
+    2^k, and no m^2 is formed, so nothing overflows or underflows.
 
     Exact-zero samples are scanner padding rather than noise draws; they
     are dropped with a warning as long as at least 90% of the samples are
-    positive, and rejected as a domain error otherwise. An inf or NaN
-    ``sum_log`` (squares that overflow float64) raises the overflow error,
-    and -inf (a positive sample whose ratio to ref underflows to 0) the
-    underflow error.
+    positive, and rejected as a domain error otherwise. A sum that is not
+    finite, which no samples give, raises :class:`DomainError` from
+    :func:`~chisigma.specfun.inv_digamma`.
     """
     _check_sigma(sigma)
-    if not sum_log < math.inf:
-        raise DomainError(_OVERFLOW)
-    if sum_log == -math.inf:
-        raise DomainError(_UNDERFLOW)
     if n_zero > 0:
         if n_zero > 0.1 * k:
             raise DomainError(
@@ -370,5 +369,7 @@ def n_from_log_moments(sum_log: float, k: int, n_zero: int, sigma: float,
             RuntimeWarning,
             stacklevel=3,
         )
-    mean_log_t = sum_log / (k - n_zero) + math.log(ref / (2.0 * sigma * sigma))
-    return inv_digamma(mean_log_t)
+    g, h = math.frexp(sigma)
+    k_pos = k - n_zero
+    mean_log_t = (2.0 * sum_log + math.log(4.0) * (sum_exp - h * k_pos)) / k_pos
+    return inv_digamma(mean_log_t - math.log(2.0 * g * g))

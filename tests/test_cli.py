@@ -265,6 +265,11 @@ class TestExitCodes:
     def test_bad_dims(self, tmp_path, capsys):
         out = tmp_path / "o.nii"
         assert run(["simulate", "--dims", "10,10", "--out", str(out)]) == EXIT_USAGE
+        capsys.readouterr()
+        assert run(["simulate", "--dims", "8,x,8", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: dims must be integers") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_threads_value(self, tmp_path, capsys):
         vol = tmp_path / "v.nii"
@@ -469,8 +474,10 @@ class TestEstimate:
         monkeypatch.setattr(cli, "volume_fingerprint", spy)
         monkeypatch.setattr(io, "volume_fingerprint", spy)
         csv = ["--out-csv", str(tmp_path / "slices.csv")]
+        report = ["--out-report", str(tmp_path / "report.json")]
         for threads, outputs, helper in (("1", [], None), ("2", [], None),
-                                         ("1", csv, False), ("2", csv, True)):
+                                         ("1", csv, None), ("2", csv, None),
+                                         ("1", report, False), ("2", report + csv, True)):
             hashed_on.clear()
             assert run(["estimate", str(out), "--threads", threads, *outputs]) == EXIT_OK
             if helper is None:
@@ -510,7 +517,7 @@ class TestEntryPoint:
     @pytest.mark.parametrize("outputs,loaded", [
         ([], set()),
         (["--out-mask", "{d}/mask.nii"], set()),
-        (["--out-csv", "{d}/slices.csv", "--threads", "1"], {"hashlib", "csv"}),
+        (["--out-csv", "{d}/slices.csv", "--threads", "1"], {"csv"}),
         (["--out-report", "{d}/report.json", "--threads", "2"],
          {"hashlib", "concurrent.futures"}),
     ])
@@ -576,11 +583,16 @@ class TestEvaluate:
         lambda doc: doc.update(sigma_g="NaN"),
         lambda doc: doc.update(sigma_g=0.0),
         lambda doc: doc.update(sigma_g=-5.0),
+        lambda doc: doc.__delitem__("spec"),
+        lambda doc: doc.__delitem__("sigma_g"),
+        lambda doc: doc.update(spec=[doc["spec"]]),
+        lambda doc: doc["spec"].__delitem__("n_true"),
     ], ids=["dims_not_a_list", "snr_not_a_number", "sigma_g_not_a_number", "sigma_g_nan",
-            "sigma_g_zero", "sigma_g_negative"])
+            "sigma_g_zero", "sigma_g_negative", "no_spec", "no_sigma_g", "spec_not_an_object",
+            "spec_missing_a_field"])
     def test_malformed_truth(self, sim_paths, sim_report, tmp_path, capsys, edit):
-        # A field of the wrong type or out of range is a malformed record:
-        # one error line, exit 2.
+        # A missing field, or one of the wrong type or out of range, is a
+        # malformed record: one error line, exit 2.
         _, truth = sim_paths
         doc = json.loads(truth.read_text())
         edit(doc)
@@ -621,17 +633,29 @@ class TestEvaluate:
         lambda doc: doc["fingerprint"].update(dims=5),
         lambda doc: doc["slices"].extend([dict(doc["slices"][0])] * 5),
         lambda doc: doc.update(schema="chisigma-report-v3"),
+        lambda doc: [doc],
+        lambda doc: doc.__delitem__("slices"),
+        lambda doc: doc.__delitem__("config"),
+        lambda doc: doc.__delitem__("fingerprint"),
+        lambda doc: doc.update(slices={"0": doc["slices"][0]}),
+        lambda doc: doc["slices"].append([0]),
+        lambda doc: doc.update(config=[doc["config"]]),
     ], ids=["unknown_axis", "axis_not_a_string", "slice_index_out_of_range",
             "slice_index_negative", "sigma_g_not_a_number", "dims_not_a_list",
-            "slice_index_repeated", "unknown_schema"])
+            "slice_index_repeated", "unknown_schema", "not_an_object", "no_slices",
+            "no_config", "no_fingerprint", "slices_not_a_list", "slice_not_an_object",
+            "config_not_an_object"])
     def test_malformed_report(self, sim_paths, sim_report, tmp_path, capsys, edit):
+        # An edit that returns a value replaces the whole document.
         _, truth = sim_paths
         doc = json.loads(sim_report.read_text())
-        edit(doc)
+        edited = edit(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc if edited is None else edited))
         assert run(["evaluate", "--report", str(bad),
                     "--truth", str(truth)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_perfect_estimates_zero_error(self, tmp_path, capsys):
         # Hand-build a report that matches the truth exactly.

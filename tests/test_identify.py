@@ -245,8 +245,13 @@ class TestCountInBounds:
         sigma, n, v = 171.0, 4, 65
         data = chi_slice(rng, sigma, n, (100, 100), v)
         bounds = RejectionBounds(inv_gamma_p(v * n, 0.025), inv_gamma_p(v * n, 0.975))
-        count, _ = count_in_bounds(data, sigma, bounds)
+        count, mask = count_in_bounds(data, sigma, bounds)
         assert count / 10000.0 == pytest.approx(0.95, abs=0.02)
+        # The slice and the candidate times 2^k count alike, in the unit of
+        # the search, far from 1 too.
+        for k in (-900, -500, 300, 520, 900):
+            got, got_mask = count_in_bounds(data * 2.0 ** k, sigma * 2.0 ** k, bounds)
+            assert got == count and np.array_equal(got_mask, mask), k
 
     def test_matches_the_quotient_window(self):
         # Integer magnitudes put many sums on the bounds' edges, and zeros
@@ -456,12 +461,16 @@ class TestStoredDtype:
         assert got == want
         assert peak / data.nbytes < bound, peak / data.nbytes
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint8, np.uint16, np.int64,
+                                       np.float16])
     def test_slice_and_samples(self, chi_volume, dtype):
+        # int64 and float16 are not stored dtypes: they become float64.
         part = chi_volume[:, :, 3]
         if dtype is np.uint8:
             part = np.minimum(part, 255.0)
         arr = part.astype(dtype)
+        assert Volume4D(voxels=arr).dtype == (
+            np.float64 if dtype in (np.int64, np.float16) else dtype)
         for kwargs in ({}, {"estimator": "mle"}, {"fixed_n": 2.0}):
             config = SearchConfig(**kwargs)
             assert records([estimate_slice(arr, config)]) == records(
@@ -542,8 +551,8 @@ def loop_best_candidate(grid, sum_m2, nonpadding, bounds):
 
 
 # Reference sample-array estimators, independent of the moment pass under
-# test: they square the raw samples and sum them with np.sum, the log sum
-# over the positive samples only.
+# test: they square the raw samples and sum them with np.sum, and sum the
+# log mantissas (a zero's taken as 1) and the exponents of np.frexp.
 def ref_sigma(m):
     m2 = m * m
     return sigma_from_moments(float(np.sum(m2)), float(np.sum(m2 * m2)), m.size)
@@ -554,10 +563,10 @@ def ref_n_moments(m, sigma):
 
 
 def ref_n_mle(m, sigma):
-    pos = m[m > 0.0]
-    ref = 2.0 * sigma * sigma
-    return n_from_log_moments(float(np.sum(np.log(pos * pos / ref))), m.size,
-                              m.size - pos.size, sigma, ref)
+    f, e = np.frexp(m)
+    zero = m == 0.0
+    return n_from_log_moments(float(np.sum(np.log(np.where(zero, 1.0, f)))), float(np.sum(e)),
+                              m.size, int(np.count_nonzero(zero)), sigma)
 
 
 def sample_path_slice(arr, config, sigma_max):
@@ -929,7 +938,6 @@ def plain_passes(sums, n_volumes, config, sigma_max):
     # first. Its first c passes are the whole run at a cap of c.
     nonpadding = sums[0] > 0.0
     n_low, n_high = config.effective_n_bracket()
-    ref = identify._log_ref(config, sigma_max)
     bounds = _bounds_for(n_low, n_high, n_volumes, config.p)
     grid = initial_grid(sigma_max, config.grid_size)
     sigma_prev = n_prev = None
@@ -941,9 +949,10 @@ def plain_passes(sums, n_volumes, config, sigma_max):
         sigma = model.sigma_from_moments(s2, float(np.sum(sums[1][mask])), k)
         if config.fixed_n is not None:
             n_dof = config.fixed_n
-        elif ref is not None:
-            n_dof = model.n_from_log_moments(float(np.sum(sums[2][mask])), k,
-                                             int(np.sum(sums[3][mask])), sigma, ref)
+        elif config.estimator == "mle":
+            n_dof = model.n_from_log_moments(float(np.sum(sums[2][mask])),
+                                             float(np.sum(sums[3][mask])), k,
+                                             int(np.sum(sums[4][mask])), sigma)
         else:
             n_dof = model.n_from_moments(s2, k, sigma)
         if sigma_prev is not None:

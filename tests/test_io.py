@@ -52,7 +52,7 @@ def craft_nifti(shape, dtype_code, data_bytes, endian="<", slope=1.0, inter=0.0,
                 spacing=(1.0, 1.0, 1.0), vox_offset=352, magic=b"n+1\x00",
                 bitpix=None, sizeof_hdr=348):
     """Assemble a NIfTI-1 file image from scratch."""
-    itemsize = {2: 1, 4: 2, 8: 4, 16: 4, 64: 8}.get(dtype_code, 4)
+    itemsize = {2: 1, 4: 2, 8: 4, 16: 4, 64: 8, 512: 2}.get(dtype_code, 4)
     if bitpix is None:
         bitpix = 8 * itemsize
     hdr = bytearray(348)
@@ -525,6 +525,8 @@ class TestVolume4D:
             Volume4D(voxels=np.full((2, 2, 2, 1), np.nan))
         with pytest.raises(DomainError):
             Volume4D(voxels=np.ones((2, 2, 2, 1)), spacing=(1.0, 0.0, 1.0))
+        with pytest.raises(DomainError, match="axes must be nonempty"):
+            Volume4D(voxels=np.ones((2, 0, 2, 1)))
         # One magnitude rule: a volume and a slice fail with the same message.
         for bad in (-1.0, np.nan, np.inf, -np.inf):
             arr = np.ones((2, 2, 2, 3))
@@ -583,7 +585,7 @@ def stored_values(rng, dtype, shape, ties):
     return rng.integers(0, 256 if np.dtype(dtype).itemsize == 1 else 30000, shape).astype(dtype)
 
 
-DTYPE_CODES = {"u1": 2, "i2": 4, "i4": 8, "f4": 16, "f8": 64}
+DTYPE_CODES = {"u1": 2, "u2": 512, "i2": 4, "i4": 8, "f4": 16, "f8": 64}
 
 
 class TestStoredValues:
@@ -640,6 +642,42 @@ class TestStoredValues:
                 assert (a.sigma_g, a.n_dof, a.outer_iters, a.converged) == \
                     (b.sigma_g, b.n_dof, b.outer_iters, b.converged)
                 assert np.array_equal(a.mask, b.mask)
+
+    def test_uint16_reads_as_int32_holds_the_values(self, tmp_path):
+        # Datatype 512 (uint16), which DICOM converters write when magnitudes
+        # exceed 32767: read as stored, in either byte order and gzipped,
+        # fingerprinted from its own bytes, and estimated as the same values
+        # stored as int32 are.
+        rng = np.random.default_rng(72)
+        shape = (24, 24, 6, 9)
+        values = np.rint(6000.0 * np.sqrt(rng.chisquare(8, shape)))
+        assert 32767 < values.max() <= 65535
+        paths = {}
+        for name, code, dtype in (("u2", 512, "<u2"), ("u2_big", 512, ">u2"),
+                                  ("i4", 8, "<i4")):
+            raw = craft_nifti(shape, code, values.astype(dtype).tobytes(order="F"),
+                              endian=dtype[0])
+            paths[name] = tmp_path / f"{name}.nii"
+            paths[name].write_bytes(raw)
+        paths["u2_gz"] = tmp_path / "u2.nii.gz"
+        paths["u2_gz"].write_bytes(gzip.compress(paths["u2"].read_bytes()))
+        vols = {name: read_nifti(path) for name, path in paths.items()}
+        want_sha = hashlib.sha256(values.astype("<u2").tobytes(order="F")).hexdigest()
+        for name in ("u2", "u2_big", "u2_gz"):
+            assert vols[name].dtype == np.dtype("<u2")
+            np.testing.assert_array_equal(vols[name].voxels, values)
+            assert volume_fingerprint(vols[name]) == {
+                "dims": [24, 24, 6, 9], "dtype": "uint16", "scale": [1.0, 0.0],
+                "sha256": want_sha}
+        for estimator in ("moments", "mle"):
+            config = SearchConfig(estimator=estimator)
+            want = estimate_volume(vols["i4"], config)
+            assert all(e.error is None for e in want)
+            for name in ("u2", "u2_big", "u2_gz"):
+                for a, b in zip(estimate_volume(vols[name], config), want):
+                    assert (a.sigma_g, a.n_dof, a.outer_iters, a.converged) == \
+                        (b.sigma_g, b.n_dof, b.outer_iters, b.converged)
+                    assert np.array_equal(a.mask, b.mask)
 
     def test_estimate_peaks_below_one_float64_copy(self, tmp_path):
         shape = (48, 48, 24, 33)

@@ -8,6 +8,7 @@ the estimators can be scored against the generating parameters.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,26 +213,31 @@ class TestMomentForms:
         assert estimate_n_mle(m, 1.5) == ref
 
     def test_mle_reference_level_is_roundoff_only(self):
+        # Each sample's log is taken against the power of two of its
+        # exponent. Splitting m = f 2^e as (f 2^j) 2^(e - j) instead, for
+        # any integer j, changes N by roundoff only.
         rng = np.random.default_rng(28)
         sigma = 7.0
         m = chi_draws(rng, sigma=sigma, n=3, size=5000)
         base = estimate_n_mle(m, sigma)
-        for ref in (1.0, 2.0 * 40.0 ** 2, 1e-3):
-            sum_log = float(np.sum(np.log(m * m / ref)))
-            assert n_from_log_moments(sum_log, m.size, 0, sigma, ref) == pytest.approx(
+        f, e = np.frexp(m)
+        for j in (-40, -1, 3, 60):
+            sum_log, sum_exp = float(np.sum(np.log(f * 2.0 ** j))), float(np.sum(e - j))
+            assert n_from_log_moments(sum_log, sum_exp, m.size, 0, sigma) == pytest.approx(
                 base, rel=1e-12)
 
     def test_mle_zero_policy(self):
         # 5 zeros in 100 samples are dropped with a warning, 11 are too many.
-        sum_log = 95 * math.log(2.0)
+        # The other 95 are m = 2 = 0.5 * 2^2, so t = m^2 / 2 = 2 at sigma 1.
+        sum_log, sum_exp = 95 * math.log(0.5), 95 * 2.0
         with pytest.warns(RuntimeWarning, match="dropped 5 zero-valued"):
-            n = n_from_log_moments(sum_log, 100, 5, 1.0, 4.0)
-        assert n == pytest.approx(n_from_log_moments(95 * math.log(2.0), 95, 0, 1.0, 4.0),
-                                  rel=1e-15)
+            n = n_from_log_moments(sum_log, sum_exp, 100, 5, 1.0)
+        assert n == pytest.approx(n_from_log_moments(sum_log, sum_exp, 95, 0, 1.0), rel=1e-15)
+        assert n == pytest.approx(inv_digamma(math.log(2.0)), rel=1e-15)
         with pytest.raises(DomainError, match="11 of 100 samples are zero"):
-            n_from_log_moments(sum_log, 100, 11, 1.0, 4.0)
+            n_from_log_moments(sum_log, sum_exp, 100, 11, 1.0)
         with pytest.raises(DomainError):
-            n_from_log_moments(sum_log, 100, 0, 0.0, 4.0)
+            n_from_log_moments(sum_log, sum_exp, 100, 0, 0.0)
 
 
 class TestHugeSamples:
@@ -325,19 +331,22 @@ class TestHugeSamples:
             with pytest.raises(DomainError, match="overflows float64 at sigma = .*subnormal"):
                 estimate_n_moments(m, sigma)
 
-    def test_n_mle_names_the_underflow(self):
+    def test_n_mle_of_magnitudes_far_below_sigma(self):
         # sigma lies far above the magnitudes, so every m^2 / (2 sigma^2)
-        # underflows to 0 and each log is -inf.
+        # underflows float64 to 0. The exact mantissas and exponents still
+        # give the likelihood's N: that of mpmath at 30 digits, from the
+        # same float64 samples, within 4 ulp.
         m = 1e-170 * chi_draws(np.random.default_rng(29), sigma=1.0, n=4, size=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="m\\^2 underflows float64 to 0"):
-                estimate_n_mle(m, 1.0)
-        with pytest.raises(DomainError, match="underflows"):
-            n_from_log_moments(-math.inf, 10, 0, 1.0, 2.0)
+            got = estimate_n_mle(m, 1.0)
+        with mp.workdps(30):
+            y = mp.fsum(mp.log(mp.mpf(float(v)) ** 2 / 2) for v in m) / m.size
+            want = float(mp.findroot(lambda x: mp.digamma(x) - y, -1 / (y + mp.euler)))
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
 
-    @pytest.mark.parametrize("sum_log", [math.inf, math.nan])
-    def test_n_mle_names_the_overflow(self, sum_log):
-        # m^2 = inf gives a log of inf, and inf / inf (2 sigma^2 = inf) a NaN.
-        with pytest.raises(DomainError, match="overflow float64"):
-            n_from_log_moments(sum_log, 10, 0, 1.0, 2.0)
+    @pytest.mark.parametrize("sum_log", [-math.inf, math.inf, math.nan])
+    def test_n_mle_refuses_non_finite_sums(self, sum_log):
+        # No samples give such sums; they are a typed error, not a number.
+        with pytest.raises(DomainError, match="finite"):
+            n_from_log_moments(sum_log, 0.0, 10, 0, 1.0)

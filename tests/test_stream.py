@@ -263,15 +263,15 @@ def count_reads(monkeypatch) -> list:
 
 @pytest.mark.parametrize("shape", [(32, 32, 8, 20), (16, 16, 8, 20)],
                          ids=["bracket", "whole_sample"])
-@pytest.mark.parametrize("config,reads", [(SearchConfig(), 1), (SearchConfig(fixed_n=4.0), 1),
-                                          (SearchConfig(estimator="mle"), 2)],
+@pytest.mark.parametrize("config", [SearchConfig(), SearchConfig(fixed_n=4.0),
+                                    SearchConfig(estimator="mle")],
                          ids=["moments", "fixed_n", "mle"])
 def test_estimate_reads_the_file_once_unless_the_log_sums_need_the_bound(
-        tmp_path, monkeypatch, shape, config, reads):
+        tmp_path, monkeypatch, shape, config):
     # Beyond 2**17 values the median needs a pass over the values inside
-    # its bracket. The sums of m^2 and m^4 are taken in the same pass; the
-    # likelihood's log sums need the bound, and so a pass after it. A
-    # sample of every value needs no pass.
+    # its bracket. Every moment row, the likelihood's log sums included, is
+    # taken in the same pass, since none needs the bound. A sample of every
+    # value needs no pass for the median.
     path = tmp_path / "vol.nii"
     data = phantom(shape, 16).astype("<f4")
     path.write_bytes(craft_nifti(shape, 16, data.tobytes(order="F")))
@@ -279,7 +279,7 @@ def test_estimate_reads_the_file_once_unless_the_log_sums_need_the_bound(
     got = count_reads(monkeypatch)
     result = estimates(vol, config)
     whole = np.prod(shape) <= 1 << 17
-    assert len(got) == (1 if whole else reads), got
+    assert len(got) == 1, got
     vol.stored
     assert_same_estimates(result, estimates(vol, config))
     del got[:]
@@ -340,30 +340,33 @@ def test_float64_identity_sums_are_of_the_values(tmp_path, file_backed):
         assert vol._stored is None and vol._sample.size < data.size
     else:
         vol = Volume4D(voxels=data)
-    s2, s4, log = (np.zeros(shape[2::-1]) for _ in "s4l")
+    s2, s4, log, exp = (np.zeros(shape[2::-1]) for _ in "s4le")
     for v in range(shape[3]):
         m = data[..., v].T
         m2 = m * m
         s2 += m2
         s4 += m2 * m2
-        log += np.log(m2 / 2.0)
+        f, e = np.frexp(m)
+        log += np.log(f)
+        exp += e
     median, sums = identify._reduce(vol, select=True, moments=True)
     assert median == float(np.median(data))
     assert np.array_equal(sums[0], s2) and np.array_equal(sums[1], s4)
-    _, sums = identify._reduce(vol, select=False, moments=True, ref=2.0)
+    _, sums = identify._reduce(vol, select=False, moments=True, log=True)
     assert np.array_equal(sums[0], s2) and np.array_equal(sums[1], s4)
-    assert np.array_equal(sums[2], log) and not sums[3].any()
+    assert np.array_equal(sums[2], log) and np.array_equal(sums[3], exp)
+    assert not sums[4].any()
 
 
 @pytest.mark.parametrize("unit", [1.0, 2.0 ** -40], ids=["unit1", "unit2^-40"])
-@pytest.mark.parametrize("ref", [None, 2.0], ids=["no_log", "log"])
+@pytest.mark.parametrize("log", [False, True], ids=["no_log", "log"])
 @pytest.mark.parametrize("file_backed", [True, False], ids=["file", "memory"])
-def test_reduce_writes_through_its_view(tmp_path, file_backed, ref, unit):
+def test_reduce_writes_through_its_view(tmp_path, file_backed, log, unit):
     # The pass adds each block of z-planes into a view of the moments: with
     # 8 planes of 64x64 voxels a block, 20 planes take 3 blocks. A copy would
     # leave the sums at zero. They must be those of m / unit summed over the
-    # volumes in order, and for the log rows of log(m^2 / ref) over positive
-    # values and the count of zeros.
+    # volumes in order, and for the log rows of log f and of e, m = f 2^e
+    # with a zero's f taken as 1, and the count of zeros.
     shape = (64, 64, 20, 7)
     assert -(-shape[2] // (identify._BLOCK_VOXELS // (shape[0] * shape[1]))) >= 3
     data = phantom(shape, 18).astype("<f4")
@@ -375,21 +378,22 @@ def test_reduce_writes_through_its_view(tmp_path, file_backed, ref, unit):
         assert vol._stored is None
     else:
         vol = Volume4D(voxels=data)
-    want = np.zeros((2 if ref is None else 4,) + shape[2::-1])
-    with np.errstate(divide="ignore"):
-        for v in range(shape[3]):
-            m = data[..., v].T.astype(np.float64) * (1.0 / unit)
-            m2 = m * m
-            want[0] += m2
-            want[1] += m2 * m2
-            if ref is not None:
-                want[2] += np.where(m > 0.0, np.log(m2 / ref), 0.0)
-                want[3] += m == 0.0
-    _, sums = identify._reduce(vol, select=False, moments=True, ref=ref, unit=unit)
+    want = np.zeros((5 if log else 2,) + shape[2::-1])
+    for v in range(shape[3]):
+        m = data[..., v].T.astype(np.float64) * (1.0 / unit)
+        m2 = m * m
+        want[0] += m2
+        want[1] += m2 * m2
+        if log:
+            f, e = np.frexp(m)
+            want[2] += np.log(np.where(m == 0.0, 1.0, f))
+            want[3] += e
+            want[4] += m == 0.0
+    _, sums = identify._reduce(vol, select=False, moments=True, log=log, unit=unit)
     assert sums.flags.c_contiguous and sums.dtype == np.float64
     assert np.array_equal(sums, want)
-    if ref is not None:
-        assert want[3].any()
+    if log:
+        assert want[4].any()
 
 
 def tall_file(tmp_path, volumes):
